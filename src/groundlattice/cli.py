@@ -131,16 +131,14 @@ def load_projection(token: str, n: int) -> Projection:
 
 def config_from_args(args) -> RunConfig:
     return RunConfig(seed=args.seed, tol_spec=args.tol, tol_rank=args.tol,
-                     tol_resid=args.tol, samples=args.samples,
-                     max_nodes=args.max_nodes, engine=args.engine)
+                     samples=args.samples, max_nodes=args.max_nodes, engine=args.engine)
 
 
 def make_report(command: str, cfg: RunConfig, payload: dict, started: float) -> dict:
     return {
         "command": command,
         "config": {"seed": cfg.seed, "tol_spec": cfg.tol_spec, "tol_rank": cfg.tol_rank,
-                   "tol_resid": cfg.tol_resid, "samples": cfg.samples,
-                   "max_nodes": cfg.max_nodes, "engine": cfg.engine},
+                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": cfg.engine},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),
     }

@@ -35,7 +35,7 @@ from .errors import (
     TrivialConeError,
     UnsupportedConfigurationError,
 )
-from .linalg import Projection, kernel_projection
+from .linalg import Projection, kernel_projection, orthonormal_columns
 from .subspace import LinearSection, OperatorSubspace, linear_section
 
 logger = logging.getLogger(__name__)
@@ -323,18 +323,9 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                           engine=u.engine, span_basis=span_basis, samples=samples)
 
 
-def _orthonormal_rows(rows: list[np.ndarray], tol: float) -> np.ndarray:
+def _orthonormal_rows(rows, tol: float) -> np.ndarray:
     """Orthonormal basis (as rows) of the row span."""
-    out = []
-    scale = max(float(np.linalg.norm(r)) for r in rows)
-    for r in rows:
-        v = r.astype(float).copy()
-        for q in out:
-            v -= np.dot(q, v) * q
-        nv = float(np.linalg.norm(v))
-        if nv > max(tol * scale, 1e-12):
-            out.append(v / nv)
-    return np.stack(out) if out else np.zeros((0, len(rows[0])))
+    return orthonormal_columns(np.stack(rows, axis=1), tol).T
 
 
 # --------------------------------------------------------------------------
@@ -404,17 +395,12 @@ def _extreme_rays_float(desc: ConeDescriptor, u: OperatorSubspace,
 
     # directions inside the trace-one section: span(K) coefficients with
     # zero trace, i.e. orthogonal complement of the trace functional
-    span_rows = _orthonormal_rows([ops.coeffs(m) for m in desc.span_basis], cfg.tol_rank)
+    span_rows = np.stack([ops.coeffs(m) for m in desc.span_basis])
     trace_vec = np.array([float(np.trace(b).real) for b in desc.section.basis])
-    dirs_basis = []
-    for row in span_rows:
-        v = row - np.dot(trace_vec, row) / np.dot(trace_vec, trace_vec) * trace_vec \
-            if np.dot(trace_vec, trace_vec) > 0 else row
-        for q in dirs_basis:
-            v = v - np.dot(q, v) * q
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-10:
-            dirs_basis.append(v / nv)
+    tt = float(np.dot(trace_vec, trace_vec))
+    if tt > 0:
+        span_rows = span_rows - np.outer(span_rows @ trace_vec, trace_vec) / tt
+    dirs_basis = list(_orthonormal_rows(span_rows, cfg.tol_rank))
 
     def boundary_point(direction: np.ndarray) -> np.ndarray | None:
         """Largest t with w + t * direction PSD; the boundary matrix."""

@@ -24,7 +24,6 @@ class RunConfig:
     seed: int = 0
     tol_spec: float = DEFAULT_TOL    # eigenvalue degeneracy grouping
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
-    tol_resid: float = DEFAULT_TOL   # residual acceptance
     samples: int = 10_000            # sampled coatom enumeration draws
     restarts: int = 20               # consecutive failures before the cone search stops
     max_nodes: int = 100_000         # lattice closure budget
@@ -32,7 +31,7 @@ class RunConfig:
     engine: str = "float"
 
     def __post_init__(self):
-        for name in ("tol_spec", "tol_rank", "tol_resid"):
+        for name in ("tol_spec", "tol_rank"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be strictly positive", field=name)
         if self.engine not in ("float", "exact"):
@@ -40,9 +39,6 @@ class RunConfig:
 
     def with_(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)
-
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.seed)
 
     def rng_for(self, *key: int) -> np.random.Generator:
         """Independent generator for a named sub-task of this run."""

@@ -15,9 +15,6 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import InputError, NonConvergenceError
 
-JACOBI_MAX_SWEEPS = 100
-_CONV_FACTOR = 1e-14  # off-diagonal mass per unit norm at which sweeps stop
-
 
 def hermitian_matrix(entries) -> np.ndarray:
     """Validating constructor: square input, symmetrized to (a + a*)/2."""
@@ -63,47 +60,6 @@ class EigDecomposition:
         return self.eigenvectors[:, start:stop]
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p,q] by a complex Givens rotation; update a and v in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    alpha = a[p, p].real
-    beta = a[q, q].real
-    omega = (alpha - beta) / (2.0 * r)
-    if omega >= 0.0:
-        t = 1.0 / (omega + np.sqrt(omega * omega + 1.0))
-    else:
-        t = -1.0 / (-omega + np.sqrt(omega * omega + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    # Unitary R differs from identity in rows/cols p, q:
-    #   R[p,p] = c, R[p,q] = -s*phase, R[q,p] = s*conj(phase), R[q,q] = c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * phase * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + s * np.conj(phase) * vcol_q
-    v[:, q] = -s * phase * vcol_p + c * vcol_q
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def group_close(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Partition sorted values into runs with consecutive gaps <= tol."""
     groups = []
@@ -117,11 +73,11 @@ def group_close(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
 
 
 def eig_herm(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> EigDecomposition:
-    """Full eigendecomposition of a hermitian matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a hermitian matrix by LAPACK ``eigh``.
 
     Eigenvalues come back ascending; eigenvalues within
     tol_spec * max(1, |a|_2) of each other are merged into one group.
-    Raises :class:`NonConvergenceError` after the sweep cap.
+    Raises :class:`NonConvergenceError` when LAPACK does not converge.
     """
     if tol_spec <= 0:
         raise InputError("tol_spec must be positive", field="tol_spec")
@@ -129,107 +85,55 @@ def eig_herm(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> EigDecomposition:
     if not is_hermitian(a, tol=1e-12):
         raise InputError("input is not hermitian; construct via hermitian_matrix")
     n = a.shape[0]
-    work = 0.5 * (a + a.conj().T)
-    vecs = np.eye(n, dtype=np.complex128)
-    scale = max(1.0, frobenius(work))
-    converged = n <= 1
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_diagonal_norm(work) <= _CONV_FACTOR * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > 1e-300:
-                    _jacobi_rotate(work, vecs, p, q)
-    else:
-        converged = _off_diagonal_norm(work) <= _CONV_FACTOR * scale
-    if not converged:
-        raise NonConvergenceError(
-            f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps",
-            residual=_off_diagonal_norm(work) / scale,
-        )
-    values = np.real(np.diag(work)).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
+    try:
+        values, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
     spectral_scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
     groups = group_close(values, tol_spec * spectral_scale) if n else []
     return EigDecomposition(values, vecs, groups)
 
 
 def nullspace_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:
-    """Orthonormal basis of {x : m @ x = 0} by one-sided Jacobi SVD.
+    """Orthonormal basis of {x : m @ x = 0} by LAPACK ``svd``.
 
-    Column rotations orthogonalize the columns of ``m`` while a unitary
-    accumulator tracks them; columns whose final norm falls below
-    tol_rank * max(scale, sigma_max) are null directions.  The absolute
-    floor ``scale`` treats a constraint matrix that is pure numerical noise
-    (e.g. the complement action of an identity projection) as imposing no
-    constraint.  Accurate for small singular values: no Gram matrix is
-    formed.
+    Right singular vectors whose singular value is at most
+    tol_rank * max(scale, sigma_max) are null directions; columns beyond
+    the row count have singular value zero.  The absolute floor ``scale``
+    treats a constraint matrix that is pure numerical noise (e.g. the
+    complement action of an identity projection) as imposing no
+    constraint.  Real input gives a real basis.  Raises
+    :class:`NonConvergenceError` when LAPACK does not converge.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.ndim != 2:
         raise InputError("nullspace_cols expects a 2-d array")
     rows, cols = m.shape
     if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0), dtype=m.dtype)
     if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
-    work = m.copy()
-    acc = np.eye(cols, dtype=np.complex128)
-    total = frobenius(work)
-    if total == 0.0:
-        return acc
-    thresh = 1e-15 * total * total
-    for _ in range(60):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                hpq = np.vdot(work[:, p], work[:, q])
-                if abs(hpq) <= thresh:
-                    continue
-                rotated = True
-                hpp = np.vdot(work[:, p], work[:, p]).real
-                hqq = np.vdot(work[:, q], work[:, q]).real
-                r = abs(hpq)
-                phase = hpq / r
-                omega = (hpp - hqq) / (2.0 * r)
-                if omega >= 0.0:
-                    t = 1.0 / (omega + np.sqrt(omega * omega + 1.0))
-                else:
-                    t = -1.0 / (-omega + np.sqrt(omega * omega + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                wp = work[:, p].copy()
-                wq = work[:, q].copy()
-                work[:, p] = c * wp + s * np.conj(phase) * wq
-                work[:, q] = -s * phase * wp + c * wq
-                ap = acc[:, p].copy()
-                aq = acc[:, q].copy()
-                acc[:, p] = c * ap + s * np.conj(phase) * aq
-                acc[:, q] = -s * phase * ap + c * aq
-        if not rotated:
-            break
-    norms = np.linalg.norm(work, axis=0)
-    sigma_max = float(np.max(norms))
-    keep = norms <= tol_rank * max(scale, sigma_max)
-    return acc[:, keep]
+        return np.eye(cols, dtype=m.dtype)
+    try:
+        _, sv, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"LAPACK svd failed: {err}", residual=float("nan")) from err
+    sigma = np.zeros(cols)
+    sigma[:len(sv)] = sv
+    keep = sigma <= tol_rank * max(scale, float(sv[0]))
+    return vh[keep].conj().T
 
 
 def orthonormal_columns(cols: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
     """Modified Gram-Schmidt with norm pivoting; drops dependent columns.
 
     A fixed phase convention (first significant entry real positive) keeps
-    repeated canonicalizations stable.
+    repeated canonicalizations stable.  Real input gives a real basis.
     """
-    cols = np.asarray(cols, dtype=np.complex128)
+    cols = np.asarray(cols, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
     if cols.ndim != 2 or cols.shape[1] == 0:
-        return np.zeros((cols.shape[0] if cols.ndim == 2 else 0, 0), dtype=np.complex128)
+        return np.zeros((cols.shape[0] if cols.ndim == 2 else 0, 0), dtype=cols.dtype)
     remaining = [cols[:, j].copy() for j in range(cols.shape[1])]
     scale = max(float(np.linalg.norm(c)) for c in remaining)
-    if scale == 0.0:
-        return np.zeros((cols.shape[0], 0), dtype=np.complex128)
     out = []
     while remaining:
         norms = [float(np.linalg.norm(c)) for c in remaining]
@@ -250,7 +154,7 @@ def orthonormal_columns(cols: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.n
         out.append(v)
         remaining = [c - np.vdot(v, c) * v for c in remaining]
     if not out:
-        return np.zeros((cols.shape[0], 0), dtype=np.complex128)
+        return np.zeros((cols.shape[0], 0), dtype=cols.dtype)
     return np.stack(out, axis=1)
 
 

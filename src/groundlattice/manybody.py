@@ -157,7 +157,7 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     basis = [m / np.linalg.norm(m) for m in mats]
     u = OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_FLOAT, basis=basis,
                          contains_identity=True,
-                         site_structure=(n_sites, tuple(sys.dims)), originals=mats)
+                         site_structure=(n_sites, tuple(sys.dims)))
     return u
 
 

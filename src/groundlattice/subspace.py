@@ -12,7 +12,7 @@ Two engines share one interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +20,14 @@ import numpy as np
 from . import exactla as ela
 from .config import DEFAULT_TOL
 from .errors import InputError
-from .linalg import Projection, hermitian_matrix, is_hermitian, nullspace_cols, trace_inner
+from .linalg import (
+    Projection,
+    hermitian_matrix,
+    is_hermitian,
+    nullspace_cols,
+    orthonormal_columns,
+    trace_inner,
+)
 
 ENGINE_FLOAT = "float-hermitian"
 ENGINE_EXACT = "exact-commutative"
@@ -30,45 +37,24 @@ def _vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128).reshape(-1)
 
 
-def _sign_fix(mat: np.ndarray) -> np.ndarray:
-    """Deterministic sign for a hermitian basis element: the first
-    significant coordinate of (Re, Im) stacked is made positive."""
-    flat = np.concatenate([_vec(mat).real, _vec(mat).imag])
-    idx = np.flatnonzero(np.abs(flat) > 1e-12)
-    if idx.size and flat[idx[0]] < 0:
-        return -mat
-    return mat
-
-
 def orthonormalize_hermitian(mats, tol_rank: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Gram-Schmidt with norm pivoting on hermitian matrices.
 
-    Coefficients under the trace inner product are real, so hermiticity is
-    preserved; dependent inputs are dropped.
+    Runs :func:`orthonormal_columns` on the real vectors (Re, Im) of the
+    matrices, whose dot product is the trace inner product; real
+    coefficients preserve hermiticity, and the phase convention makes the
+    first significant coordinate of (Re, Im) positive.  Dependent inputs
+    are dropped.
     """
-    remaining = [np.asarray(m, dtype=np.complex128).copy() for m in mats]
-    if not remaining:
+    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
+    if not mats:
         return []
-    scale = max(float(np.linalg.norm(m)) for m in remaining)
-    if scale == 0.0:
-        return []
-    out: list[np.ndarray] = []
-    while remaining:
-        norms = [float(np.linalg.norm(m)) for m in remaining]
-        j = int(np.argmax(norms))
-        if norms[j] <= tol_rank * scale:
-            break
-        v = remaining.pop(j) / norms[j]
-        for u in out:
-            v = v - trace_inner(u, v).real * u
-        nv = float(np.linalg.norm(v))
-        if nv <= tol_rank:
-            continue
-        v = _sign_fix(v / nv)
-        v = 0.5 * (v + v.conj().T)
-        out.append(v)
-        remaining = [m - trace_inner(v, m).real * v for m in remaining]
-    return out
+    shape = mats[0].shape
+    cols = np.stack([np.concatenate([_vec(m).real, _vec(m).imag]) for m in mats], axis=1)
+    q = orthonormal_columns(cols, tol_rank)
+    half = q.shape[0] // 2
+    out = [(q[:half, j] + 1j * q[half:, j]).reshape(shape) for j in range(q.shape[1])]
+    return [0.5 * (v + v.conj().T) for v in out]
 
 
 @dataclass
@@ -81,7 +67,6 @@ class OperatorSubspace:
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
-    originals: list = field(default_factory=list, repr=False)
 
     @property
     def dim(self) -> int:
@@ -161,7 +146,7 @@ def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
                             np.zeros((n, n), dtype=np.complex128))
         has_id = float(np.linalg.norm(resid)) <= tol_rank * np.sqrt(n)
         return OperatorSubspace(ambient_n=n, engine=engine, basis=basis,
-                                contains_identity=has_id, originals=items)
+                                contains_identity=has_id)
     if engine == ENGINE_EXACT:
         sizes = {len(v) for v in items}
         if len(sizes) != 1:
@@ -182,7 +167,7 @@ def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
         site = (len(config_dims), tuple(config_dims)) if config_dims else None
         return OperatorSubspace(ambient_n=n, engine=engine, basis=basis,
                                 contains_identity=has_id, norms_sq=norms_sq,
-                                site_structure=site, originals=items)
+                                site_structure=site)
     raise InputError(f"unknown engine {engine!r}", field="engine")
 
 

@@ -9,7 +9,7 @@ from groundlattice.errors import InputError
 
 def test_defaults():
     cfg = RunConfig()
-    assert cfg.tol_spec == cfg.tol_rank == cfg.tol_resid == 1e-9
+    assert cfg.tol_spec == cfg.tol_rank == 1e-9
     assert cfg.samples == 10_000
     assert cfg.restarts == 20
     assert cfg.max_nodes == 100_000

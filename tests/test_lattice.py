@@ -15,6 +15,7 @@ from groundlattice.fixtures import (
     m3_p_plus,
     m3_subspace,
     parity_classes,
+    three_bit_system,
     three_bit_two_local,
 )
 from groundlattice.lattice import (
@@ -34,6 +35,7 @@ from groundlattice.linalg import (
     image_intersection,
     loewner_leq,
 )
+from groundlattice.manybody import build_klocal
 from groundlattice.subspace import from_spanning_set
 
 
@@ -44,6 +46,12 @@ def random_member_subspace(rng, n, dim):
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         mats.append(hermitian_matrix(g))
     return from_spanning_set(mats)
+
+
+def haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_projection(rng, n):
@@ -202,6 +210,22 @@ class TestCoatomDecomposition:
         for q in coatom_decomposition(m3_p_bottom(), u):
             assert q_max(q, u).same_image(q, tol=1e-6)
 
+    def test_rotated_cube_vertices_decompose_into_three_facets(self):
+        # bits:N=3:k=1 conjugated by a Haar unitary: each vertex has
+        # dim K = 3 and is the meet of the three facets through it
+        v = haar_unitary(np.random.default_rng(0), 8)
+        cube = build_klocal(three_bit_system(), 1)
+        u = from_spanning_set([v @ np.diag([float(x) for x in f]) @ v.conj().T
+                               for f in cube.basis])
+        for x in range(8):
+            p = Projection.from_columns(8, v[:, [x]])
+            parts = coatom_decomposition(p, u)
+            assert len(parts) == 3
+            meet = parts[0]
+            for q in parts[1:]:
+                meet = image_intersection(meet, q)
+            assert meet.same_image(p, tol=1e-7)
+
 
 class TestEnumerateCoatoms:
     def test_three_bit_sixteen_coatoms(self):
@@ -299,6 +323,22 @@ class TestBuildLattice:
             for c in above:
                 meet = meet & c
             assert meet == s, f"node {sorted(s)} is not the meet of coatoms above it"
+
+
+class TestEngineAgreement:
+    def test_diagonal_embedding_matches_exact_engine(self):
+        # the float engine on the diagonal embedding of bits:N=3:k=2
+        # against the exact engine, on every support
+        exact = three_bit_two_local()
+        embedded = from_spanning_set(exact.basis_as_matrices())
+        from itertools import combinations
+        for size in range(9):
+            for sub in combinations(range(8), size):
+                p_exact = Projection.from_support(8, sub)
+                p_float = Projection.from_columns(8, np.eye(8)[:, list(sub)])
+                assert is_ground_projection(p_float, embedded) == \
+                    is_ground_projection(p_exact, exact), sub
+                assert is_coatom(p_float, embedded) == is_coatom(p_exact, exact), sub
 
 
 class TestBruteForceOracleSmoke:

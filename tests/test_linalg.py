@@ -256,10 +256,16 @@ class TestNullspaceAndOrthonormalization:
 
 
 class TestNonConvergence:
-    def test_sweep_cap_raises_diagnostic(self, monkeypatch):
+    @staticmethod
+    def _lapack_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def test_lapack_failure_raises_typed_error(self, monkeypatch):
         from groundlattice import linalg
         from groundlattice.errors import NonConvergenceError
-        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(NonConvergenceError) as err:
+        monkeypatch.setattr(np.linalg, "eigh", self._lapack_fails)
+        monkeypatch.setattr(np.linalg, "svd", self._lapack_fails)
+        with pytest.raises(NonConvergenceError, match="eigh"):
             linalg.eig_herm(SX.astype(complex))
-        assert err.value.residual > 0
+        with pytest.raises(NonConvergenceError, match="svd"):
+            linalg.nullspace_cols(SX.astype(complex))

@@ -7,8 +7,11 @@ computed here records the dimension of the span of K(p), whether the cone
 is a ray, a relative-interior witness of maximal rank, and (on request)
 extreme-ray generators.
 
-Exact engine: the cone is polyhedral; per-coordinate rational LPs find the
-maximal support, and double description enumerates all extreme rays.
+Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
+membership in U is ``perp @ g = 0`` for a basis ``perp`` of U⊥.  A loop of
+max-support LPs on a fraction-free integer simplex finds the maximal
+support (about two LPs per cone), and double description enumerates all
+extreme rays.
 
 Float engine: alternating projection between L(p) and the PSD cone
 (project, clip negative eigenvalues, repeat) harvests cone samples from
@@ -30,6 +33,7 @@ import numpy as np
 from . import exactla as ela
 from .config import RunConfig
 from .errors import (
+    GroundLatticeError,
     IncompleteRaysError,
     PreconditionError,
     TrivialConeError,
@@ -51,7 +55,7 @@ class ConeDescriptor:
     """Everything computed about K(p)."""
 
     base_projection: Projection
-    section: LinearSection
+    section: LinearSection | None                 # float engine only
     dim_K: int
     is_ray: bool
     interior_witness: object | None = None        # ndarray or Fraction vector
@@ -66,55 +70,55 @@ class ConeDescriptor:
 # exact engine
 # --------------------------------------------------------------------------
 
-def _exact_section_constraints(sec: LinearSection, points: list[int]):
-    """Rows over y-space forcing y in range(evaluation matrix of L-basis)."""
-    if not points:
-        return []
-    value_rows = [[g[x] for x in points] for g in sec.basis]  # one row per basis func
-    return ela.null_space(value_rows, ncols=len(points))
-
-
 def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDescriptor:
-    sec = linear_section(p, u)
+    """Max-support LP loop over the section {y >= 0 on the complement C of
+    p, perp[:, C] @ y = 0, sum(y) = 1} of K(p).
+
+    Each LP maximizes the mass on the points R not yet in the support; the
+    positive points of its optimizer join the support.  An optimum of 0
+    certifies that every point of R is zero on all of K(p).
+    """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
-    trivial = ConeDescriptor(base_projection=p, section=sec, dim_K=0, is_ray=False,
+    trivial = ConeDescriptor(base_projection=p, section=None, dim_K=0, is_ray=False,
                              engine=u.engine, witness_support=frozenset())
-    if sec.dim == 0 or not complement:
-        return trivial
+    rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
+    a_eq = rows + [[Fraction(1)] * len(complement)]
+    b_eq = ela.zeros(len(rows)) + [Fraction(1)]
 
-    left_rows = _exact_section_constraints(sec, complement)
-    a_eq = [row for row in left_rows] + [[Fraction(1)] * len(complement)]
-    b_eq = ela.zeros(len(left_rows)) + [Fraction(1)]
-
-    support = []
+    rest = set(range(len(complement)))
     optimizers = []
-    for idx, x in enumerate(complement):
-        objective = ela.zeros(len(complement))
-        objective[idx] = Fraction(1)
+    while rest:
+        objective = [Fraction(i in rest) for i in range(len(complement))]
         status, val, y = ela.simplex_max(objective, a_eq, b_eq)
         if status == ela.SimplexStatus.INFEASIBLE:
             return trivial
-        assert status == ela.SimplexStatus.OPTIMAL  # the section is compact
-        if val > 0:
-            support.append(x)
-            optimizers.append(y)
-
-    if not support:
+        if status != ela.SimplexStatus.OPTIMAL:
+            raise GroundLatticeError(
+                f"max-support LP on a compact section returned {status!r}")
+        if val == 0:
+            break
+        optimizers.append(y)
+        rest -= {i for i, yi in enumerate(y) if yi > 0}
+    if not optimizers:
         return trivial
 
+    support = [x for i, x in enumerate(complement) if i not in rest]
     witness = ela.zeros(n)
     for y in optimizers:
-        for pos, x in enumerate(complement):
-            witness[x] += y[pos]
+        for i, x in enumerate(complement):
+            witness[x] += y[i]
     witness = ela.scale(witness, Fraction(1, len(optimizers)))
 
-    dead = [x for x in complement if x not in set(support)]
-    rows = [[g[x] for g in sec.basis] for x in dead]
-    coeff_basis = ela.null_space(rows, ncols=sec.dim)
-    span = [_combine_exact(sec.basis, c, n) for c in coeff_basis]
+    # span K(p) = {g in U : g = 0 off the support}
+    span = []
+    for v in ela.null_space([[w[x] for x in support] for w in u.perp], ncols=len(support)):
+        g = ela.zeros(n)
+        for x, vx in zip(support, v):
+            g[x] = vx
+        span.append(g)
     dim_k = len(span)
-    return ConeDescriptor(base_projection=p, section=sec, dim_K=dim_k,
+    return ConeDescriptor(base_projection=p, section=None, dim_K=dim_k,
                           is_ray=dim_k == 1, interior_witness=witness,
                           engine=u.engine, span_basis=span,
                           witness_support=frozenset(support))
@@ -158,7 +162,7 @@ def _extreme_rays_exact(desc: ConeDescriptor) -> list:
 def _unit_trace_exact(g):
     total = sum(g, Fraction(0))
     if total <= 0:
-        raise AssertionError("cone generator must have positive trace")
+        raise GroundLatticeError(f"cone generator has trace {total}, not positive")
     return ela.scale(g, Fraction(1) / total)
 
 

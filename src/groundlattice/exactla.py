@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals: row echelon, null spaces, simplex.
 
-Everything here works on lists of :class:`fractions.Fraction` and never
-rounds.  Matrices are lists of rows.  Sizes stay small (a few dozen rows),
-so plain Gaussian elimination and a dense two-phase simplex are adequate.
+Everything here takes and returns lists of :class:`fractions.Fraction` and
+never rounds.  Matrices are lists of rows.  Sizes stay small (a few dozen
+rows), so dense Gauss-Jordan elimination and a dense two-phase simplex are
+adequate.  Both run on integer rows (fraction-free), which gives the
+rational results without a gcd per entry.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,29 +49,38 @@ def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [list(row) for row in m]
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    Eliminates on integer rows (each input row times the lcm of its
+    denominators, each updated row divided by the gcd of its entries) and
+    divides by the pivots only at the end; the reduced form is unique, so
+    this is the rational elimination's result without a gcd per entry.
+    """
     if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
+        return [], []
+    rows = [_integer_row(row)[1] for row in m]
+    nrows, cols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(nrows):
+            f = rows[i][c]
+            if i != r and f != 0:
+                row = [piv * x - f * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == nrows:
             break
-    return m, pivots
+    red = [[Fraction(x, rows[i][c]) for x in rows[i]] for i, c in enumerate(pivots)]
+    return red + [zeros(cols) for _ in range(nrows - r)], pivots
 
 
 def rank(m: Mat) -> int:
@@ -150,63 +162,77 @@ class SimplexStatus:
 def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec | None]:
     """Maximize c.x subject to a_eq @ x = b_eq, x >= 0, exactly.
 
-    Two-phase primal simplex with Bland's rule.  Returns
-    (status, optimal value, optimizer).
+    Two-phase primal simplex with Bland's rule, on a fraction-free integer
+    tableau: row i of the input is scaled by the lcm of its denominators
+    (its artificial column carries the same factor), and the tableau is
+    kept as ``M = det * T``, where ``T`` is the rational tableau of the
+    current basis and ``det`` the basis determinant of the scaled system.
+    A pivot on (r, s) replaces every other row by
+    ``(M[r][s] * M[i] - M[i][s] * M[r]) // det``, exact by Cramer's rule
+    (Bareiss; Edmonds' integer pivoting), and sets ``det = M[r][s]``.
+    ``det`` stays positive, so signs and ratios read off ``M`` are those
+    of ``T``, and the pivots are the rational tableau's.
+
+    Takes and returns Fractions: (status, optimal value, optimizer).
     """
     m = len(a_eq)
     n = len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        row = list(a_eq[i])
-        r = b_eq[i]
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        rows.append(row)
-        rhs.append(r)
-
-    # Phase 1 tableau: minimize sum of artificials.
-    total = n + m
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    scaled = [_integer_row([-x for x in row] + [-r] if r < 0 else list(row) + [r])
+              for row, r in zip(a_eq, b_eq)]
+    det = math.prod(lam for lam, _ in scaled)
+    # M = det * T with T = [a_eq | I | b_eq] (rows of negative b_eq negated)
+    tab = [[det // lam * x for x in ints[:n]] + [det * (j == i) for j in range(m)]
+           + [det // lam * ints[n]] for i, (lam, ints) in enumerate(scaled)]
     basis = [n + i for i in range(m)]
 
-    def pivot(tab, basis, pr, pc):
-        piv = tab[pr][pc]
-        tab[pr] = [x / piv for x in tab[pr]]
-        for i in range(len(tab)):
-            if i != pr and tab[i][pc] != 0:
-                f = tab[i][pc]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
-        basis[pr] = pc
+    def reduced_costs(cost: list[int]) -> list[int]:
+        # det * (cost - cost_B T) over the columns of the tableau, rhs included
+        out = [x * det for x in cost] + [0]
+        for bv, row in zip(basis, tab):
+            if cost[bv]:
+                out = [o - cost[bv] * y for o, y in zip(out, row)]
+        return out
 
-    def run(tab, basis, obj, allowed):
-        # obj: objective row over `allowed` columns (maximization reduced costs)
+    def pivot(pr: int, pc: int) -> None:
+        nonlocal det
+        prow = tab[pr]
+        piv = prow[pc]
+        rows = tab + [obj]
+        for row in rows:
+            if row is prow:
+                continue
+            f = row[pc]
+            if f:
+                row[:] = [(piv * x - f * y) // det for x, y in zip(row, prow)]
+            else:
+                row[:] = [piv * x // det for x in row]
+        det = piv
+        basis[pr] = pc
+        if det < 0:  # only a drive-out pivot can be negative
+            det = -det
+            for row in rows:
+                row[:] = [-x for x in row]
+
+    def run() -> str:
         while True:
-            # reduced costs: obj_j - sum over basic rows
-            red = []
-            for j in allowed:
-                if j in basis:
-                    red.append((j, Fraction(0)))
-                    continue
-                z = sum(obj[basis[i]] * tab[i][j] for i in range(len(tab)))
-                red.append((j, obj[j] - z))
-            enter = next((j for j, rc in red if rc > 0), None)  # Bland: lowest index
+            enter = next((j for j, rc in enumerate(obj[:-1]) if rc > 0), None)  # Bland
             if enter is None:
                 return SimplexStatus.OPTIMAL
-            ratios = []
-            for i in range(len(tab)):
-                if tab[i][enter] > 0:
-                    ratios.append((tab[i][-1] / tab[i][enter], basis[i], i))
-            if not ratios:
+            best = None
+            for i, row in enumerate(tab):
+                a = row[enter]
+                if a > 0 and (best is None or (row[-1] * tab[best][enter], basis[i])
+                              < (tab[best][-1] * a, basis[best])):
+                    best = i  # least ratio, ties to the lowest basic variable
+            if best is None:
                 return SimplexStatus.UNBOUNDED
-            ratios.sort(key=lambda t: (t[0], t[1]))  # Bland tie-break on basic var
-            pivot(tab, basis, ratios[0][2], enter)
+            pivot(best, enter)
 
-    phase1_obj = [Fraction(0)] * n + [Fraction(-1)] * m
-    status = run(tab, basis, phase1_obj, list(range(total)))
-    value1 = sum(phase1_obj[basis[i]] * tab[i][-1] for i in range(m))
-    if status != SimplexStatus.OPTIMAL or value1 != 0:
+    # Phase 1: maximize -(sum of artificials).  obj holds the reduced costs
+    # times det (times a positive scale in phase 2) and is kept by pivot.
+    obj = reduced_costs([0] * n + [-1] * m)
+    status = run()
+    if status != SimplexStatus.OPTIMAL or any(row[-1] for bv, row in zip(basis, tab) if bv >= n):
         return SimplexStatus.INFEASIBLE, None, None
 
     # Drive artificials out of the basis where possible.
@@ -214,16 +240,22 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec
         if basis[i] >= n:
             pc = next((j for j in range(n) if tab[i][j] != 0), None)
             if pc is not None:
-                pivot(tab, basis, i, pc)
+                pivot(i, pc)
     keep = [i for i in range(m) if basis[i] < n]
-    tab = [tab[i][: n] + [tab[i][-1]] for i in keep]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    phase2_obj = list(c)
-    status = run(tab, basis, phase2_obj, list(range(n)))
+    obj = reduced_costs(_integer_row(c)[1])
+    status = run()
     if status == SimplexStatus.UNBOUNDED:
         return status, None, None
     x = zeros(n)
-    for i, bv in enumerate(basis):
-        x[bv] = tab[i][-1]
+    for row, bv in zip(tab, basis):
+        x[bv] = Fraction(row[-1], det)
     return SimplexStatus.OPTIMAL, dot(c, x), x
+
+
+def _integer_row(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(lcm of the denominators, the row times that lcm as ints)."""
+    lam = math.lcm(*(x.denominator for x in xs))
+    return lam, [x.numerator * (lam // x.denominator) for x in xs]

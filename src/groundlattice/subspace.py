@@ -12,7 +12,7 @@ Two engines share one interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +67,13 @@ class OperatorSubspace:
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
+    # exact engine: rational basis of the orthogonal complement U⊥, so that
+    # g lies in U exactly when perp @ g = 0 (read by the exact cone analysis)
+    perp: list | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.is_exact:
+            self.perp = ela.null_space(self.basis, ncols=self.ambient_n)
 
     @property
     def dim(self) -> int:

@@ -3,7 +3,7 @@
 Decides membership by enumerating *all* support subsets, comparing cones
 exactly, and taking the greatest element of each equal-cone class.  Cones
 are compared through complete extreme-ray enumeration over row subsets
-(double description), never through the production per-coordinate LP /
+(double description), never through the production max-support LP /
 witness-kernel route, so this file is an independent check of that path.
 """
 

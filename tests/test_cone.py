@@ -5,10 +5,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from bruteforce_oracle import cone_rays
 
+from groundlattice import cone as cone_mod
+from groundlattice import exactla as ela
 from groundlattice.config import RunConfig
 from groundlattice.cone import analyze_cone, extreme_rays, relative_interior_point
-from groundlattice.errors import TrivialConeError, UnsupportedConfigurationError
+from groundlattice.errors import GroundLatticeError, TrivialConeError, UnsupportedConfigurationError
 from groundlattice.linalg import (
     Projection,
     eig_herm,
@@ -18,6 +21,7 @@ from groundlattice.linalg import (
     kernel_projection,
     loewner_leq,
 )
+from groundlattice.manybody import SiteSystem, build_klocal
 from groundlattice.subspace import ENGINE_EXACT, from_spanning_set, project_onto
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -213,6 +217,34 @@ class TestAnalyzeConeExact:
         w = relative_interior_point(d_large)
         # the witness of the larger projection lies in the smaller cone
         assert w[1] == 0 and all(v >= 0 for v in w)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_double_description_oracle_on_every_support(self, k):
+        # oracle: complete extreme-ray enumeration of each cone over row
+        # subsets (double description), not the max-support LPs
+        u = build_klocal(SiteSystem.bits(3), k)
+        for mask in range(256):
+            support = {x for x in range(8) if mask >> x & 1}
+            desc = analyze_cone(Projection.from_support(8, support), u)
+            rays = cone_rays(support, u)
+            assert desc.dim_K == (ela.rank(rays) if rays else 0)
+            assert desc.witness_support == frozenset(
+                x for r in rays for x in range(8) if r[x] != 0)
+            if desc.dim_K:
+                w = desc.interior_witness
+                assert {x for x in range(8) if w[x] != 0} == desc.witness_support
+                assert all(v >= 0 for v in w) and project_onto(w, u) == w
+
+    def test_lp_failure_raises_typed_error(self, monkeypatch):
+        xs, u = three_bit_two_local()
+        monkeypatch.setattr(ela, "simplex_max",
+                            lambda *args: (ela.SimplexStatus.UNBOUNDED, None, None))
+        with pytest.raises(GroundLatticeError, match="unbounded"):
+            analyze_cone(Projection.from_support(8, {1}), u)
+
+    def test_generator_without_positive_trace_raises_typed_error(self):
+        with pytest.raises(GroundLatticeError, match="trace"):
+            cone_mod._unit_trace_exact([Fraction(1), Fraction(-1)])
 
 
 class TestExtremeRays:

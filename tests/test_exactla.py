@@ -154,3 +154,214 @@ class TestSimplex:
             else:
                 assert status == ela.SimplexStatus.UNBOUNDED
         assert used >= 20
+
+
+def best_vertex_value(c, a, b):
+    """Largest c.y over the basic feasible points of {y >= 0, a y = b}, found
+    by solving every square subsystem; None when there is none."""
+    from itertools import combinations
+    m, n = len(a), len(c)
+    best = None
+    for cols in combinations(range(n), m):
+        sol = ela.solve([[row[j] for j in cols] for row in a], b)
+        if sol is None or any(x < 0 for x in sol):
+            continue
+        y = ela.zeros(n)
+        for jj, cc in enumerate(cols):
+            y[cc] = sol[jj]
+        val = ela.dot(c, y)
+        best = val if best is None else max(best, val)
+    return best
+
+
+class TestSimplexEdgeCases:
+    def test_beale_cycling_lp_terminates_at_known_optimum(self):
+        # Beale (1955): cycles under the largest-coefficient rule; Bland's
+        # rule must terminate.  Slack columns x1..x3, then x4..x7.
+        c = ela.fvec([0, 0, 0, "3/4", -150, "1/50", -6])
+        a = [ela.fvec([1, 0, 0, "1/4", -60, "-1/25", 9]),
+             ela.fvec([0, 1, 0, "1/2", -90, "-1/50", 3]),
+             ela.fvec([0, 0, 1, 0, 0, 1, 0])]
+        status, val, x = ela.simplex_max(c, a, ela.fvec([0, 0, 1]))
+        assert status == ela.SimplexStatus.OPTIMAL
+        assert val == Fraction(1, 20)
+        assert x == ela.fvec(["3/100", 0, 0, "1/25", 0, 1, 0])
+
+    def test_redundant_rows_are_dropped(self):
+        # rows 2 and 3 repeat row 1 (scaled) and row 4 is 0 = 0: their
+        # artificials stay basic at 0 after phase 1
+        a = [ela.fvec([1, 1, 1]), ela.fvec([2, 2, 2]), ela.fvec(["1/3", "1/3", "1/3"]),
+             ela.fvec([0, 0, 0]), ela.fvec([1, -1, 0])]
+        b = ela.fvec([1, 2, "1/3", 0, 0])
+        status, val, x = ela.simplex_max(ela.fvec([0, 0, 1]), a, b)
+        assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, 1, ela.fvec([0, 0, 1]))
+        status, val, x = ela.simplex_max(ela.fvec([1, 0, 0]), a, b)
+        assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, Fraction(1, 2),
+                                    ela.fvec(["1/2", "1/2", 0]))
+
+    def test_negative_right_hand_sides(self):
+        # -x1 - x2 - x3 = -1 and x1 - x2 = -1/2: x2 = x1 + 1/2
+        a = [ela.fvec([-1, -1, -1]), ela.fvec([1, -1, 0])]
+        b = ela.fvec([-1, "-1/2"])
+        status, val, x = ela.simplex_max(ela.fvec([1, 0, 0]), a, b)
+        assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, Fraction(1, 4),
+                                    ela.fvec(["1/4", "3/4", 0]))
+        status, _, _ = ela.simplex_max(ela.fvec([1, 0, 0]), [ela.fvec([1, 1, 1])],
+                                       ela.fvec([-1]))
+        assert status == ela.SimplexStatus.INFEASIBLE
+
+    def test_rows_with_different_denominators(self):
+        # max x1 + x2 over x1/3 + x2/7 + x3 = 1/5, x1/11 - x2/2 = 0
+        a = [ela.fvec(["1/3", "1/7", 1]), ela.fvec(["1/11", "-1/2", 0])]
+        b = ela.fvec(["1/5", 0])
+        c = ela.fvec([1, 1, "1/13"])
+        status, val, x = ela.simplex_max(c, a, b)
+        assert status == ela.SimplexStatus.OPTIMAL
+        assert ela.mat_vec(a, x) == b and all(v >= 0 for v in x)
+        assert val == best_vertex_value(c, a, b) == ela.dot(c, x)
+        # x3 = 0, x2 = 2 x1 / 11, so x1 (1/3 + 2/77) = 1/5
+        assert x == [Fraction(231, 415), Fraction(42, 415), Fraction(0)]
+
+    def test_matches_exhaustive_vertex_search_up_to_four_rows(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(160):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m, m + 4))
+            a = random_rational_matrix(rng, m, n, den=6)
+            b = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 6))) for _ in range(m)]
+            c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
+            best = best_vertex_value(c, a, b)
+            status, val, y = ela.simplex_max(c, a, b)
+            seen.add(status)
+            if status == ela.SimplexStatus.INFEASIBLE:
+                # a nonempty {y >= 0, a y = b} always has a vertex
+                assert best is None
+            elif status == ela.SimplexStatus.UNBOUNDED:
+                assert best is not None
+            else:
+                assert all(x >= 0 for x in y) and ela.mat_vec(a, y) == b
+                assert val == best == ela.dot(c, y)
+        assert seen == {ela.SimplexStatus.OPTIMAL, ela.SimplexStatus.INFEASIBLE,
+                        ela.SimplexStatus.UNBOUNDED}
+
+
+# --------------------------------------------------------------------------
+# rational references: the same algorithms on Fractions, before the
+# fraction-free rewrite; the integer versions must give identical results
+# --------------------------------------------------------------------------
+
+def rational_rref(m):
+    m = [list(row) for row in m]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rational_simplex_max(c, a_eq, b_eq):
+    m, n = len(a_eq), len(c)
+    tab = []
+    for i in range(m):
+        row, r = list(a_eq[i]), b_eq[i]
+        if r < 0:
+            row, r = [-x for x in row], -r
+        tab.append(row + [Fraction(int(i == j)) for j in range(m)] + [r])
+    basis = [n + i for i in range(m)]
+
+    def pivot(tab, pr, pc):
+        piv = tab[pr][pc]
+        tab[pr] = [x / piv for x in tab[pr]]
+        for i in range(len(tab)):
+            if i != pr and tab[i][pc] != 0:
+                f = tab[i][pc]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[pr])]
+        basis[pr] = pc
+
+    def run(tab, obj, allowed):
+        while True:
+            enter = None
+            for j in allowed:
+                if j not in basis:
+                    z = sum(obj[basis[i]] * tab[i][j] for i in range(len(tab)))
+                    if obj[j] - z > 0:
+                        enter = j
+                        break
+            if enter is None:
+                return ela.SimplexStatus.OPTIMAL
+            ratios = sorted((tab[i][-1] / tab[i][enter], basis[i], i)
+                            for i in range(len(tab)) if tab[i][enter] > 0)
+            if not ratios:
+                return ela.SimplexStatus.UNBOUNDED
+            pivot(tab, ratios[0][2], enter)
+
+    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    status = run(tab, phase1, range(n + m))
+    if status != ela.SimplexStatus.OPTIMAL or any(
+            tab[i][-1] != 0 for i in range(m) if basis[i] >= n):
+        return ela.SimplexStatus.INFEASIBLE, None, None
+    for i in range(m):
+        if basis[i] >= n:
+            pc = next((j for j in range(n) if tab[i][j] != 0), None)
+            if pc is not None:
+                pivot(tab, i, pc)
+    keep = [i for i in range(m) if basis[i] < n]
+    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    if run(tab, list(c), range(n)) == ela.SimplexStatus.UNBOUNDED:
+        return ela.SimplexStatus.UNBOUNDED, None, None
+    x = ela.zeros(n)
+    for i, bv in enumerate(basis):
+        x[bv] = tab[i][-1]
+    return ela.SimplexStatus.OPTIMAL, ela.dot(c, x), x
+
+
+def test_rref_matches_rational_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+        m = random_rational_matrix(rng, rows, cols)
+        if rows > 1 and rng.random() < 0.3:
+            m[-1] = [Fraction(2, 3) * x - y for x, y in zip(m[0], m[1])]
+        assert ela.rref(m) == rational_rref(m)
+
+
+def test_simplex_matches_rational_reference():
+    # same pivots, so the same status, value and optimizer, on LPs shaped
+    # like the cone sections (homogeneous rows plus sum(y) = 1) and on
+    # general ones with redundant rows and negative right-hand sides
+    rng = np.random.default_rng(37)
+    seen = set()
+    for t in range(300):
+        m = int(rng.integers(0, 5))
+        n = int(rng.integers(2, 9))
+        a = random_rational_matrix(rng, m, n, den=5)
+        if m and rng.random() < 0.3:
+            a.append([Fraction(-3, 2) * x for x in a[0]])
+        if t % 2:
+            b = [Fraction(0)] * len(a) + [Fraction(1)]
+            a.append([Fraction(1)] * n)
+        else:
+            b = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))) for _ in a]
+        c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
+        result = ela.simplex_max(c, a, b)
+        assert result == rational_simplex_max(c, a, b)
+        seen.add(result[0])
+    assert len(seen) == 3

@@ -73,14 +73,24 @@ class TestEigHerm:
             assert frobenius(v.conj().T @ v - np.eye(n)) <= 10 * tol_resid
             assert np.all(np.diff(lam) >= -1e-12)
 
-    def test_eigenvalues_match_lapack(self):
-        # independent oracle: LAPACK eigvalsh
+    def test_planted_spectrum_is_recovered(self):
+        # oracle: a = V diag(lam) V^dagger with V a random unitary and lam
+        # (multiplicities included) chosen beforehand
         rng = np.random.default_rng(1)
         for _ in range(20):
-            n = int(rng.integers(2, 9))
-            a = random_hermitian(rng, n)
+            mult = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+            levels = np.cumsum(rng.uniform(0.5, 3.0, size=len(mult))) - 2.0
+            lam = np.repeat(levels, mult)
+            n = len(lam)
+            v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            a = hermitian_matrix(v @ np.diag(lam) @ v.conj().T)
             dec = eig_herm(a)
-            assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(a), atol=1e-10)
+            w, vecs = dec.eigenvalues, dec.eigenvectors
+            assert np.allclose(w, lam, atol=1e-10)
+            starts = np.concatenate([[0], np.cumsum(mult)])
+            assert dec.groups == list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+            assert frobenius(a @ vecs - vecs * w) <= 1e-10 * max(1.0, frobenius(a))
+            assert frobenius(vecs.conj().T @ vecs - np.eye(n)) <= 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
@@ -222,23 +232,24 @@ class TestImageIntersection:
 
 
 class TestNullspaceAndOrthonormalization:
-    def test_nullspace_matches_numpy_svd(self):
+    def test_nullspace_of_planted_rank_products(self):
+        # oracle: m = l @ r with a chosen inner dimension k has rank
+        # min(k, rows, cols), and for k <= rows its null space is that of r
         rng = np.random.default_rng(7)
         for _ in range(30):
             rows = int(rng.integers(1, 9))
             cols = int(rng.integers(1, 7))
-            m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            # plant a rank deficiency half the time
-            if rng.random() < 0.5 and cols >= 2:
-                m[:, -1] = m[:, 0] * (1 + 1j)
+            k = int(rng.integers(1, 7))
+            l = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+            r = rng.normal(size=(k, cols)) + 1j * rng.normal(size=(k, cols))
+            m = l @ r
             ns = nullspace_cols(m)
-            sv = np.linalg.svd(m, compute_uv=False)
-            oracle_rank = int(np.sum(sv > 1e-9 * max(1.0, sv.max())))
-            assert ns.shape[1] == cols - oracle_rank
+            assert ns.shape[1] == cols - min(k, rows, cols)
             if ns.shape[1]:
                 assert np.linalg.norm(m @ ns) <= 1e-8 * max(1.0, np.linalg.norm(m))
-                gram = ns.conj().T @ ns
-                assert np.allclose(gram, np.eye(ns.shape[1]), atol=1e-10)
+                assert np.allclose(ns.conj().T @ ns, np.eye(ns.shape[1]), atol=1e-10)
+                if k <= rows:
+                    assert np.linalg.norm(r @ ns) <= 1e-8 * max(1.0, np.linalg.norm(r))
 
     def test_orthonormal_columns_drops_dependent(self):
         v = np.array([[1.0], [1.0]], dtype=complex)

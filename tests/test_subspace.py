@@ -100,6 +100,14 @@ class TestFromSpanningSet:
                 else:
                     assert ela.dot(a, b) == u.norms_sq[i] != 0
 
+    def test_exact_perp_is_a_basis_of_the_orthogonal_complement(self):
+        _, u = three_bit_two_local()
+        for v in (u, traceless_part(u)):
+            assert len(v.perp) + v.dim == v.ambient_n
+            assert ela.rank(v.perp) == len(v.perp)
+            assert all(ela.dot(w, b) == 0 for w in v.perp for b in v.basis)
+        assert ela.in_span(traceless_part(u).perp, [Fraction(1)] * 8)
+
 
 class TestProjectOnto:
     def test_idempotence_on_members(self):

@@ -4,12 +4,16 @@ Membership is decided by the greatest-projection characterization: the
 projections q with K(q) = K(p) have a greatest element q_max(p), computed
 as the kernel of a relative-interior witness of K(p), and p belongs to the
 lattice exactly when p = q_max(p).  Coatoms are the members whose cone is
-a ray, and the whole lattice is generated from the coatoms by closing
-under image intersection.
+a ray; in the exact engine they are read off as the kernels of the extreme
+rays of K(0) = U ∩ PSD.  The lattice is built from the top down: every
+node is the intersection of the coatoms above it and is keyed by their
+index set, and the lower covers of a node are the minimal index sets among
+its intersections with one more coatom.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,29 +142,19 @@ def enumerate_coatoms(u: OperatorSubspace,
                       cfg: RunConfig | None = None) -> tuple[list[Projection], str]:
     """All coatoms (exact engine) or a sampled, deduplicated subset (float).
 
-    Exact: iterate every support subset with the exact ray-plus-membership
-    test; the list is complete.  Float: draw cfg.samples random elements of
-    U with unit Gaussian coefficients, collect their ground projections,
-    keep the ray cones, and always test the zero projection as well.
+    Exact: the kernels of the extreme rays of K(0) = U ∩ PSD, whose rays
+    are exactly the ray cones K(q) of the coatoms q; the list is complete.
+    Float: draw cfg.samples random elements of U with unit Gaussian
+    coefficients, collect their ground projections, keep the ray cones,
+    and always test the zero projection as well.
     Returns (coatoms, completeness flag).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
-    n = u.ambient_n
     if u.is_exact:
-        found = []
-        for mask in range(2 ** n):
-            support = frozenset(i for i in range(n) if mask >> i & 1)
-            if len(support) == n:
-                continue  # the identity is never a coatom
-            p = Projection.from_support(n, support)
-            desc = analyze_cone(p, u, cfg)
-            if desc.dim_K != 1:
-                continue
-            if q_max_from_descriptor(desc, u, cfg).same_image(p):
-                found.append(p)
-        found.sort(key=lambda p: p.sort_key())
-        return found, "exact"
+        rays = extreme_rays(analyze_cone(u.zero_projection(), u, cfg), cfg)
+        found = [_kernel_of(g, u, cfg) for g in rays]
+        return sorted(found, key=lambda p: p.sort_key()), "exact"
 
     candidates: list[Projection] = [u.zero_projection()]
     rng = cfg.rng_for(3)
@@ -224,40 +218,27 @@ class GroundLattice:
         return out
 
 
-def lattice_from_nodes(u: OperatorSubspace | None, nodes: list[Projection],
-                       flag: str, tol: float = CANON_TOL) -> GroundLattice:
-    """Order a node set, compute Hasse covers, and mark the coatoms.
+def lattice_from_nodes(u: OperatorSubspace | None, nodes: dict[object, Projection],
+                       covers: list[tuple[object, object]], flag: str) -> GroundLattice:
+    """Sort the nodes, renumber the given covers, and mark the coatoms.
 
-    Covers come from transitive reduction of the inclusion digraph; only
-    nodes of strictly intermediate rank can witness non-covering.
+    ``nodes`` maps a key to each node and ``covers`` holds (child, parent)
+    key pairs.  Nodes are ordered by :meth:`Projection.sort_key`, covers by
+    their new indices, and the coatoms are the children of the top (the
+    node of largest rank, hence the last).
     """
-    nodes = sorted(nodes, key=lambda p: p.sort_key())
-    n_nodes = len(nodes)
-    below: list[list[int]] = [[] for _ in range(n_nodes)]  # i -> strict successors
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and a.rank <= b.rank and loewner_leq(a, b, tol):
-                below[i].append(j)
-    succ_sets = [set(s) for s in below]
-    edges = []
-    for i in range(n_nodes):
-        for j in below[i]:
-            ri, rj = nodes[i].rank, nodes[j].rank
-            covered = any(ri < nodes[k].rank < rj and j in succ_sets[k]
-                          for k in below[i])
-            if not covered:
-                edges.append((i, j))
-    top = max(range(n_nodes), key=lambda i: nodes[i].rank) if n_nodes else None
-    coatoms = [i for (i, j) in edges if j == top]
-    return GroundLattice(subspace=u, nodes=nodes, hasse_edges=edges,
-                         coatoms=sorted(coatoms), completeness_flag=flag)
+    order = sorted(nodes, key=lambda key: nodes[key].sort_key())
+    index = {key: i for i, key in enumerate(order)}
+    edges = sorted((index[a], index[b]) for a, b in covers)
+    top = len(order) - 1
+    return GroundLattice(subspace=u, nodes=[nodes[key] for key in order], hasse_edges=edges,
+                         coatoms=[i for i, j in edges if j == top], completeness_flag=flag)
 
 
 def build_lattice(u: OperatorSubspace, cfg: RunConfig | None = None) -> GroundLattice:
-    """Close {id} and the coatoms under pairwise image intersection.
+    """The lattice generated by the coatoms of U, built from the top down.
 
-    Adds the zero projection, computes Hasse covers over the image order,
-    and inherits the completeness flag of the coatom enumeration.  Raises
+    Inherits the completeness flag of the coatom enumeration.  Raises
     :class:`NodeBudgetError` carrying the partial lattice if the closure
     exceeds cfg.max_nodes.
     """
@@ -269,44 +250,58 @@ def build_lattice(u: OperatorSubspace, cfg: RunConfig | None = None) -> GroundLa
 
 def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
                      cfg: RunConfig | None = None) -> GroundLattice:
-    """Intersection closure of {id} ∪ coatoms, plus the zero projection."""
-    cfg = cfg or RunConfig()
-    n = u.ambient_n
-    if u.is_exact:
-        supports = {frozenset(range(n)), frozenset()}
-        supports |= {p.classical_support for p in coatoms}
-        frontier = set(supports)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in supports:
-                    meet = a & b
-                    if meet not in supports:
-                        fresh.add(meet)
-            supports |= fresh
-            if len(supports) > cfg.max_nodes:
-                partial = lattice_from_nodes(
-                    u, [Projection.from_support(n, s) for s in list(supports)[: cfg.max_nodes]], flag)
-                raise NodeBudgetError(
-                    f"intersection closure exceeded {cfg.max_nodes} nodes", partial=partial)
-            frontier = fresh
-        nodes = [Projection.from_support(n, s) for s in supports]
-        return lattice_from_nodes(u, nodes, flag)
+    """Intersection closure of {id} ∪ coatoms with its Hasse covers, plus zero.
 
-    nodes = _dedupe([u.identity_projection(), u.zero_projection()] + list(coatoms))
-    frontier = list(nodes)
-    while frontier:
-        fresh: list[Projection] = []
-        for a in frontier:
-            for b in nodes:
-                meet = image_intersection(a, b, cfg.tol_rank)
-                if not any(meet.same_image(q, tol=CANON_TOL) for q in nodes) and \
-                        not any(meet.same_image(q, tol=CANON_TOL) for q in fresh):
-                    fresh.append(meet)
-        nodes.extend(fresh)
-        if len(nodes) > cfg.max_nodes:
-            partial = lattice_from_nodes(u, nodes[: cfg.max_nodes], flag)
-            raise NodeBudgetError(
-                f"intersection closure exceeded {cfg.max_nodes} nodes", partial=partial)
-        frontier = fresh
-    return lattice_from_nodes(u, nodes, flag)
+    Breadth-first from the top.  A node is keyed by its intent, the set of
+    indices of the coatoms above it; the identity has the empty intent.
+    For a node with intent A, each coatom c outside A gives the candidate
+    meet(node, c), whose intent is A plus every coatom above the meet.  The
+    lower covers of A are the candidates with minimal intent.  The zero
+    projection goes below the meet of all coatoms when that meet is not
+    zero.  Duplicate coatoms share every intent, so they give one node.
+
+    Raises :class:`NodeBudgetError` when the node count exceeds
+    cfg.max_nodes; its partial lattice holds the first cfg.max_nodes nodes
+    in breadth-first order (the top, then the coatoms) and the covers
+    between them.
+    """
+    cfg = cfg or RunConfig()
+    top = u.identity_projection()
+    top_intent = frozenset(j for j, c in enumerate(coatoms) if loewner_leq(top, c, CANON_TOL))
+    nodes = {top_intent: top}
+    covers: list[tuple[frozenset, frozenset]] = []   # (child intent, parent intent)
+    queue = deque([top_intent])
+    while queue:
+        intent = queue.popleft()
+        p = nodes[intent]
+        candidates: dict[frozenset, Projection] = {}
+        for c, q in enumerate(coatoms):
+            if c in intent:
+                continue
+            meet = image_intersection(p, q, cfg.tol_rank)
+            above = frozenset(j for j, r in enumerate(coatoms)
+                              if j not in intent and loewner_leq(meet, r, CANON_TOL))
+            candidates.setdefault(intent | above, meet)
+        for child, meet in candidates.items():
+            if any(other < child for other in candidates):
+                continue
+            covers.append((child, intent))
+            if child not in nodes:
+                nodes[child] = meet
+                queue.append(child)
+                _check_budget(u, nodes, covers, flag, cfg)
+    bottom = frozenset(range(len(coatoms)))
+    if nodes[bottom].rank > 0:
+        nodes[None] = u.zero_projection()
+        covers.append((None, bottom))
+        _check_budget(u, nodes, covers, flag, cfg)
+    return lattice_from_nodes(u, nodes, covers, flag)
+
+
+def _check_budget(u, nodes: dict, covers: list, flag: str, cfg: RunConfig) -> None:
+    if len(nodes) <= cfg.max_nodes:
+        return
+    kept = dict(list(nodes.items())[: cfg.max_nodes])
+    partial = lattice_from_nodes(u, kept, [(a, b) for a, b in covers if a in kept and b in kept],
+                                 flag)
+    raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes", partial=partial)

@@ -21,7 +21,7 @@ import numpy as np
 from . import exactla as ela
 from .config import RunConfig
 from .errors import InputError, UnsupportedConfigurationError
-from .lattice import GroundLattice, lattice_from_nodes
+from .lattice import GroundLattice, close_to_lattice
 from .linalg import Projection
 from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
 
@@ -284,33 +284,17 @@ def ff_lattice_3bit(cfg: RunConfig | None = None) -> GroundLattice:
     """Ground-set lattice of frustration-free 2-local Hamiltonians on 3 bits.
 
     Nodes are all intersections of one cylinder set per 2-subset of sites,
-    together with the empty set; coatomistic by construction.
+    together with the empty set.  A cylinder set is the intersection of
+    the cylinders that exclude one value of its pair each, so the lattice
+    is the intersection closure of those 12 cylinders; coatomistic by
+    construction.
     """
     sys = SiteSystem.bits(3)
     u = build_klocal(sys, 2)
     confs = sys.configurations()
-    pairs = list(combinations(range(3), 2))
-    pair_confs = {nu: sys.configurations(nu) for nu in pairs}
-
-    def cylinder(nu, chosen) -> frozenset[int]:
-        return frozenset(i for i, x in enumerate(confs)
-                         if tuple(x[j] for j in nu) in chosen)
-
-    cylinder_sets = {}
-    for nu in pairs:
-        opts = []
-        values = pair_confs[nu]
-        for mask in range(1, 2 ** len(values)):
-            chosen = {values[i] for i in range(len(values)) if mask >> i & 1}
-            opts.append(cylinder(nu, chosen))
-        cylinder_sets[nu] = opts
-
-    supports = set()
-    for s01 in cylinder_sets[pairs[0]]:
-        for s02 in cylinder_sets[pairs[1]]:
-            partial = s01 & s02
-            for s12 in cylinder_sets[pairs[2]]:
-                supports.add(partial & s12)
-    supports.add(frozenset())
-    nodes = [Projection.from_support(8, s) for s in supports]
-    return lattice_from_nodes(u, nodes, "exact")
+    cylinders = []
+    for nu in combinations(range(3), 2):
+        for value in sys.configurations(nu):
+            cylinders.append(Projection.from_support(
+                len(confs), (i for i, x in enumerate(confs) if tuple(x[j] for j in nu) != value)))
+    return close_to_lattice(u, cylinders, "exact", cfg)

@@ -54,6 +54,44 @@ def haar_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def rotated_space(u, v):
+    """The diagonal embedding of an exact space, conjugated by v."""
+    return from_spanning_set([v @ m @ v.conj().T for m in u.basis_as_matrices()])
+
+
+def rotated_support(p, v, tol=1e-6):
+    """Support S with image(p) = span(v[:, S]), or None if there is none."""
+    d = v.conj().T @ p.matrix() @ v
+    diag = np.diag(d).real
+    if np.max(np.abs(d - np.diag(diag))) > tol or \
+            np.max(np.minimum(np.abs(diag), np.abs(diag - 1.0))) > tol:
+        return None
+    return frozenset(int(x) for x in np.flatnonzero(diag > 0.5))
+
+
+def inclusion_covers(supports):
+    """(child, parent) pairs with child < parent and no support in between."""
+    return {(a, b) for a in supports for b in supports
+            if a < b and not any(a < c < b for c in supports if len(a) < len(c) < len(b))}
+
+
+def lattice_covers(lat, key):
+    nodes = [key(p) for p in lat.nodes]
+    return {(nodes[i], nodes[j]) for i, j in lat.hasse_edges}
+
+
+def coatoms_by_support_scan(u):
+    """Reference: every proper support whose cone is a ray and that is a
+    member, in the library's sort order."""
+    n = u.ambient_n
+    found = []
+    for mask in range(2 ** n - 1):  # the identity is never a coatom
+        p = Projection.from_support(n, [i for i in range(n) if mask >> i & 1])
+        if analyze_cone(p, u).dim_K == 1 and is_ground_projection(p, u):
+            found.append(p)
+    return [sorted(p.classical_support) for p in sorted(found, key=lambda p: p.sort_key())]
+
+
 def random_projection(rng, n):
     k = int(rng.integers(0, n + 1))
     cols = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
@@ -238,6 +276,23 @@ class TestEnumerateCoatoms:
             assert p.rank == 6
             assert frozenset(range(8)) - p.classical_support in edges
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_extreme_rays_of_k0_match_support_scan(self, k):
+        u = build_klocal(three_bit_system(), k)
+        coatoms, flag = enumerate_coatoms(u)
+        assert flag == "exact"
+        assert [sorted(p.classical_support) for p in coatoms] == coatoms_by_support_scan(u)
+
+    def test_extreme_rays_of_k0_match_support_scan_on_random_subspaces(self):
+        from bruteforce_oracle import brute_force_members
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            u, members = brute_force_members(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+            coatoms, _ = enumerate_coatoms(u)
+            listed = [sorted(p.classical_support) for p in coatoms]
+            assert listed == coatoms_by_support_scan(u)
+            assert all(frozenset(s) in members for s in listed)
+
     def test_identity_span_float_engine(self):
         u = from_spanning_set([np.eye(3, dtype=complex)])
         coatoms, flag = enumerate_coatoms(u, RunConfig(samples=50))
@@ -309,6 +364,41 @@ class TestBuildLattice:
         for marker in [m3_p_plus(), m3_p_bottom(), Projection.identity(3), Projection.zero(3)]:
             assert lat.contains(marker)
 
+    def test_three_bit_hasse_covers_are_inclusion_covers(self):
+        lat = build_lattice(three_bit_two_local())
+        supports = [p.classical_support for p in lat.nodes]
+        expected = inclusion_covers(supports)
+        assert (len(supports), len(expected)) == (226, 856)
+        assert lattice_covers(lat, lambda p: p.classical_support) == expected
+        assert len(lat.hasse_edges) == 856
+
+    def test_frustration_free_hasse_covers_are_inclusion_covers(self):
+        from groundlattice.manybody import ff_lattice_3bit
+        lat = ff_lattice_3bit()
+        expected = inclusion_covers([p.classical_support for p in lat.nodes])
+        assert lattice_covers(lat, lambda p: p.classical_support) == expected
+        assert len(lat.hasse_edges) == len(expected)
+
+    def test_rotated_three_bit_closure_matches_exact_lattice(self):
+        # float closure of the 16 Haar-rotated coatoms of bits:N=3:k=2,
+        # mapped back to supports, against the exact lattice
+        exact = three_bit_two_local()
+        reference = build_lattice(exact)
+        v = haar_unitary(np.random.default_rng(11), 8)
+        u = rotated_space(exact, v)
+        coatoms = [Projection.from_columns(8, v[:, sorted(reference.nodes[i].classical_support)])
+                   for i in reference.coatoms]
+        lat = close_to_lattice(u, coatoms, "complete")
+        nodes = [rotated_support(p, v) for p in lat.nodes]
+        assert None not in nodes
+        assert sorted(nodes, key=sorted) == sorted(
+            (p.classical_support for p in reference.nodes), key=sorted)
+        assert len(lat.hasse_edges) == 856
+        assert lattice_covers(lat, lambda p: rotated_support(p, v)) == \
+            lattice_covers(reference, lambda p: p.classical_support)
+        assert {nodes[i] for i in lat.coatoms} == \
+            {reference.nodes[i].classical_support for i in reference.coatoms}
+
     def test_exact_lattice_is_coatomistic(self):
         u = three_bit_two_local()
         lat = build_lattice(u)
@@ -365,3 +455,13 @@ class TestNodeBudget:
         partial = err.value.partial
         assert partial.node_count <= 50
         assert partial.completeness_flag == "exact"
+        # breadth-first from the top: the top and all 16 coatoms are held
+        supports = [p.classical_support for p in partial.nodes]
+        coatoms, _ = enumerate_coatoms(u)
+        assert frozenset(range(8)) in supports
+        assert len(partial.coatoms) == 16
+        assert {supports[i] for i in partial.coatoms} == {p.classical_support for p in coatoms}
+        # every edge joins two held nodes, child strictly inside parent
+        for i, j in partial.hasse_edges:
+            assert 0 <= i < partial.node_count and 0 <= j < partial.node_count
+            assert supports[i] < supports[j]

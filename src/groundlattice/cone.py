@@ -13,18 +13,20 @@ max-support LPs on a fraction-free integer simplex finds the maximal
 support (about two LPs per cone), and double description enumerates all
 extreme rays.
 
-Float engine: alternating projection between L(p) and the PSD cone
-(project, clip negative eigenvalues, repeat) harvests cone samples from
-seeded starts; accumulated samples certify the span and a maximal-rank
-witness.  Extreme rays come from boundary walks inside the trace-one
-section followed by a kernel-face certificate: a boundary point x lies on
-an extreme ray exactly when K(ker x) is itself a ray.
+Float engine: facial reduction.  L(p) is compressed to the range of
+1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
+trace-one elements.  A positive-definite element is a witness of maximal
+rank, and the section spans K(p); a negative optimum means K(p) = {0}; an
+optimum of zero cuts the face down to the large eigenvalues of the last
+iterate and repeats, at most rank(1 - p) times.  Extreme rays come from
+boundary points of the trace-one section (one eigenvalue on the face of
+the witness per direction) followed by a kernel-face certificate: a
+boundary point x lies on an extreme ray exactly when K(ker x) is a ray.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,19 +37,21 @@ from .config import RunConfig
 from .errors import (
     GroundLatticeError,
     IncompleteRaysError,
+    NonConvergenceError,
     PreconditionError,
     TrivialConeError,
     UnsupportedConfigurationError,
 )
-from .linalg import Projection, kernel_projection, orthonormal_columns
+from .linalg import Projection, kernel_projection, nullspace_cols, orthonormal_columns
 from .subspace import LinearSection, OperatorSubspace, linear_section
 
-logger = logging.getLogger(__name__)
-
-PSD_TOL = 1e-9        # min-eigenvalue acceptance per unit scale
-REPAIR_RESID = 1e-10  # joint residual target for clip/reproject repair
-AP_MAX_ITER = 4000
-AP_HARD_CAP = 400     # absolute cap on restarts inside one accumulation
+PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
+MU_FACE = 1e-10       # barrier weight times face size at which t* = 0 is decided
+MU_STEP = 100.0       # barrier weight reduction per centred point
+CENTRED = 1e-3        # Newton decrement that counts as centred
+NEWTON_CAP = 500      # Newton steps per phase-I round
+HESS_RCOND = 1e-14    # relative singular-value cutoff of the Newton system
+LINE_STEPS = 30       # scalar Newton steps of one line search
 
 
 @dataclass
@@ -62,8 +66,10 @@ class ConeDescriptor:
     extreme_ray_generators: list | None = None
     engine: str = "float-hermitian"
     span_basis: list = field(default_factory=list, repr=False)
-    samples: list = field(default_factory=list, repr=False)
     witness_support: frozenset | None = None      # exact engine: maximal support
+    # float engine: the closest call of the facial reduction, as a ratio to
+    # its threshold (|t*| / PSD_TOL, or the eigenvalue gap at a face split)
+    margin: float | None = None
 
 
 # --------------------------------------------------------------------------
@@ -171,58 +177,17 @@ def _unit_trace_exact(g):
 # --------------------------------------------------------------------------
 
 class _SectionOps:
-    """Fast projection onto span(L-basis) plus PSD clipping."""
+    """Coefficients in, and reconstruction from, the section basis."""
 
     def __init__(self, sec: LinearSection):
-        self.sec = sec
-        self.n = sec.base_projection.n
-        self.stack = np.stack(sec.basis) if sec.basis else np.zeros((0, self.n, self.n), complex)
+        n = sec.base_projection.n
+        self.stack = np.stack(sec.basis) if sec.basis else np.zeros((0, n, n), complex)
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         return np.einsum("kij,ij->k", self.stack.conj(), x).real
 
     def reconstruct(self, c: np.ndarray) -> np.ndarray:
         return np.tensordot(c, self.stack, axes=1)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        y = self.reconstruct(self.coeffs(x))
-        return 0.5 * (y + y.conj().T)
-
-    @staticmethod
-    def clip_psd(y: np.ndarray) -> tuple[np.ndarray, float]:
-        # LAPACK eigh here: this is the hot loop of the accumulation
-        w, v = np.linalg.eigh(0.5 * (y + y.conj().T))
-        lam_min = float(w[0]) if len(w) else 0.0
-        wc = np.clip(w, 0.0, None)
-        return (v * wc) @ v.conj().T, lam_min
-
-    def ap_into_cone(self, seed: np.ndarray,
-                     max_iter: int = AP_MAX_ITER,
-                     target: float = REPAIR_RESID) -> np.ndarray | None:
-        """Alternate project-onto-L / clip-to-PSD until the joint residual
-        falls below ``target``; None on collapse to zero or iteration cap."""
-        x = seed
-        for _ in range(max_iter):
-            y = self.project(x)
-            z, _ = self.clip_psd(y)
-            norm_z = float(np.linalg.norm(z))
-            if norm_z <= 1e-12:
-                return None
-            resid = float(np.linalg.norm(z - y))
-            if resid <= target * max(1.0, norm_z):
-                out = self.project(z)
-                _, lam_min = self.clip_psd(out)
-                if lam_min < -PSD_TOL * max(1.0, float(np.linalg.norm(out))):
-                    return None
-                return out
-            x = z
-        return None
-
-
-def _psd_rank(m: np.ndarray, tol: float) -> int:
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    top = float(w[-1]) if len(w) else 0.0
-    return int(np.sum(w > tol * max(1.0, top)))
 
 
 def _span_rank(vectors: list[np.ndarray], tol: float) -> int:
@@ -233,98 +198,136 @@ def _span_rank(vectors: list[np.ndarray], tol: float) -> int:
     return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
 
 
-def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDescriptor:
-    sec = linear_section(p, u, cfg.tol_rank)
-    n = u.ambient_n
-    if sec.dim == 0:
-        return ConeDescriptor(base_projection=p, section=sec, dim_K=0,
-                              is_ray=False, engine=u.engine)
-    if sec.dim == 1:
-        # K = L ∩ PSD with a one-dimensional L: a direct sign test
-        b = sec.basis[0]
-        w = np.linalg.eigvalsh(b)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if w[0] >= -PSD_TOL * scale:
-            gen = b
-        elif w[-1] <= PSD_TOL * scale:
-            gen = -b
-        else:
-            return ConeDescriptor(base_projection=p, section=sec, dim_K=0,
-                                  is_ray=False, engine=u.engine)
-        gen = gen / float(np.trace(gen).real)
-        return ConeDescriptor(base_projection=p, section=sec, dim_K=1, is_ray=True,
-                              interior_witness=gen, engine=u.engine,
-                              span_basis=[b], samples=[gen])
-    ops = _SectionOps(sec)
+def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(s)
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
 
-    samples: list[np.ndarray] = []
-    coeff_samples: list[np.ndarray] = []
-    acc = np.zeros((n, n), dtype=np.complex128)
-    acc_rank = 0
 
-    def consider(v: np.ndarray) -> bool:
-        """Normalize, record, and fold into the witness; True if rank grew."""
-        nonlocal acc, acc_rank
-        tr = float(np.trace(v).real)
-        if tr <= 1e-12:
-            return False
-        v = v / tr
-        samples.append(v)
-        coeff_samples.append(ops.coeffs(v))
-        grew = _psd_rank(acc + v, cfg.tol_rank) > acc_rank
-        if grew:
-            acc = acc + v
-            acc_rank = _psd_rank(acc, cfg.tol_rank)
-        return grew
+def _phase_one(c: np.ndarray, tol_rank: float) -> tuple:
+    """Barrier phase I for  max t  s.t.  X - tI >= 0, X in span(c), tr X = 1.
 
-    # deterministic probes: the PSD parts of each section basis direction
-    for b in sec.basis:
-        for sign in (1.0, -1.0):
-            seed, _ = ops.clip_psd(sign * b)
-            if float(np.linalg.norm(seed)) <= 1e-12:
-                continue
-            v = ops.ap_into_cone(seed)
-            if v is not None:
-                consider(v)
-
-    failures = 0
-    attempt = 0
-    while failures < cfg.restarts and attempt < AP_HARD_CAP:
-        rng = cfg.rng_for(1, attempt)
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        seed = g @ g.conj().T
-        if attempt % 2 == 1 and 0 < acc_rank < n:
-            # bias toward the unexplored kernel of the accumulated witness
-            w, vecs = np.linalg.eigh(acc)
-            low = vecs[:, np.abs(w) <= cfg.tol_rank * max(1.0, float(w[-1]))]
-            if low.shape[1]:
-                k = low @ low.conj().T
-                seed = k @ seed @ k
-        attempt += 1
-        if float(np.linalg.norm(seed)) <= 1e-12:
-            failures += 1
+    ``c`` holds orthonormal hermitian r x r matrices.  With X = X0 +
+    sum_j z_j D_j (traceless D_j), Newton steps with an exact line search
+    minimize  -t/mu - log det(X - tI), and mu is cut by MU_STEP at each
+    centred point, where t* lies in [t, t + mu r].  Returns the status
+    ("interior": t > PSD_TOL; "empty": K = {0}; "face": |t*| <= PSD_TOL),
+    the decided value (t, or the dual bound t + mu r), the coefficients of
+    X in ``c``, and the eigenpairs of X - tI.
+    """
+    r = c.shape[1]
+    a = np.einsum("kii->k", c).real
+    if np.linalg.norm(a) <= tol_rank:   # a traceless section: no PSD element but 0
+        return "empty", -np.inf, None, None, None
+    x0 = a / (a @ a)
+    null = nullspace_cols(a[None, :], tol_rank)
+    x_base = np.tensordot(x0, c, axes=1)
+    lam, vecs = _eigh(x_base)
+    if null.shape[1] == 0:              # no free direction: t* = lambda_min(X0)
+        t = float(lam[0])
+        status = "interior" if t > PSD_TOL else "empty" if t < -PSD_TOL else "face"
+        return status, t, x0, lam - min(t, 0.0), vecs
+    dirs = np.concatenate([np.tensordot(null.T, c, axes=1), -np.eye(r)[None]])
+    w = np.zeros(len(dirs))
+    w[-1] = lam[0] - 1.0 / r
+    mu = 1.0 / float(np.sum(1.0 / (lam - w[-1])))   # the start is centred in t
+    for _ in range(NEWTON_CAP):
+        s, vecs = _eigh(x_base + np.tensordot(w, dirs, axes=1))
+        if s[0] <= 0.0:
+            raise NonConvergenceError("phase-I iterate left the PSD cone", residual=float(s[0]))
+        inv_sqrt = 1.0 / np.sqrt(s)
+        f = (vecs.conj().T @ dirs @ vecs) * np.outer(inv_sqrt, inv_sqrt)
+        grad = -np.einsum("kii->k", f).real
+        grad[-1] -= 1.0 / mu
+        flat = f.reshape(len(f), -1)
+        try:
+            # near a face the curvature spans (s_max / s_min)^2: the truncated
+            # least-squares solve drops the directions it swamps
+            step = np.linalg.lstsq((flat.conj() @ flat.T).real, -grad, rcond=HESS_RCOND)[0]
+        except np.linalg.LinAlgError as err:
+            raise NonConvergenceError(f"phase-I Newton system: {err}",
+                                      residual=float("nan")) from err
+        if -grad @ step > CENTRED ** 2:
+            e = _eigh(np.tensordot(step, f, axes=1))[0]
+            w = w + _line_search(e, -step[-1] / mu) * step
             continue
-        seed = seed / float(np.trace(seed).real)
-        v = ops.ap_into_cone(seed)
-        if v is None or not consider(v):
-            failures += 1
-        else:
-            failures = 0
+        t, x = float(w[-1]), x0 + null @ w[:-1]
+        if t > PSD_TOL:
+            return "interior", t, x, s, vecs
+        if t + mu * r < -PSD_TOL:
+            return "empty", t + mu * r, x, s, vecs
+        if mu * r <= MU_FACE:
+            return "face", t, x, s, vecs
+        mu /= MU_STEP
+    raise NonConvergenceError(f"phase I not centred after {NEWTON_CAP} Newton steps",
+                              residual=float("nan"))
 
-    if not samples:
-        return ConeDescriptor(base_projection=p, section=sec, dim_K=0,
-                              is_ray=False, engine=u.engine)
 
-    dim_k = _span_rank(coeff_samples, cfg.tol_rank)
-    logger.debug("cone accumulation: dim span %d, witness rank %d, attempts %d",
-                 dim_k, acc_rank, attempt)
+def _line_search(e: np.ndarray, slope: float) -> float:
+    """Minimizer over a > 0 of  a * slope - sum log(1 + a e), by safeguarded
+    Newton from a = 0.  ``e`` are the eigenvalues of the step whitened by
+    S, so every a < 1 / max(-e) keeps the iterate strictly feasible."""
+    cap = 1.0 / -e.min() if e.min() < 0 else np.inf
+    a = 0.0
+    for _ in range(LINE_STEPS):
+        q = e / (1.0 + a * e)
+        slope_a = slope - q.sum()
+        if slope_a >= 0:
+            break
+        a_next = a - slope_a / (q @ q)
+        a = a_next if a_next < cap else 0.5 * (a + cap)
+    return float(a)
 
-    witness = acc / float(np.trace(acc).real)
-    span_cols = _orthonormal_rows(coeff_samples, cfg.tol_rank)
-    span_basis = [ops.reconstruct(span_cols[j]) for j in range(span_cols.shape[0])]
-    return ConeDescriptor(base_projection=p, section=sec, dim_K=dim_k,
-                          is_ray=dim_k == 1, interior_witness=witness,
-                          engine=u.engine, span_basis=span_basis, samples=samples)
+
+def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDescriptor:
+    """Facial reduction of K(p) = L(p) ∩ PSD on the range of 1 - p.
+
+    Each round runs phase I on the current face.  A positive-definite X
+    ends the search: its face is the smallest one holding K(p), X is the
+    witness, and the section restricted to the face spans K(p).  A face
+    with t* = 0 is cut down to the span of the large eigenvalues of the
+    last iterate (the central path tends to the analytic centre of the
+    optimal face), and the section to its matrices supported there.
+    """
+    sec = linear_section(p, u, cfg.tol_rank)
+    empty = ConeDescriptor(base_projection=p, section=sec, dim_K=0, is_ray=False,
+                           engine=u.engine, margin=np.inf)
+    if sec.dim == 0:
+        return empty
+    ops = _SectionOps(sec)
+    face = nullspace_cols(p.matrix(), cfg.tol_rank)     # the range of 1 - p
+    c = face.conj().T @ ops.stack @ face
+    coeffs = np.eye(sec.dim)
+    margin = np.inf
+    rounds = face.shape[1]
+    for _ in range(rounds):
+        status, t, x, s, vecs = _phase_one(c, cfg.tol_rank)
+        if status == "empty":
+            return replace(empty, margin=min(margin, -t / PSD_TOL))
+        if status == "interior":
+            dim_k = coeffs.shape[1]
+            return ConeDescriptor(
+                base_projection=p, section=sec, dim_K=dim_k, is_ray=dim_k == 1,
+                interior_witness=_unit_trace_float(ops.reconstruct(coeffs @ x)),
+                engine=u.engine, span_basis=[ops.reconstruct(g) for g in coeffs.T],
+                margin=min(margin, t / PSD_TOL))
+        if len(s) < 2:
+            break  # a one-dimensional face cannot be split
+        # split at the widest eigenvalue gap of S and keep the upper part
+        logs = np.log(np.maximum(s, np.finfo(float).tiny))
+        cut = int(np.argmax(np.diff(logs))) + 1
+        margin = min(margin, float(np.exp(logs[cut] - logs[cut - 1])))
+        off = c @ vecs[:, :cut]
+        restrict = nullspace_cols(np.concatenate([off.real, off.imag], axis=1)
+                                  .reshape(len(c), -1).T, cfg.tol_rank)
+        if restrict.shape[1] == 0:
+            return replace(empty, margin=margin)
+        coeffs = coeffs @ restrict
+        c = vecs[:, cut:].conj().T @ np.tensordot(restrict.T, c, axes=1) @ vecs[:, cut:]
+    raise NonConvergenceError(
+        f"facial reduction did not end within rank(1 - p) = {rounds} rounds",
+        residual=float("nan"))
 
 
 def _orthonormal_rows(rows, tol: float) -> np.ndarray:
@@ -340,8 +343,10 @@ def analyze_cone(p: Projection, u: OperatorSubspace,
                  cfg: RunConfig | None = None) -> ConeDescriptor:
     """Dimension, ray flag, and relative-interior witness of K(p).
 
-    Deterministic given ``cfg.seed``.  An empty cone is a valid result
-    (dim_K = 0, no witness).
+    Deterministic, and independent of ``cfg.seed``.  An empty cone is a
+    valid result (dim_K = 0, no witness).  Float descriptors carry
+    ``margin``, the closest call of the facial reduction as a ratio to its
+    threshold.
     """
     cfg = cfg or RunConfig()
     if p.n != u.ambient_n:
@@ -397,38 +402,30 @@ def _extreme_rays_float(desc: ConeDescriptor, u: OperatorSubspace,
     w = _unit_trace_float(desc.interior_witness)
     w_coeff = ops.coeffs(w)
 
-    # directions inside the trace-one section: span(K) coefficients with
-    # zero trace, i.e. orthogonal complement of the trace functional
+    # directions inside the trace-one section: span(K) rows projected off
+    # the trace functional within span(K), so that they stay on the face
+    # of the witness
     span_rows = np.stack([ops.coeffs(m) for m in desc.span_basis])
-    trace_vec = np.array([float(np.trace(b).real) for b in desc.section.basis])
-    tt = float(np.dot(trace_vec, trace_vec))
-    if tt > 0:
-        span_rows = span_rows - np.outer(span_rows @ trace_vec, trace_vec) / tt
+    traces = span_rows @ np.array([float(np.trace(b).real) for b in desc.section.basis])
+    span_rows = span_rows - np.outer(traces, traces @ span_rows) / (traces @ traces)
     dirs_basis = list(_orthonormal_rows(span_rows, cfg.tol_rank))
 
+    # on the face of the witness W, W + t D >= 0 exactly when
+    # 1 + t e >= 0 for the eigenvalues e of W^{-1/2} D W^{-1/2}
+    lam, vecs = _eigh(w)
+    on_face = lam > PSD_TOL
+    face = vecs[:, on_face]
+    inv_sqrt = 1.0 / np.sqrt(lam[on_face])
+    whiten = np.outer(inv_sqrt, inv_sqrt)
+
     def boundary_point(direction: np.ndarray) -> np.ndarray | None:
-        """Largest t with w + t * direction PSD; the boundary matrix."""
-        def feasible(t: float) -> bool:
-            m = ops.reconstruct(w_coeff + t * direction)
-            lam = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-            return lam >= -PSD_TOL * max(1.0, float(np.linalg.norm(m)))
-        if not feasible(0.0):
+        """The matrix where w + t * direction leaves the cone, t > 0;
+        None when the direction stays inside."""
+        on = face.conj().T @ ops.reconstruct(direction) @ face
+        top = float(_eigh(-on * whiten)[0][-1])
+        if top <= 0.0:
             return None
-        hi = 1.0
-        for _ in range(80):
-            if not feasible(hi):
-                break
-            hi *= 2.0
-        else:
-            return None  # direction lies in the cone; no boundary this way
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        m = ops.reconstruct(w_coeff + lo * direction)
+        m = ops.reconstruct(w_coeff + direction / top)
         return 0.5 * (m + m.conj().T)
 
     def descend(x: np.ndarray) -> np.ndarray | None:

@@ -16,16 +16,17 @@ DEFAULT_TOL = 1e-9
 class RunConfig:
     """All knobs that influence a computation, bundled for reproducibility.
 
-    ``seed`` feeds a splittable generator (numpy ``SeedSequence``); every
-    random restart draws from its own spawned stream, so results do not
-    depend on evaluation order.
+    ``seed`` feeds a splittable generator (numpy ``SeedSequence``) for the
+    randomized steps: sampled float coatom enumeration and the trial
+    directions of the float extreme-ray search.  Each draws from its own
+    spawned stream, so results do not depend on evaluation order.  The
+    cone analysis itself (facial reduction) uses no randomness.
     """
 
     seed: int = 0
     tol_spec: float = DEFAULT_TOL    # eigenvalue degeneracy grouping
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
     samples: int = 10_000            # sampled coatom enumeration draws
-    restarts: int = 20               # consecutive failures before the cone search stops
     max_nodes: int = 100_000         # lattice closure budget
     max_ray_dim: int = 4             # float-engine extreme-ray search limit
     engine: str = "float"

@@ -11,7 +11,12 @@ from groundlattice import cone as cone_mod
 from groundlattice import exactla as ela
 from groundlattice.config import RunConfig
 from groundlattice.cone import analyze_cone, extreme_rays, relative_interior_point
-from groundlattice.errors import GroundLatticeError, TrivialConeError, UnsupportedConfigurationError
+from groundlattice.errors import (
+    GroundLatticeError,
+    NonConvergenceError,
+    TrivialConeError,
+    UnsupportedConfigurationError,
+)
 from groundlattice.linalg import (
     Projection,
     eig_herm,
@@ -131,13 +136,18 @@ class TestAnalyzeConeFloat:
             assert frobenius(project_onto(w, u) - w) <= 1e-8
 
     def test_witness_rank_stable_across_seeds(self):
+        # facial reduction draws no random numbers: the witness itself is
+        # the same for every seed
         u = m3_subspace()
         ranks = []
+        witnesses = []
         for seed in (0, 1, 2):
             desc = analyze_cone(P_BOTTOM, u, RunConfig(seed=seed))
             w = relative_interior_point(desc)
             ranks.append(int(np.sum(np.linalg.eigvalsh(w) > 1e-8)))
+            witnesses.append(w)
         assert len(set(ranks)) == 1
+        assert all(np.array_equal(w, witnesses[0]) for w in witnesses)
 
     def test_ground_energy_zero_on_witnesses(self):
         # with id in U and p != 0, nonzero cone elements have ground energy 0
@@ -169,6 +179,45 @@ class TestAnalyzeConeFloat:
                 # w must lie in K(p) too
                 assert frobenius(p.matrix() @ w) <= 1e-7
                 assert float(np.linalg.eigvalsh(w)[0]) >= -1e-8
+
+    def test_margins_of_ground_projections_are_clear(self):
+        # a ground projection p of a random a in U has a - E_0 in K(p),
+        # positive definite off p: phase I ends far above PSD_TOL
+        rng = np.random.default_rng(71)
+        diag = build_klocal(SiteSystem.bits(3), 2)
+        z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        v, _ = np.linalg.qr(z)
+        u = from_spanning_set([v @ m @ v.conj().T for m in diag.basis_as_matrices()])
+        for _ in range(20):
+            p = ground_projection(hermitian_matrix(u.element_from(rng.normal(size=u.dim))))
+            desc = analyze_cone(p, u)
+            assert desc.dim_K >= 1
+            assert desc.margin >= 100
+        assert analyze_cone(Projection.from_support(8, {0}), diag).margin is None
+
+    def test_lapack_failure_raises_typed_error(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        u = m3_subspace()
+        assert analyze_cone(P_BOTTOM, u).section.dim >= 2
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NonConvergenceError, match="eigh"):
+            analyze_cone(P_BOTTOM, u)
+
+    def test_face_loop_past_its_round_cap_raises_typed_error(self, monkeypatch):
+        # a phase I that never decides: each round cuts one coordinate off
+        # the face, so the loop would need more than rank(1 - p) rounds
+        def undecided(c, tol_rank):
+            r = c.shape[1]
+            s = np.ones(r)
+            s[0] = 1e-12
+            return "face", 0.0, np.zeros(len(c)), s, np.eye(r)
+
+        u = from_spanning_set([np.diag(row).astype(complex) for row in np.eye(3)])
+        monkeypatch.setattr(cone_mod, "_phase_one", undecided)
+        with pytest.raises(NonConvergenceError, match="rounds"):
+            analyze_cone(Projection.zero(3), u)
 
 
 class TestAnalyzeConeExact:

@@ -11,7 +11,6 @@ def test_defaults():
     cfg = RunConfig()
     assert cfg.tol_spec == cfg.tol_rank == 1e-9
     assert cfg.samples == 10_000
-    assert cfg.restarts == 20
     assert cfg.max_nodes == 100_000
 
 

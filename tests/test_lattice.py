@@ -35,7 +35,7 @@ from groundlattice.linalg import (
     image_intersection,
     loewner_leq,
 )
-from groundlattice.manybody import build_klocal
+from groundlattice.manybody import SiteSystem, build_klocal
 from groundlattice.subspace import from_spanning_set
 
 
@@ -429,6 +429,58 @@ class TestEngineAgreement:
                 assert is_ground_projection(p_float, embedded) == \
                     is_ground_projection(p_exact, exact), sub
                 assert is_coatom(p_float, embedded) == is_coatom(p_exact, exact), sub
+
+
+    @pytest.mark.parametrize("k, seed", [(1, 100), (1, 101), (2, 100)])
+    def test_rotated_space_matches_exact_engine(self, k, seed):
+        # a Haar-rotated bits:N=3 against the exact engine on every
+        # support; on the rotated cube (k=1) the face-diagonal pairs such
+        # as {1, 2} have a ray cone, which seeded alternating projection
+        # read as two-dimensional (and then called six of them members)
+        exact = build_klocal(three_bit_system(), k)
+        v = haar_unitary(np.random.default_rng(seed), 8)
+        u = rotated_space(exact, v)
+        for mask in range(256):
+            sub = [x for x in range(8) if mask >> x & 1]
+            p_exact = Projection.from_support(8, sub)
+            p_float = Projection.from_columns(8, v[:, sub])
+            assert analyze_cone(p_float, u).dim_K == analyze_cone(p_exact, exact).dim_K, sub
+            assert is_ground_projection(p_float, u) == is_ground_projection(p_exact, exact), sub
+            assert is_coatom(p_float, u) == is_coatom(p_exact, exact), sub
+
+
+class TestQubitPair:
+    """qubits:N=2:k=1, U = span{A (x) 1 + 1 (x) B}: the cone of a
+    projection is known in closed form.  Every PSD element with psi (x) C^2
+    in its kernel is a multiple of psi'psi'* (x) 1 (psi' orthogonal to
+    psi); with psi (x) phi in its kernel, a sum of that and 1 (x) phi'phi'*;
+    an entangled vector is never in the kernel of a nonzero one."""
+
+    @staticmethod
+    def unit_pair(rng):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        return psi, np.array([-np.conj(psi[1]), np.conj(psi[0])])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cones_membership_and_coatoms(self, seed):
+        rng = np.random.default_rng(seed)
+        psi, psi_perp = self.unit_pair(rng)
+        phi, phi_perp = self.unit_pair(rng)
+        e = np.eye(2)
+        u = build_klocal(SiteSystem.qubits(2), 1)
+        cases = [
+            (np.stack([np.kron(psi, e[0]), np.kron(psi, e[1])], axis=1), 1, True, True),
+            (np.stack([np.kron(e[0], phi), np.kron(e[1], phi)], axis=1), 1, True, True),
+            (np.kron(psi, phi)[:, None], 2, True, False),
+            ((np.kron(psi, phi) + np.kron(psi_perp, phi_perp))[:, None] / np.sqrt(2), 0,
+             False, False),
+        ]
+        for cols, dim_k, member, coatom in cases:
+            p = Projection.from_columns(4, cols)
+            assert analyze_cone(p, u).dim_K == dim_k
+            assert is_ground_projection(p, u) == member
+            assert is_coatom(p, u) == coatom
 
 
 class TestBruteForceOracleSmoke:

@@ -18,7 +18,8 @@ Float engine: facial reduction.  L(p) is compressed to the range of
 trace-one elements.  A positive-definite element is a witness of maximal
 rank, and the section spans K(p); a negative optimum means K(p) = {0}; an
 optimum of zero cuts the face down to the large eigenvalues of the last
-iterate and repeats, at most rank(1 - p) times.  Extreme rays come from
+iterate and repeats, at most rank(1 - p) times; each cut loosens the
+later tolerances to the tilt it can leave.  Extreme rays come from
 boundary points of the trace-one section (one eigenvalue on the face of
 the witness per direction) followed by a kernel-face certificate: a
 boundary point x lies on an extreme ray exactly when K(ker x) is a ray.
@@ -67,8 +68,8 @@ class ConeDescriptor:
     engine: str = "float-hermitian"
     span_basis: list = field(default_factory=list, repr=False)
     witness_support: frozenset | None = None      # exact engine: maximal support
-    # float engine: the closest call of the facial reduction, as a ratio to
-    # its threshold (|t*| / PSD_TOL, or the eigenvalue gap at a face split)
+    # float engine: the closest call of the facial reduction as a ratio to
+    # its threshold (|t*| / tolerance, or the eigenvalue gap at a face split)
     margin: float | None = None
 
 
@@ -205,16 +206,16 @@ def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
 
 
-def _phase_one(c: np.ndarray, tol_rank: float) -> tuple:
+def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     """Barrier phase I for  max t  s.t.  X - tI >= 0, X in span(c), tr X = 1.
 
-    ``c`` holds orthonormal hermitian r x r matrices.  With X = X0 +
-    sum_j z_j D_j (traceless D_j), Newton steps with an exact line search
-    minimize  -t/mu - log det(X - tI), and mu is cut by MU_STEP at each
-    centred point, where t* lies in [t, t + mu r].  Returns the status
-    ("interior": t > PSD_TOL; "empty": K = {0}; "face": |t*| <= PSD_TOL),
-    the decided value (t, or the dual bound t + mu r), the coefficients of
-    X in ``c``, and the eigenpairs of X - tI.
+    ``c`` holds hermitian r x r matrices.  With X = X0 + sum_j z_j D_j
+    (traceless D_j), Newton steps with an exact line search minimize
+    -t/mu - log det(X - tI), and mu is cut by MU_STEP at each centred
+    point, where t* lies in [t, t + mu r].  Returns the status
+    ("interior": t > tol; "empty": K = {0}; "face": |t*| <= tol), the
+    decided value (t, or the dual bound t + mu r), the coefficients of X
+    in ``c``, and the eigenpairs of X - tI.
     """
     r = c.shape[1]
     a = np.einsum("kii->k", c).real
@@ -226,7 +227,7 @@ def _phase_one(c: np.ndarray, tol_rank: float) -> tuple:
     lam, vecs = _eigh(x_base)
     if null.shape[1] == 0:              # no free direction: t* = lambda_min(X0)
         t = float(lam[0])
-        status = "interior" if t > PSD_TOL else "empty" if t < -PSD_TOL else "face"
+        status = "interior" if t > tol else "empty" if t < -tol else "face"
         return status, t, x0, lam - min(t, 0.0), vecs
     dirs = np.concatenate([np.tensordot(null.T, c, axes=1), -np.eye(r)[None]])
     w = np.zeros(len(dirs))
@@ -249,13 +250,14 @@ def _phase_one(c: np.ndarray, tol_rank: float) -> tuple:
             raise NonConvergenceError(f"phase-I Newton system: {err}",
                                       residual=float("nan")) from err
         if -grad @ step > CENTRED ** 2:
+            # damped steps 1 / (1 + decrement) cost a quarter more time
             e = _eigh(np.tensordot(step, f, axes=1))[0]
             w = w + _line_search(e, -step[-1] / mu) * step
             continue
         t, x = float(w[-1]), x0 + null @ w[:-1]
-        if t > PSD_TOL:
+        if t > tol:
             return "interior", t, x, s, vecs
-        if t + mu * r < -PSD_TOL:
+        if t + mu * r < -tol:
             return "empty", t + mu * r, x, s, vecs
         if mu * r <= MU_FACE:
             return "face", t, x, s, vecs
@@ -284,11 +286,15 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """Facial reduction of K(p) = L(p) ∩ PSD on the range of 1 - p.
 
     Each round runs phase I on the current face.  A positive-definite X
-    ends the search: its face is the smallest one holding K(p), X is the
-    witness, and the section restricted to the face spans K(p).  A face
-    with t* = 0 is cut down to the span of the large eigenvalues of the
-    last iterate (the central path tends to the analytic centre of the
-    optimal face), and the section to its matrices supported there.
+    ends the search: X compressed to its face is the witness, and the
+    section restricted to the face spans K(p).  A face with t* = 0 is cut
+    at the widest eigenvalue gap s_low / s_high of the last iterate (the
+    central path tends to the analytic centre of the optimal face), and
+    the section restricted to the matrices supported above the cut.  Where
+    phase I is not strictly complementary the low eigenvalues, and the
+    tilt of the kept eigenvectors, fall like sqrt(mu), not mu; so each cut
+    raises the tolerance of the restriction and of later decisions to
+    sqrt(s_low / s_high), the PSD bound on that tilt.
     """
     sec = linear_section(p, u, cfg.tol_rank)
     empty = ConeDescriptor(base_projection=p, section=sec, dim_K=0, is_ray=False,
@@ -300,30 +306,34 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     c = face.conj().T @ ops.stack @ face
     coeffs = np.eye(sec.dim)
     margin = np.inf
+    tol = PSD_TOL
+    # each cut leaves cut in [1, r - 1], so the face shrinks every round,
+    # and on a 1 x 1 face phase I ends "interior" or "empty": the raise
+    # after the loop only guards that invariant
     rounds = face.shape[1]
     for _ in range(rounds):
-        status, t, x, s, vecs = _phase_one(c, cfg.tol_rank)
+        status, t, x, s, vecs = _phase_one(c, cfg.tol_rank, tol)
         if status == "empty":
-            return replace(empty, margin=min(margin, -t / PSD_TOL))
+            return replace(empty, margin=min(margin, -t / tol))
         if status == "interior":
             dim_k = coeffs.shape[1]
+            witness = face @ np.tensordot(x, c, axes=1) @ face.conj().T
             return ConeDescriptor(
                 base_projection=p, section=sec, dim_K=dim_k, is_ray=dim_k == 1,
-                interior_witness=_unit_trace_float(ops.reconstruct(coeffs @ x)),
+                interior_witness=_unit_trace_float(witness),
                 engine=u.engine, span_basis=[ops.reconstruct(g) for g in coeffs.T],
-                margin=min(margin, t / PSD_TOL))
-        if len(s) < 2:
-            break  # a one-dimensional face cannot be split
-        # split at the widest eigenvalue gap of S and keep the upper part
+                margin=min(margin, t / tol))
         logs = np.log(np.maximum(s, np.finfo(float).tiny))
         cut = int(np.argmax(np.diff(logs))) + 1
-        margin = min(margin, float(np.exp(logs[cut] - logs[cut - 1])))
+        gap = float(np.exp(logs[cut] - logs[cut - 1]))
+        margin, tol = min(margin, gap), max(tol, gap ** -0.5)
         off = c @ vecs[:, :cut]
         restrict = nullspace_cols(np.concatenate([off.real, off.imag], axis=1)
-                                  .reshape(len(c), -1).T, cfg.tol_rank)
+                                  .reshape(len(c), -1).T, max(cfg.tol_rank, tol))
         if restrict.shape[1] == 0:
             return replace(empty, margin=margin)
         coeffs = coeffs @ restrict
+        face = face @ vecs[:, cut:]
         c = vecs[:, cut:].conj().T @ np.tensordot(restrict.T, c, axes=1) @ vecs[:, cut:]
     raise NonConvergenceError(
         f"facial reduction did not end within rank(1 - p) = {rounds} rounds",

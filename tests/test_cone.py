@@ -205,19 +205,50 @@ class TestAnalyzeConeFloat:
         with pytest.raises(NonConvergenceError, match="eigh"):
             analyze_cone(P_BOTTOM, u)
 
-    def test_face_loop_past_its_round_cap_raises_typed_error(self, monkeypatch):
-        # a phase I that never decides: each round cuts one coordinate off
-        # the face, so the loop would need more than rank(1 - p) rounds
-        def undecided(c, tol_rank):
-            r = c.shape[1]
-            s = np.ones(r)
-            s[0] = 1e-12
-            return "face", 0.0, np.zeros(len(c)), s, np.eye(r)
+    @staticmethod
+    def chain_space(depth, coupling, v):
+        """U = span{1, E_dd, B_1, ..., B_{d-1}} on C^(d+2), conjugated by v,
+        with B_j = c E_{j-1,j+1} + c* E_{j+1,j-1} + E_jj (0-based, d =
+        depth).  On the range of 1 - E_{d+1,d+1}, E_00 = 0 forces the
+        coefficient of B_1 to 0, which leaves E_11 = 0, and so on down the
+        chain: K(p) is the ray of E_dd, and facial reduction needs depth
+        cuts, the first one not strictly complementary."""
+        n = depth + 2
 
-        u = from_spanning_set([np.diag(row).astype(complex) for row in np.eye(3)])
-        monkeypatch.setattr(cone_mod, "_phase_one", undecided)
-        with pytest.raises(NonConvergenceError, match="rounds"):
-            analyze_cone(Projection.zero(3), u)
+        def unit(i, j):
+            m = np.zeros((n, n), dtype=complex)
+            m[i, j] = 1.0
+            return m
+
+        mats = [np.eye(n, dtype=complex), unit(depth, depth)]
+        mats += [coupling * unit(j - 1, j + 1) + np.conj(coupling) * unit(j + 1, j - 1)
+                 + unit(j, j) for j in range(1, depth)]
+        u = from_spanning_set([v @ m @ v.conj().T for m in mats])
+        ray = v @ unit(depth, depth) @ v.conj().T
+        return u, Projection.from_columns(n, v[:, [n - 1]]), ray
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("coupling", [1.0, 1j])
+    @pytest.mark.parametrize("rotation", [None, 0, 1])
+    def test_face_that_takes_several_cuts(self, depth, coupling, rotation):
+        # the eigenvectors at the first cut are tilted by about sqrt(mu):
+        # with the cut's own tolerance the restriction emptied the section
+        # (K = {0}) or kept a rank-2 witness.  The witness itself is off
+        # the ray by about mu^(2^(1 - depth)) (Sturm's error bound for
+        # singularity degree depth - 1), read at mu r = MU_FACE.
+        n = depth + 2
+        if rotation is None:
+            v = np.eye(n, dtype=complex)
+        else:
+            rng = np.random.default_rng(rotation)
+            v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        u, p, ray = self.chain_space(depth, coupling, v)
+        desc = analyze_cone(p, u)
+        assert desc.dim_K == 1 and desc.is_ray
+        w = relative_interior_point(desc)
+        assert int(np.sum(np.linalg.eigvalsh(w) > 1e-8)) == 1
+        assert frobenius(w - ray) <= cone_mod.MU_FACE ** (0.5 ** (depth - 1))
+        assert kernel_projection(w).rank == n - 1
 
 
 class TestAnalyzeConeExact:

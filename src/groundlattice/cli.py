@@ -31,23 +31,13 @@ from .errors import (
 from .lattice import (
     build_lattice,
     close_to_lattice,
-    coatom_decomposition,
     enumerate_coatoms,
     is_coatom,
-    is_ground_projection,
     q_max,
     q_max_from_descriptor,
 )
-from .linalg import Projection, frobenius, image_intersection
-from .manybody import (
-    SiteSystem,
-    build_klocal,
-    ff_lattice_3bit,
-    klocal_dimension,
-    marginal_map,
-    marginal_polytope_vertices,
-    affine_dimension,
-)
+from .linalg import Projection
+from .manybody import SiteSystem, build_klocal, klocal_dimension, marginal_map
 from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
 
 EXIT_OK = 0
@@ -291,134 +281,13 @@ def cmd_marginal(args) -> int:
 # verify: named fixture checks
 # --------------------------------------------------------------------------
 
-def _verify_m3(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    checks = []
-    u = fixtures.m3_subspace()
-    bottom = fixtures.m3_p_bottom()
-    desc = analyze_cone(bottom, u, cfg)
-    checks.append(("dim K(0+1) = 2", desc.dim_K == 2, f"dim_K={desc.dim_K}"))
-    p_plus, p_minus = fixtures.m3_known_coatoms()
-    for name, p in (("p_plus", p_plus), ("p_minus", p_minus)):
-        d = analyze_cone(p, u, cfg)
-        ok = d.dim_K == 1 and q_max_from_descriptor(d, u, cfg).same_image(p)
-        checks.append((f"{name} is a coatom with a ray cone", ok, f"dim_K={d.dim_K}"))
-    parts = coatom_decomposition(bottom, u, cfg)
-    ok = len(parts) == 2 and all(
-        any(part.same_image(t, tol=1e-7) for part in parts) for t in (p_plus, p_minus))
-    checks.append(("decomposition of 0+1 is {p_plus, p_minus}", ok, f"parts={len(parts)}"))
-    rays = extreme_rays(desc, cfg, subspace=u)
-    targets = [fixtures.U_PLUS / np.trace(fixtures.U_PLUS).real,
-               fixtures.U_MINUS / np.trace(fixtures.U_MINUS).real]
-    ok = len(rays) == 2 and all(
-        min(frobenius(r - t) for r in rays) <= 1e-6 for t in targets)
-    checks.append(("extreme rays match u_plus, u_minus up to scaling", ok,
-                   f"rays={len(rays)}"))
-    meet = image_intersection(parts[0], parts[1]) if len(parts) == 2 else None
-    checks.append(("intersection of the two coatoms is 0+1",
-                   meet is not None and meet.same_image(bottom, tol=1e-7), ""))
-    return checks
-
-
-def _verify_3bit(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    checks = []
-    u = fixtures.three_bit_two_local()
-    coatoms, flag = enumerate_coatoms(u, cfg)
-    edges = set(fixtures.bipartite_edges())
-    comp_ok = all(frozenset(range(8)) - p.classical_support in edges for p in coatoms)
-    checks.append(("exactly 16 coatoms, complements are bipartite edges",
-                   flag == "exact" and len(coatoms) == 16 and comp_ok,
-                   f"count={len(coatoms)}"))
-    member_small = all(
-        is_ground_projection(Projection.from_support(8, s), u, cfg)
-        for s in _subsets_up_to(8, 3))
-    checks.append(("all 93 supports of size <= 3 are members", member_small, ""))
-    big_bad = all(
-        not is_ground_projection(Projection.from_support(8, set(range(8)) - {x}), u, cfg)
-        for x in range(8))
-    checks.append(("no size-7 support is a member", big_bad, ""))
-    no_small_coatom = all(
-        not is_coatom(Projection.from_support(8, s), u, cfg)
-        for s in _subsets_up_to(8, 5))
-    checks.append(("no support of size <= 5 is a coatom", no_small_coatom, ""))
-    from itertools import combinations as comb_
-    plus, minus = fixtures.parity_classes()
-    misses = []
-    for four in comb_(range(8), 4):
-        t = frozenset(four)
-        member = is_ground_projection(
-            Projection.from_support(8, frozenset(range(8)) - t), u, cfg)
-        if not member:
-            misses.append(t)
-    ok = len(misses) == 2 and set(misses) == {plus, minus}
-    checks.append(("dual four-sets: 68 of 70, exceptions the parity classes",
-                   ok, f"missing={len(misses)}"))
-    return checks
-
-
-def _subsets_up_to(n: int, size: int):
-    from itertools import combinations
-    for s in range(size + 1):
-        for sub in combinations(range(n), s):
-            yield frozenset(sub)
-
-
-def _verify_3bit_ff(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    checks = []
-    lat = ff_lattice_3bit(cfg)
-    supports = {p.classical_support for p in lat.nodes}
-    small_ok = all(s in supports for s in _subsets_up_to(8, 2))
-    checks.append(("all supports of size <= 2 are nodes", small_ok, ""))
-    duals = lat.dual_supports()
-    from itertools import combinations as comb_
-    large_ok = all(frozenset(s) in duals
-                   for size in (6, 7, 8) for s in comb_(range(8), size))
-    checks.append(("dual contains all sets of size >= 6", large_ok, ""))
-    five = [frozenset(s) for s in comb_(range(8), 5)]
-    present = sum(1 for s in five if s in duals)
-    checks.append(("dual contains 48 of the 56 five-sets", present == 48,
-                   f"present={present}"))
-    return checks
-
-
-def _verify_klocal_dims(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    checks = []
-    u_bits = build_klocal(SiteSystem.bits(3), 2)
-    checks.append(("dim U_(2) = 7 for three bits", u_bits.dim == 7, f"dim={u_bits.dim}"))
-    u_qubits = build_klocal(SiteSystem.qubits(3), 2)
-    checks.append(("dim U_(2) = 37 for three qubits (marginal body 36)",
-                   u_qubits.dim == 37, f"dim={u_qubits.dim}"))
-    ok = True
-    detail = []
-    for n_sites in range(1, 5):
-        for k in range(1, n_sites + 1):
-            for sys_ in (SiteSystem.bits(n_sites), SiteSystem.qubits(n_sites)):
-                u = build_klocal(sys_, k)
-                expected = klocal_dimension(sys_, k)
-                if u.dim != expected:
-                    ok = False
-                    detail.append(f"{sys_.engine} N={n_sites} k={k}: {u.dim}!={expected}")
-    checks.append(("closed-form dimensions match for all N <= 4", ok, "; ".join(detail)))
-    cols = marginal_polytope_vertices(SiteSystem.bits(3), 2)
-    checks.append(("3-bit marginal polytope has affine dimension 6",
-                   affine_dimension(cols) == 6, ""))
-    return checks
-
-
-VERIFIERS = {
-    "m3": _verify_m3,
-    "3bit": _verify_3bit,
-    "3bit-ff": _verify_3bit_ff,
-    "klocal-dims": _verify_klocal_dims,
-}
-
-
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    if args.fixture not in VERIFIERS:
+    if args.fixture not in fixtures.CHECKS:
         raise InputError(f"unknown fixture {args.fixture!r}; "
-                         f"choose from {sorted(VERIFIERS)}", field="fixture")
-    checks = VERIFIERS[args.fixture](cfg)
+                         f"choose from {sorted(fixtures.CHECKS)}", field="fixture")
+    checks = fixtures.CHECKS[args.fixture](cfg)
     all_ok = True
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"

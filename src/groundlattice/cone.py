@@ -53,6 +53,7 @@ CENTRED = 1e-3        # Newton decrement that counts as centred
 NEWTON_CAP = 500      # Newton steps per phase-I round
 HESS_RCOND = 1e-14    # relative singular-value cutoff of the Newton system
 LINE_STEPS = 30       # scalar Newton steps of one line search
+MAX_RAY_DIM = 4       # largest dim K(p) of the float extreme-ray search
 
 
 @dataclass
@@ -380,7 +381,7 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     Exact engine: the complete list by double description.  Float engine:
     boundary walks in the trace-one section, each end point certified by
     the kernel-face test (the face of x is a ray iff K(ker x) is); needs
-    ``subspace`` and dim_K <= cfg.max_ray_dim.
+    ``subspace`` and dim_K <= MAX_RAY_DIM.
     """
     cfg = cfg or RunConfig()
     if desc.dim_K < 1:
@@ -389,9 +390,9 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
         rays = _extreme_rays_exact(desc)
         desc.extreme_ray_generators = rays
         return rays
-    if desc.dim_K > cfg.max_ray_dim:
+    if desc.dim_K > MAX_RAY_DIM:
         raise UnsupportedConfigurationError(
-            f"float extreme-ray search supports dim K <= {cfg.max_ray_dim}, got {desc.dim_K}")
+            f"float extreme-ray search supports dim K <= {MAX_RAY_DIM}, got {desc.dim_K}")
     if subspace is None:
         raise PreconditionError("float extreme-ray search needs the subspace")
     rays = _extreme_rays_float(desc, subspace, cfg)

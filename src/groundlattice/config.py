@@ -28,7 +28,6 @@ class RunConfig:
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
     samples: int = 10_000            # sampled coatom enumeration draws
     max_nodes: int = 100_000         # lattice closure budget
-    max_ray_dim: int = 4             # float-engine extreme-ray search limit
     engine: str = "float"
 
     def __post_init__(self):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactla as ela
-from .cone import ConeDescriptor, analyze_cone, extreme_rays
+from .cone import ConeDescriptor, _span_rank, analyze_cone, extreme_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import Projection, ground_projection, image_intersection, kernel_projection, loewner_leq
@@ -82,9 +82,12 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
                          cfg: RunConfig | None = None) -> list[Projection]:
     """Coatoms q_1 .. q_d (d = dim K(p)) whose intersection is p.
 
-    The q_i are kernels of linearly independent extreme-ray generators of
-    K(p), chosen greedily to cover new kernel directions first.  Returns
-    [] for p = id (the empty infimum).
+    The q_i are the kernels of the first d linearly independent extreme
+    rays of K(p), in the order :func:`extreme_rays` returns them.  Any d
+    independent rays span the linear hull of K(p), so the range of their
+    sum holds the range of every element of K(p), and their kernels meet
+    in the kernel of a witness, which is p.  Returns [] for p = id (the
+    empty infimum).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
@@ -97,7 +100,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     if desc.dim_K == 0:
         return []  # p = id: the infimum of no coatoms
     rays = extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
-    chosen = _select_covering_rays(rays, desc.dim_K, u)
+    chosen = _first_independent_rays(rays, desc.dim_K, u)
     coatoms = [_kernel_of(v, u, cfg) for v in chosen]
     meet = coatoms[0]
     for q in coatoms[1:]:
@@ -108,33 +111,19 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     return coatoms
 
 
-def _select_covering_rays(rays: list, d: int, u: OperatorSubspace) -> list:
-    """Pick d linearly independent generators, preferring those that shrink
-    the common kernel fastest (new support first in the exact engine)."""
-    if u.is_exact:
-        chosen: list = []
-        covered: set[int] = set()
-        pool = list(rays)
-        while pool and len(chosen) < d:
-            def gain(g):
-                return len({i for i, v in enumerate(g) if v != 0} - covered)
-            pool.sort(key=lambda g: (-gain(g), tuple(g)))
-            candidate = pool.pop(0)
-            if ela.rank([list(c) for c in chosen + [candidate]]) > len(chosen):
-                chosen.append(candidate)
-                covered |= {i for i, v in enumerate(candidate) if v != 0}
-        return chosen
-    chosen = []
-    stack: list[np.ndarray] = []
+def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
+    """The first d linearly independent rays, in the order given."""
+    def rank(vectors: list) -> int:
+        if u.is_exact:
+            return ela.rank([list(v) for v in vectors])
+        return _span_rank([np.asarray(v).reshape(-1).view(float) for v in vectors], 1e-9)
+
+    chosen: list = []
     for g in rays:
-        trial = stack + [np.asarray(g).reshape(-1).view(float)]
-        m = np.stack(trial)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) > len(stack):
-            chosen.append(g)
-            stack = trial
         if len(chosen) == d:
             break
+        if rank(chosen + [g]) > len(chosen):
+            chosen.append(g)
     return chosen
 
 

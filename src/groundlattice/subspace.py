@@ -216,9 +216,9 @@ def linear_section(p: Projection, u: OperatorSubspace,
         cols.append(np.concatenate([pb.real.reshape(-1), pb.imag.reshape(-1)]))
     m = np.stack(cols, axis=1)
     gamma = nullspace_cols(m, tol_rank).real
-    mats = [u.element_from(gamma[:, j]) for j in range(gamma.shape[1])]
-    mats = [0.5 * (m_ + m_.conj().T) for m_ in mats]
-    return LinearSection(base_projection=p, basis=mats, dim=len(mats))
+    mats = np.tensordot(gamma.T, np.stack(u.basis), axes=1)
+    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    return LinearSection(base_projection=p, basis=list(mats), dim=len(mats))
 
 
 def traceless_part(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> OperatorSubspace:

@@ -1,45 +1,20 @@
-"""Acceptance suite: every documented criterion at its stated tolerance.
+"""Acceptance suite: each fixture's ``verify`` checks and two property suites.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
 line per criterion.
 """
 
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
 
 from bruteforce_oracle import brute_force_members
 from groundlattice.config import RunConfig
-from groundlattice.cone import analyze_cone, extreme_rays
-from groundlattice.fixtures import (
-    U_MINUS,
-    U_PLUS,
-    bipartite_edges,
-    m3_known_coatoms,
-    m3_p_bottom,
-    m3_subspace,
-    parity_classes,
-    three_bit_two_local,
-)
-from groundlattice.lattice import (
-    coatom_decomposition,
-    enumerate_coatoms,
-    is_coatom,
-    is_ground_projection,
-    q_max,
-    q_max_from_descriptor,
-)
-from groundlattice.linalg import (
-    Projection,
-    frobenius,
-    ground_projection,
-    hermitian_matrix,
-    image_intersection,
-    loewner_leq,
-)
-from groundlattice.manybody import SiteSystem, build_klocal, ff_lattice_3bit, klocal_dimension
+from groundlattice.cone import analyze_cone
+from groundlattice.fixtures import CHECKS
+from groundlattice.lattice import is_ground_projection, q_max, q_max_from_descriptor
+from groundlattice.linalg import Projection, ground_projection, hermitian_matrix, loewner_leq
 from groundlattice.subspace import from_spanning_set
 
 
@@ -50,140 +25,21 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}{suffix}"
 
 
-def all_supports(n, max_size=None):
-    max_size = n if max_size is None else max_size
-    for size in range(max_size + 1):
-        for sub in combinations(range(n), size):
-            yield frozenset(sub)
+#: wall-clock bounds in seconds on a fixture's whole check list
+TIME_LIMIT_S = {"m3": 5.0, "3bit": 10.0}
 
 
-def test_three_bit_coatoms():
-    """Exact enumeration: 16 coatoms of rank 6, complements bipartite edges."""
+@pytest.mark.parametrize("fixture", list(CHECKS))
+def test_fixture_checks(fixture):
+    """The fixture's documented checks, shared with the ``verify`` command."""
     started = time.perf_counter()
-    u = three_bit_two_local()
-    coatoms, flag = enumerate_coatoms(u)
+    checks = CHECKS[fixture](RunConfig())
     elapsed = time.perf_counter() - started
-    edges = set(bipartite_edges())
-    ok = (flag == "exact" and len(coatoms) == 16
-          and all(p.rank == 6 for p in coatoms)
-          and {frozenset(range(8)) - p.classical_support for p in coatoms} == edges
-          and elapsed < 10.0)
-    report("3-bit coatoms: exactly 16, rank 6, complements the bipartite edges",
-           ok, f"count={len(coatoms)}, {elapsed:.2f}s")
-
-
-def test_three_bit_membership_strata():
-    """All 93 supports of size <= 3 in; no size-7 member; no size-<=5 coatom."""
-    started = time.perf_counter()
-    u = three_bit_two_local()
-    cfg = RunConfig()
-    members = set()
-    ray_members = set()
-    for support in all_supports(8):
-        p = Projection.from_support(8, support)
-        desc = analyze_cone(p, u, cfg)
-        member = q_max_from_descriptor(desc, u, cfg).same_image(p)
-        if member:
-            members.add(support)
-            if desc.dim_K == 1:
-                ray_members.add(support)
-    elapsed = time.perf_counter() - started
-    small = [s for s in all_supports(8, 3)]
-    ok_small = all(s in members for s in small) and len(small) == 93
-    ok_seven = not any(len(s) == 7 and s in members for s in all_supports(8))
-    ok_no_small_coatom = not any(len(s) <= 5 for s in ray_members)
-    report("3-bit membership strata over all 256 subsets",
-           ok_small and ok_seven and ok_no_small_coatom and elapsed < 60.0,
-           f"members={len(members)}, {elapsed:.2f}s")
-
-
-def test_three_bit_dual_lattice_count():
-    """68 of 70 four-sets lie in the dual; exceptions are the parity classes."""
-    u = three_bit_two_local()
-    cfg = RunConfig()
-    in_dual = []
-    missing = []
-    for four in combinations(range(8), 4):
-        t = frozenset(four)
-        p = Projection.from_support(8, frozenset(range(8)) - t)
-        if is_ground_projection(p, u, cfg):
-            in_dual.append(t)
-        else:
-            missing.append(t)
-    plus, minus = parity_classes()
-    ok = len(in_dual) == 68 and set(missing) == {plus, minus}
-    report("3-bit dual lattice: 68 of 70 four-sets, exceptions the parity classes",
-           ok, f"present={len(in_dual)}")
-
-
-def test_frustration_free_fixture():
-    """All size-<=2 supports are nodes; dual has all >=6 and 48 of 56 fives."""
-    lat = ff_lattice_3bit()
-    supports = {p.classical_support for p in lat.nodes}
-    ok_small = all(s in supports for s in all_supports(8, 2))
-    duals = lat.dual_supports()
-    ok_large = all(frozenset(s) in duals
-                   for size in (6, 7, 8) for s in combinations(range(8), size))
-    fives = [frozenset(s) for s in combinations(range(8), 5)]
-    present = sum(1 for s in fives if s in duals)
-    plus, minus = parity_classes()
-    ok_missing = all(plus <= s or minus <= s for s in fives if s not in duals)
-    report("frustration-free 3-bit lattice: size-2 nodes, dual >= 6 and 48/56 fives",
-           ok_small and ok_large and present == 48 and ok_missing,
-           f"five-sets present={present}")
-
-
-def test_m3_example():
-    """Float engine reproduces the rank-three example end to end."""
-    started = time.perf_counter()
-    u = m3_subspace()
-    cfg = RunConfig()
-    bottom = m3_p_bottom()
-    desc = analyze_cone(bottom, u, cfg)
-    ok_dim = desc.dim_K == 2
-
-    p_plus, p_minus = m3_known_coatoms()
-    ok_coatoms = all(is_coatom(p, u, cfg) for p in (p_plus, p_minus))
-
-    parts = coatom_decomposition(bottom, u, cfg)
-    ok_parts = (len(parts) == 2
-                and any(q.same_image(p_plus, tol=1e-7) for q in parts)
-                and any(q.same_image(p_minus, tol=1e-7) for q in parts))
-    meet = image_intersection(parts[0], parts[1])
-    ok_meet = meet.same_image(bottom, tol=1e-7)
-
-    rays = extreme_rays(desc, cfg, subspace=u)
-    targets = [U_PLUS / np.trace(U_PLUS).real, U_MINUS / np.trace(U_MINUS).real]
-    ok_rays = (len(rays) == 2
-               and all(min(frobenius(r / np.trace(r).real - t) for r in rays) <= 1e-6
-                       for t in targets))
-    elapsed = time.perf_counter() - started
-    report("M3 example: dim K = 2, two ray coatoms, decomposition, extreme rays",
-           ok_dim and ok_coatoms and ok_parts and ok_meet and ok_rays and elapsed < 5.0,
-           f"{elapsed:.2f}s")
-
-
-def test_dimension_formulas():
-    """Closed-form k-local dimensions across all uniform N <= 4 cases."""
-    u_bits = build_klocal(SiteSystem.bits(3), 2)
-    ok_bits = u_bits.dim == 7 == klocal_dimension(SiteSystem.bits(3), 2)
-    u_qubits = build_klocal(SiteSystem.qubits(3), 2)
-    ok_qubits = u_qubits.dim == 37 and u_qubits.dim - 1 == 36
-
-    # rank verification: the constructed basis must be full rank at tol_rank
-    stacked = np.stack([b.reshape(-1) for b in u_qubits.basis])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    ok_rank = int(np.sum(sv > 1e-9 * sv[0])) == 37
-
-    ok_all = True
-    for n_sites in range(1, 5):
-        for k in range(1, n_sites + 1):
-            for sys_ in (SiteSystem.bits(n_sites), SiteSystem.qubits(n_sites)):
-                u = build_klocal(sys_, k)
-                if u.dim != klocal_dimension(sys_, k):
-                    ok_all = False
-    report("dimension formulas: 7 (3 bits), 37/36 (3 qubits), all N <= 4 uniform",
-           ok_bits and ok_qubits and ok_rank and ok_all)
+    for name, ok, detail in checks:
+        report(f"{fixture}: {name}", ok, detail)
+    if fixture in TIME_LIMIT_S:
+        report(f"{fixture}: under {TIME_LIMIT_S[fixture]:g} s",
+               elapsed < TIME_LIMIT_S[fixture], f"{elapsed:.2f}s")
 
 
 def test_greatest_element_property_suite():

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from groundlattice import jsonio
-from groundlattice.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from groundlattice import fixtures, jsonio
+from groundlattice.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, main
 from groundlattice.cone import analyze_cone, extreme_rays
 from groundlattice.errors import InputError
 from groundlattice.fixtures import m3_p_bottom, m3_subspace, three_bit_two_local
@@ -228,6 +228,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR
         assert "k" in err
+
+    def test_verify_failure(self, monkeypatch, capsys):
+        def checks(cfg):
+            return [("holds", True, ""), ("does not hold", False, "x=1")]
+
+        monkeypatch.setitem(fixtures.CHECKS, "failing", checks)
+        code, out, _ = run_cli(capsys, ["verify", "failing"])
+        assert code == EXIT_VERIFY_FAILED
+        assert "PASS: holds\nFAIL: does not hold (x=1)\n" in out
+        assert last_json(out)["payload"]["all_ok"] is False
 
 
 class TestVerifyCommand:

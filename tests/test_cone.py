@@ -353,11 +353,13 @@ class TestExtremeRays:
         assert frobenius(rays[0] - U_PLUS / np.trace(U_PLUS).real) <= 1e-7
 
     def test_max_ray_dim_guard(self):
-        u = m3_subspace()
-        desc = analyze_cone(Projection.zero(3), u)
-        assert desc.dim_K == 3
+        # the diagonal embedding of bits:N=3:k=2 at p = 0 has dim K = 7
+        _, exact = three_bit_two_local()
+        u = from_spanning_set(exact.basis_as_matrices())
+        desc = analyze_cone(Projection.zero(8), u)
+        assert desc.dim_K == 7 > cone_mod.MAX_RAY_DIM
         with pytest.raises(UnsupportedConfigurationError):
-            extreme_rays(desc, RunConfig(max_ray_dim=2), subspace=u)
+            extreme_rays(desc, subspace=u)
 
     def test_three_bit_two_edge_cone_rays_match_bipartite_edges(self):
         xs, u = three_bit_two_local()

@@ -264,6 +264,28 @@ class TestCoatomDecomposition:
                 meet = image_intersection(meet, q)
             assert meet.same_image(p, tol=1e-7)
 
+    def test_every_three_bit_member_decomposes(self):
+        # each member with dim K >= 2 is the meet of dim K coatoms, whose
+        # complements are bipartite edges; of the 226 nodes these are all
+        # but zero, the identity and the 16 coatoms
+        u = three_bit_two_local()
+        edges = set(bipartite_edges())
+        decomposed = 0
+        for mask in range(1, 256):
+            p = Projection.from_support(8, (i for i in range(8) if mask >> i & 1))
+            desc = analyze_cone(p, u)
+            if desc.dim_K < 2 or not is_ground_projection(p, u):
+                continue
+            parts = coatom_decomposition(p, u)
+            assert len(parts) == desc.dim_K, sorted(p.classical_support)
+            assert {frozenset(range(8)) - q.classical_support for q in parts} <= edges
+            meet = parts[0]
+            for q in parts[1:]:
+                meet = image_intersection(meet, q)
+            assert meet.classical_support == p.classical_support
+            decomposed += 1
+        assert decomposed == 208
+
 
 class TestEnumerateCoatoms:
     def test_three_bit_sixteen_coatoms(self):

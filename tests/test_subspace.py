@@ -174,6 +174,7 @@ class TestLinearSection:
             sec = linear_section(p, u)
             pm = p.matrix()
             for b in sec.basis:
+                assert np.array_equal(b, b.conj().T)
                 assert frobenius(pm @ b) <= 1e-8
                 assert frobenius(b @ pm) <= 1e-8
                 assert frobenius(project_onto(b, u) - b) <= 1e-8

@@ -10,8 +10,11 @@ extreme-ray generators.
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for a basis ``perp`` of U⊥.  A loop of
 max-support LPs on a fraction-free integer simplex finds the maximal
-support (about two LPs per cone), and double description enumerates all
-extreme rays.
+support (about two LPs per cone).  Extreme rays come from incremental
+double description on integer vectors: start from a simplicial cone on
+independent points of the support, add the other points one at a time,
+and combine a positive and a negative ray only when the zero-set test
+finds them adjacent.
 
 Float engine: facial reduction.  L(p) is compressed to the range of
 1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
@@ -27,9 +30,9 @@ boundary point x lies on an extreme ray exactly when K(ker x) is a ray.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -90,15 +93,18 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     complement = sorted(set(range(n)) - p.classical_support)
     trivial = ConeDescriptor(base_projection=p, section=None, dim_K=0, is_ray=False,
                              engine=u.engine, witness_support=frozenset())
-    rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
-    a_eq = rows + [[Fraction(1)] * len(complement)]
-    b_eq = ela.zeros(len(rows)) + [Fraction(1)]
+    # perp read on the complement, in the integer form cached on u
+    rows = [(lam, [w[x] for x in complement]) for lam, w in u.perp_int]
+    rows = [(lam, r) for lam, r in rows if any(r)]
+    a_eq = [r for _, r in rows] + [[1] * len(complement)]
+    b_eq = [0] * len(rows) + [1]
+    scales = [lam for lam, _ in rows] + [1]
 
     rest = set(range(len(complement)))
     optimizers = []
     while rest:
         objective = [Fraction(i in rest) for i in range(len(complement))]
-        status, val, y = ela.simplex_max(objective, a_eq, b_eq)
+        status, val, y = ela.simplex_max(objective, a_eq, b_eq, scales)
         if status == ela.SimplexStatus.INFEASIBLE:
             return trivial
         if status != ela.SimplexStatus.OPTIMAL:
@@ -120,7 +126,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
 
     # span K(p) = {g in U : g = 0 off the support}
     span = []
-    for v in ela.null_space([[w[x] for x in support] for w in u.perp], ncols=len(support)):
+    for v in ela.null_space([[w[x] for x in support] for _, w in u.perp_int], ncols=len(support)):
         g = ela.zeros(n)
         for x, vx in zip(support, v):
             g[x] = vx
@@ -132,39 +138,70 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                           witness_support=frozenset(support))
 
 
-def _combine_exact(basis, coeffs, n):
-    out = ela.zeros(n)
-    for c, b in zip(coeffs, basis):
-        if c != 0:
-            out = ela.add(out, ela.scale(b, c))
-    return out
-
-
 def _extreme_rays_exact(desc: ConeDescriptor) -> list:
-    """Complete double-description enumeration on the polyhedral cone."""
-    d = desc.dim_K
+    """Incremental double description of K(p) read on its witness support S.
+
+    The span basis read on S gives integer rows; one fraction-free
+    Gauss-Jordan elimination turns them into d rows that each are positive
+    at one pivot point and zero at the others: the rays of the simplicial
+    cone {g >= 0 on the pivots}.  Each other point x of S then cuts the
+    cone by g(x) >= 0: the rays with g(x) >= 0 stay, and every pair of a
+    positive and a negative ray combines into a ray with g(x) = 0 when the
+    two are adjacent, that is, when no third ray vanishes on every point
+    where both vanish.  Rays are kept as gcd-normalised integer vectors on
+    S, with their zero sets over the points added so far as bitmasks.
+    """
     support = sorted(desc.witness_support)
-    if d == 1:
-        return [_unit_trace_exact(desc.interior_witness)]
-    rows = [[g[x] for g in desc.span_basis] for x in support]
-    rays = {}
-    for subset in combinations(range(len(rows)), d - 1):
-        sub = [rows[i] for i in subset]
-        null = ela.null_space(sub, ncols=d)
-        if len(null) != 1:
-            continue
-        v = null[0]
-        vals = ela.mat_vec(rows, v)
-        if all(x >= 0 for x in vals):
-            pass
-        elif all(x <= 0 for x in vals):
-            v = [-x for x in v]
-        else:
-            continue
-        g = _combine_exact(desc.span_basis, v, len(desc.interior_witness))
-        g = _unit_trace_exact(g)
-        rays[tuple(g)] = g
-    return [rays[k] for k in sorted(rays)]
+    basis = [ela.integer_row([g[x] for x in support])[1] for g in desc.span_basis]
+    reduced, pivots = ela.integer_rref(basis)
+    d = len(pivots)
+    rays = [_primitive(row if row[c] > 0 else [-v for v in row])
+            for row, c in zip(reduced, pivots)]
+    zero_sets = [sum(1 << c for c in pivots if c != own) for own in pivots]
+    for x in sorted(set(range(len(support))) - set(pivots)):
+        kept, kept_zeros, positive, negative = [], [], [], []
+        for ray, zs in zip(rays, zero_sets):
+            if ray[x] < 0:
+                negative.append((ray, zs))
+                continue
+            if ray[x] > 0:
+                positive.append((ray, zs))
+            else:
+                zs |= 1 << x
+            kept.append(ray)
+            kept_zeros.append(zs)
+        for a, za in positive:
+            for b, zb in negative:
+                # adjacent rays share d - 2 independent zeros at least
+                common = za & zb
+                if common.bit_count() >= d - 2 and _adjacent(common, zero_sets):
+                    kept.append(_primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
+                    kept_zeros.append(common | 1 << x)
+        rays, zero_sets = kept, kept_zeros
+    n = len(desc.interior_witness)
+    out = []
+    for ray in rays:
+        g = [0] * n
+        for x, v in zip(support, ray):
+            g[x] = v
+        out.append(_unit_trace_exact(g))
+    return sorted(out)
+
+
+def _adjacent(common: int, zero_sets: list[int]) -> bool:
+    """Whether only the two rays of a pair vanish on all of ``common``."""
+    count = 0
+    for zs in zero_sets:
+        if zs & common == common:
+            count += 1
+            if count > 2:
+                return False
+    return True
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _unit_trace_exact(g):
@@ -378,7 +415,8 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
                  subspace: OperatorSubspace | None = None) -> list:
     """Generators of extreme rays of K(p), each normalized to unit trace.
 
-    Exact engine: the complete list by double description.  Float engine:
+    Exact engine: the complete list, sorted, by incremental double
+    description with the combinatorial adjacency test.  Float engine:
     boundary walks in the trace-one section, each end point certified by
     the kernel-face test (the face of x is a ray iff K(ker x) is); needs
     ``subspace`` and dim_K <= MAX_RAY_DIM.

@@ -51,18 +51,34 @@ def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
-    Eliminates on integer rows (each input row times the lcm of its
-    denominators, each updated row divided by the gcd of its entries) and
-    divides by the pivots only at the end; the reduced form is unique, so
-    this is the rational elimination's result without a gcd per entry.
+    Eliminates on integer rows (:func:`integer_rref` of each input row
+    times the lcm of its denominators) and divides by the pivots only at
+    the end; the reduced form is unique, so this is the rational
+    elimination's result without a gcd per entry.
     """
     if not m:
         return [], []
-    rows = [_integer_row(row)[1] for row in m]
-    nrows, cols = len(rows), len(rows[0])
+    rows, pivots = integer_rref([integer_row(row)[1] for row in m])
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+    return red + [zeros(len(m[0])) for _ in range(len(m) - len(pivots))], pivots
+
+
+def integer_rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns the nonzero reduced rows and their pivot columns: row i is
+    nonzero at ``pivots[i]`` and zero at every other pivot column, and is a
+    nonzero multiple of row i of the rational reduced form.  A pivot on
+    (r, c) replaces every other row i by ``m[r][c] * m[i] - m[i][c] * m[r]``
+    divided by the gcd of its entries.
+    """
+    rows = list(m)
+    nrows = len(rows)
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(len(rows[0]) if rows else 0):
+        if r == nrows:
+            break
         pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -77,10 +93,7 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
                 rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    red = [[Fraction(x, rows[i][c]) for x in rows[i]] for i, c in enumerate(pivots)]
-    return red + [zeros(cols) for _ in range(nrows - r)], pivots
+    return rows[:r], pivots
 
 
 def rank(m: Mat) -> int:
@@ -159,7 +172,8 @@ class SimplexStatus:
     UNBOUNDED = "unbounded"
 
 
-def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec | None]:
+def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec,
+                scales: Sequence[int] | None = None) -> tuple[str, Fraction | None, Vec | None]:
     """Maximize c.x subject to a_eq @ x = b_eq, x >= 0, exactly.
 
     Two-phase primal simplex with Bland's rule, on a fraction-free integer
@@ -173,12 +187,18 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec
     ``det`` stays positive, so signs and ratios read off ``M`` are those
     of ``T``, and the pivots are the rational tableau's.
 
-    Takes and returns Fractions: (status, optimal value, optimizer).
+    Takes and returns Fractions: (status, optimal value, optimizer).  With
+    ``scales``, the rows come scaled to integers and are not rescaled:
+    ``a_eq`` and ``b_eq`` hold ints, and row i stands for the constraint
+    ``a_eq[i] / scales[i] = b_eq[i] / scales[i]``.
     """
     m = len(a_eq)
     n = len(c)
-    scaled = [_integer_row([-x for x in row] + [-r] if r < 0 else list(row) + [r])
-              for row, r in zip(a_eq, b_eq)]
+    if scales is None:
+        scaled = [integer_row(list(row) + [r]) for row, r in zip(a_eq, b_eq)]
+    else:
+        scaled = [(lam, list(row) + [r]) for lam, row, r in zip(scales, a_eq, b_eq)]
+    scaled = [(lam, [-x for x in ints]) if ints[-1] < 0 else (lam, ints) for lam, ints in scaled]
     det = math.prod(lam for lam, _ in scaled)
     # M = det * T with T = [a_eq | I | b_eq] (rows of negative b_eq negated)
     tab = [[det // lam * x for x in ints[:n]] + [det * (j == i) for j in range(m)]
@@ -245,7 +265,7 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec
     tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    obj = reduced_costs(_integer_row(c)[1])
+    obj = reduced_costs(integer_row(c)[1])
     status = run()
     if status == SimplexStatus.UNBOUNDED:
         return status, None, None
@@ -255,7 +275,7 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec) -> tuple[str, Fraction | None, Vec
     return SimplexStatus.OPTIMAL, dot(c, x), x
 
 
-def _integer_row(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+def integer_row(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(lcm of the denominators, the row times that lcm as ints)."""
     lam = math.lcm(*(x.denominator for x in xs))
     return lam, [x.numerator * (lam // x.denominator) for x in xs]

@@ -112,17 +112,20 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
 
 
 def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
-    """The first d linearly independent rays, in the order given."""
-    def rank(vectors: list) -> int:
-        if u.is_exact:
-            return ela.rank([list(v) for v in vectors])
-        return _span_rank([np.asarray(v).reshape(-1).view(float) for v in vectors], 1e-9)
+    """The first d linearly independent rays, in the order given.
 
+    Exact: the pivot columns of one integer elimination of the matrix whose
+    columns are the rays scaled to integers.
+    """
+    if u.is_exact:
+        columns = [list(col) for col in zip(*(ela.integer_row(g)[1] for g in rays))]
+        return [rays[j] for j in ela.integer_rref(columns)[1][:d]]
     chosen: list = []
     for g in rays:
         if len(chosen) == d:
             break
-        if rank(chosen + [g]) > len(chosen):
+        if _span_rank([np.asarray(v).reshape(-1).view(float) for v in chosen + [g]],
+                      1e-9) > len(chosen):
             chosen.append(g)
     return chosen
 

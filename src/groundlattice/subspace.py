@@ -68,12 +68,16 @@ class OperatorSubspace:
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
     # exact engine: rational basis of the orthogonal complement U⊥, so that
-    # g lies in U exactly when perp @ g = 0 (read by the exact cone analysis)
+    # g lies in U exactly when perp @ g = 0
     perp: list | None = field(default=None, init=False, repr=False)
+    # exact engine: each row of perp as (lcm of its denominators, the row
+    # times that lcm as ints), the form the exact cone analysis reads
+    perp_int: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.is_exact:
             self.perp = ela.null_space(self.basis, ncols=self.ambient_n)
+            self.perp_int = [ela.integer_row(w) for w in self.perp]
 
     @property
     def dim(self) -> int:

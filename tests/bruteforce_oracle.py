@@ -2,9 +2,10 @@
 
 Decides membership by enumerating *all* support subsets, comparing cones
 exactly, and taking the greatest element of each equal-cone class.  Cones
-are compared through complete extreme-ray enumeration over row subsets
-(double description), never through the production max-support LP /
-witness-kernel route, so this file is an independent check of that path.
+are compared through complete extreme-ray enumeration over row subsets (a
+null space per subset), never through the production max-support LP /
+witness-kernel route or its double description, so this file is an
+independent check of both.
 """
 
 from fractions import Fraction

@@ -301,7 +301,7 @@ class TestAnalyzeConeExact:
     @pytest.mark.parametrize("k", [1, 2])
     def test_matches_double_description_oracle_on_every_support(self, k):
         # oracle: complete extreme-ray enumeration of each cone over row
-        # subsets (double description), not the max-support LPs
+        # subsets, not the max-support LPs
         u = build_klocal(SiteSystem.bits(3), k)
         for mask in range(256):
             support = {x for x in range(8) if mask >> x & 1}
@@ -382,6 +382,29 @@ class TestExtremeRays:
         # exactly dim_K of them are linearly independent
         from groundlattice import exactla as ela
         assert ela.rank([list(r) for r in rays]) == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_exact_rays_match_bruteforce_oracle_on_every_support(self, k):
+        # the oracle solves a null space per (d-1)-subset of the rows; the
+        # production route is incremental double description
+        u = build_klocal(SiteSystem.bits(3), k)
+        for mask in range(256):
+            support = {x for x in range(8) if mask >> x & 1}
+            desc = analyze_cone(Projection.from_support(8, support), u)
+            expected = sorted(cone_rays(support, u))
+            assert (extreme_rays(desc) if desc.dim_K else []) == expected, sorted(support)
+
+    def test_exact_rays_match_bruteforce_oracle_on_random_subspaces(self):
+        from bruteforce_oracle import brute_force_members
+        rng = np.random.default_rng(83)
+        for _ in range(12):
+            u, _ = brute_force_members(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
+            n = u.ambient_n
+            for mask in range(2 ** n):
+                support = {x for x in range(n) if mask >> x & 1}
+                desc = analyze_cone(Projection.from_support(n, support), u)
+                expected = sorted(cone_rays(support, u))
+                assert (extreme_rays(desc) if desc.dim_K else []) == expected, sorted(support)
 
     def test_float_dim_three_cone_via_diagonal_embedding(self):
         # same instance as above, pushed through the float engine

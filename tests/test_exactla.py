@@ -363,5 +363,11 @@ def test_simplex_matches_rational_reference():
         c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
         result = ela.simplex_max(c, a, b)
         assert result == rational_simplex_max(c, a, b)
+        # rows handed over pre-scaled, by any multiple of their lcm, as the
+        # cone's cached perp rows are
+        scales = [ela.integer_row(row + [r])[0] * int(rng.integers(1, 4)) for row, r in zip(a, b)]
+        a_int = [[int(x * lam) for x in row] for row, lam in zip(a, scales)]
+        b_int = [int(r * lam) for r, lam in zip(b, scales)]
+        assert ela.simplex_max(c, a_int, b_int, scales) == result
         seen.add(result[0])
     assert len(seen) == 3

@@ -1,5 +1,7 @@
 """Membership via the greatest-projection rule, coatoms, lattice building."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,19 @@ class TestEnumerateCoatoms:
             listed = [sorted(p.classical_support) for p in coatoms]
             assert listed == coatoms_by_support_scan(u)
             assert all(frozenset(s) in members for s in listed)
+
+    @pytest.mark.parametrize("n_bits, facets", [(4, 56), (5, 368)])
+    def test_cut_polytope_facet_counts(self, n_bits, facets):
+        # bits:N:k=2 has the correlation polytope COR(N) as its marginal
+        # body, affinely the cut polytope CUT(N+1); coatoms are its facets,
+        # 56 for CUT(5) and 368 for CUT(6) (Deza & Laurent, 1997)
+        u = build_klocal(SiteSystem.bits(n_bits), 2)
+        t0 = time.perf_counter()
+        coatoms, flag = enumerate_coatoms(u)
+        assert time.perf_counter() - t0 < 30.0
+        assert flag == "exact"
+        assert len(coatoms) == facets
+        assert len({p.classical_support for p in coatoms}) == facets
 
     def test_identity_span_float_engine(self):
         u = from_spanning_set([np.eye(3, dtype=complex)])

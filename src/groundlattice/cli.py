@@ -77,7 +77,19 @@ def parse_system_spec(spec: str, engine_flag: str | None = None) -> tuple[SiteSy
     raise InputError(f"unknown system spec {spec!r}", field="system")
 
 
-def load_subspace(token: str, cfg: RunConfig, k: int | None = None) -> tuple[OperatorSubspace, list[Projection]]:
+def read_json(path: str, field: str):
+    """Parse a JSON file; unreadable files and bad JSON raise InputError
+    with ``field`` naming the argument."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {field} file {path!r}: {exc}", field=field)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON in {path!r} at line {exc.lineno}: {exc.msg}", field=field)
+
+
+def load_subspace(token: str, engine: str, k: int | None = None) -> tuple[OperatorSubspace, list[Projection]]:
     """Resolve a subspace argument: file path, fixture name, or spec string.
 
     Returns the subspace and any curated coatoms the fixture contributes
@@ -90,45 +102,29 @@ def load_subspace(token: str, cfg: RunConfig, k: int | None = None) -> tuple[Ope
         n = int(kv.get("n", 2))
         return from_spanning_set([np.eye(n, dtype=complex)]), []
     if token.startswith(("bits:", "qubits:", "sites:")):
-        sys_, inline_k = parse_system_spec(token, cfg.engine)
+        sys_, inline_k = parse_system_spec(token, engine)
         use_k = k if k is not None else inline_k
         if use_k is None:
             raise InputError("k-local system specs need k (flag --k or spec :k=)",
                              field="k")
         return build_klocal(sys_, use_k), []
-    try:
-        with open(token) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read subspace file {token!r}: {exc}", field="subspace")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {token!r} at line {exc.lineno}: {exc.msg}",
-                         field="subspace")
-    return jsonio.subspace_from_json(obj), []
+    return jsonio.subspace_from_json(read_json(token, "subspace")), []
 
 
 def load_projection(token: str, n: int) -> Projection:
-    try:
-        with open(token) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read projection file {token!r}: {exc}", field="projection")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {token!r} at line {exc.lineno}: {exc.msg}",
-                         field="projection")
-    return jsonio.projection_from_json(obj, n)
+    return jsonio.projection_from_json(read_json(token, "projection"), n)
 
 
 def config_from_args(args) -> RunConfig:
     return RunConfig(seed=args.seed, tol_spec=args.tol, tol_rank=args.tol,
-                     samples=args.samples, max_nodes=args.max_nodes, engine=args.engine)
+                     samples=args.samples, max_nodes=args.max_nodes)
 
 
-def make_report(command: str, cfg: RunConfig, payload: dict, started: float) -> dict:
+def make_report(args, cfg: RunConfig, payload: dict, started: float) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "config": {"seed": cfg.seed, "tol_spec": cfg.tol_spec, "tol_rank": cfg.tol_rank,
-                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": cfg.engine},
+                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": args.engine},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),
     }
@@ -146,7 +142,7 @@ def emit(report: dict, stream=None) -> None:
 def cmd_membership(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, cfg, args.k)
+    u, _ = load_subspace(args.subspace, args.engine, args.k)
     if not u.contains_identity:
         raise PreconditionError("membership needs the identity inside the subspace")
     p = load_projection(args.projection, u.ambient_n)
@@ -157,38 +153,38 @@ def cmd_membership(args) -> int:
         "q_max": jsonio.projection_to_json(qm),
         "dim_K": desc.dim_K,
     }
-    emit(make_report("membership", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
 def cmd_qmax(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, cfg, args.k)
+    u, _ = load_subspace(args.subspace, args.engine, args.k)
     p = load_projection(args.projection, u.ambient_n)
     qm = q_max(p, u, cfg)
     payload = {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}
-    emit(make_report("qmax", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
 def cmd_cone(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, cfg, args.k)
+    u, _ = load_subspace(args.subspace, args.engine, args.k)
     p = load_projection(args.projection, u.ambient_n)
     desc = analyze_cone(p, u, cfg)
     if args.rays and desc.dim_K >= 1:
         extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
     payload = jsonio.cone_to_json(desc)
-    emit(make_report("cone", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
 def cmd_coatoms(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    u, extra = load_subspace(args.subspace, cfg, args.k)
+    u, extra = load_subspace(args.subspace, args.engine, args.k)
     coatoms, flag = enumerate_coatoms(u, cfg)
     for p in extra:
         if is_coatom(p, u, cfg) and not any(p.same_image(q) for q in coatoms):
@@ -198,14 +194,14 @@ def cmd_coatoms(args) -> int:
         "count": len(coatoms),
         "coatoms": [jsonio.projection_to_json(p) for p in coatoms],
     }
-    emit(make_report("coatoms", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
 def cmd_lattice(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    u, extra = load_subspace(args.subspace, cfg, args.k)
+    u, extra = load_subspace(args.subspace, args.engine, args.k)
     partial = False
     try:
         if extra:
@@ -223,14 +219,14 @@ def cmd_lattice(args) -> int:
     payload = jsonio.lattice_to_json(lat)
     payload["coatom_count"] = len(lat.coatoms)
     payload["partial"] = partial
-    emit(make_report("lattice", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_BUDGET if partial else EXIT_OK
 
 
 def cmd_klocal(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    sys_, inline_k = parse_system_spec(args.system, cfg.engine)
+    sys_, inline_k = parse_system_spec(args.system, args.engine)
     k = args.k if args.k is not None else inline_k
     if k is None:
         raise InputError("klocal needs k (flag --k or spec :k=)", field="k")
@@ -245,26 +241,18 @@ def cmd_klocal(args) -> int:
         payload["closed_form_dim"] = klocal_dimension(sys_, k)
     except InputError:
         pass  # non-uniform sites have no closed form
-    emit(make_report("klocal", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
 def cmd_marginal(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    sys_, inline_k = parse_system_spec(args.system, cfg.engine)
+    sys_, inline_k = parse_system_spec(args.system, args.engine)
     k = args.k if args.k is not None else inline_k
     if k is None:
         raise InputError("marginal needs k (flag --k or spec :k=)", field="k")
-    try:
-        with open(args.matrix) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read matrix file {args.matrix!r}: {exc}", field="matrix")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON in {args.matrix!r} at line {exc.lineno}: {exc.msg}",
-                         field="matrix")
-    a = jsonio.matrix_from_json(obj)
+    a = jsonio.matrix_from_json(read_json(args.matrix, "matrix"))
     if sys_.is_exact:
         if not np.allclose(a, np.diag(np.diag(a))):
             raise InputError("exact engine expects a diagonal matrix", field="matrix")
@@ -273,7 +261,7 @@ def cmd_marginal(args) -> int:
     else:
         tup = marginal_map(a, sys_, k)
     payload = {"marginals": jsonio.marginal_tuple_to_json(tup)}
-    emit(make_report("marginal", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK
 
 
@@ -297,7 +285,7 @@ def cmd_verify(args) -> int:
     payload = {"fixture": args.fixture,
                "checks": [{"name": n, "ok": ok} for n, ok, _ in checks],
                "all_ok": all_ok}
-    emit(make_report("verify", cfg, payload, started))
+    emit(make_report(args, cfg, payload, started))
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

@@ -8,13 +8,15 @@ is a ray, a relative-interior witness of maximal rank, and (on request)
 extreme-ray generators.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
-membership in U is ``perp @ g = 0`` for a basis ``perp`` of U⊥.  A loop of
+membership in U is ``perp @ g = 0`` for the primitive integer rows
+``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
 max-support LPs on a fraction-free integer simplex finds the maximal
-support (about two LPs per cone).  Extreme rays come from incremental
-double description on integer vectors: start from a simplicial cone on
-independent points of the support, add the other points one at a time,
-and combine a positive and a negative ray only when the zero-set test
-finds them adjacent.
+support (about two LPs per cone), the span of K(p) is an integer null
+space, and extreme rays come from incremental double description on
+integer vectors: start from a simplicial cone on independent points of
+the support, add the other points one at a time, and combine a positive
+and a negative ray only when the zero-set test finds them adjacent.  Only
+the witness and the unit-trace rays are Fractions.
 
 Float engine: facial reduction.  L(p) is compressed to the range of
 1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
@@ -70,7 +72,7 @@ class ConeDescriptor:
     interior_witness: object | None = None        # ndarray or Fraction vector
     extreme_ray_generators: list | None = None
     engine: str = "float-hermitian"
-    span_basis: list = field(default_factory=list, repr=False)
+    span_basis: list = field(default_factory=list, repr=False)  # ndarrays or int vectors
     witness_support: frozenset | None = None      # exact engine: maximal support
     # float engine: the closest call of the facial reduction as a ratio to
     # its threshold (|t*| / tolerance, or the eigenvalue gap at a face split)
@@ -86,48 +88,48 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     p, perp[:, C] @ y = 0, sum(y) = 1} of K(p).
 
     Each LP maximizes the mass on the points R not yet in the support; the
-    positive points of its optimizer join the support.  An optimum of 0
-    certifies that every point of R is zero on all of K(p).
+    positive points of its optimizer join the support.  An optimizer with
+    no positive entry on R has optimum 0, which certifies that every point
+    of R is zero on all of K(p).
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
     trivial = ConeDescriptor(base_projection=p, section=None, dim_K=0, is_ray=False,
                              engine=u.engine, witness_support=frozenset())
-    # perp read on the complement, in the integer form cached on u
-    rows = [(lam, [w[x] for x in complement]) for lam, w in u.perp_int]
-    rows = [(lam, r) for lam, r in rows if any(r)]
-    a_eq = [r for _, r in rows] + [[1] * len(complement)]
+    rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
+    a_eq = rows + [[1] * len(complement)]
     b_eq = [0] * len(rows) + [1]
-    scales = [lam for lam, _ in rows] + [1]
 
     rest = set(range(len(complement)))
     optimizers = []
     while rest:
-        objective = [Fraction(i in rest) for i in range(len(complement))]
-        status, val, y = ela.simplex_max(objective, a_eq, b_eq, scales)
+        objective = [int(i in rest) for i in range(len(complement))]
+        status, y, det = ela.simplex_max(objective, a_eq, b_eq)
         if status == ela.SimplexStatus.INFEASIBLE:
             return trivial
         if status != ela.SimplexStatus.OPTIMAL:
             raise GroundLatticeError(
                 f"max-support LP on a compact section returned {status!r}")
-        if val == 0:
+        hit = {i for i in rest if y[i] > 0}
+        if not hit:
             break
-        optimizers.append(y)
-        rest -= {i for i, yi in enumerate(y) if yi > 0}
+        optimizers.append((y, det))
+        rest -= hit
     if not optimizers:
         return trivial
 
+    # the witness is the mean of the optimizers y / det
     support = [x for i, x in enumerate(complement) if i not in rest]
+    denom = math.lcm(*(det for _, det in optimizers))
     witness = ela.zeros(n)
-    for y in optimizers:
-        for i, x in enumerate(complement):
-            witness[x] += y[i]
-    witness = ela.scale(witness, Fraction(1, len(optimizers)))
+    for i, x in enumerate(complement):
+        total = sum(y[i] * (denom // det) for y, det in optimizers)
+        witness[x] = Fraction(total, denom * len(optimizers))
 
     # span K(p) = {g in U : g = 0 off the support}
     span = []
-    for v in ela.null_space([[w[x] for x in support] for _, w in u.perp_int], ncols=len(support)):
-        g = ela.zeros(n)
+    for v in ela.null_space([[w[x] for x in support] for w in u.perp], ncols=len(support)):
+        g = [0] * n
         for x, vx in zip(support, v):
             g[x] = vx
         span.append(g)
@@ -152,10 +154,9 @@ def _extreme_rays_exact(desc: ConeDescriptor) -> list:
     S, with their zero sets over the points added so far as bitmasks.
     """
     support = sorted(desc.witness_support)
-    basis = [ela.integer_row([g[x] for x in support])[1] for g in desc.span_basis]
-    reduced, pivots = ela.integer_rref(basis)
+    reduced, pivots = ela.integer_rref([[g[x] for x in support] for g in desc.span_basis])
     d = len(pivots)
-    rays = [_primitive(row if row[c] > 0 else [-v for v in row])
+    rays = [ela.primitive(row if row[c] > 0 else [-v for v in row])
             for row, c in zip(reduced, pivots)]
     zero_sets = [sum(1 << c for c in pivots if c != own) for own in pivots]
     for x in sorted(set(range(len(support))) - set(pivots)):
@@ -175,7 +176,7 @@ def _extreme_rays_exact(desc: ConeDescriptor) -> list:
                 # adjacent rays share d - 2 independent zeros at least
                 common = za & zb
                 if common.bit_count() >= d - 2 and _adjacent(common, zero_sets):
-                    kept.append(_primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
+                    kept.append(ela.primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
                     kept_zeros.append(common | 1 << x)
         rays, zero_sets = kept, kept_zeros
     n = len(desc.interior_witness)
@@ -199,16 +200,11 @@ def _adjacent(common: int, zero_sets: list[int]) -> bool:
     return True
 
 
-def _primitive(v: list[int]) -> list[int]:
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
-def _unit_trace_exact(g):
-    total = sum(g, Fraction(0))
+def _unit_trace_exact(g: list[int]) -> list[Fraction]:
+    total = sum(g)
     if total <= 0:
         raise GroundLatticeError(f"cone generator has trace {total}, not positive")
-    return ela.scale(g, Fraction(1) / total)
+    return [Fraction(x, total) for x in g]
 
 
 # --------------------------------------------------------------------------

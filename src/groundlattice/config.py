@@ -28,14 +28,11 @@ class RunConfig:
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
     samples: int = 10_000            # sampled coatom enumeration draws
     max_nodes: int = 100_000         # lattice closure budget
-    engine: str = "float"
 
     def __post_init__(self):
         for name in ("tol_spec", "tol_rank"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be strictly positive", field=name)
-        if self.engine not in ("float", "exact"):
-            raise InputError("engine must be 'float' or 'exact'", field="engine")
 
     def with_(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

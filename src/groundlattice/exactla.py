@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals: row echelon, null spaces, simplex.
 
-Everything here takes and returns lists of :class:`fractions.Fraction` and
-never rounds.  Matrices are lists of rows.  Sizes stay small (a few dozen
-rows), so dense Gauss-Jordan elimination and a dense two-phase simplex are
-adequate.  Both run on integer rows (fraction-free), which gives the
-rational results without a gcd per entry.
+Nothing here rounds.  Matrices are lists of rows.  Sizes stay small (a few
+dozen rows), so dense Gauss-Jordan elimination and a dense two-phase
+simplex are adequate.  Both run on integer rows (fraction-free), which
+gives the rational results without a gcd per entry.  The row echelon
+form, ``solve`` and the Gram-Schmidt helpers take and return lists of
+:class:`fractions.Fraction`; ``null_space`` takes rational or integer rows
+and returns primitive integer vectors, and ``simplex_max`` works on
+integers only (rational rows go in through :func:`integer_row`).
 """
 
 from __future__ import annotations
@@ -100,27 +103,37 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def null_space(m: Mat, ncols: int | None = None) -> Mat:
-    """Basis (list of vectors) of {x : m @ x = 0}, exact.
+def null_space(m: Mat, ncols: int | None = None) -> list[list[int]]:
+    """Basis of {x : m @ x = 0} as primitive integer vectors, exact.
 
-    ``ncols`` must be given when ``m`` has no rows.
+    One :func:`integer_rref` of the rows scaled by :func:`integer_row`;
+    the vector of free column f is positive at f, zero at the other free
+    columns, and a positive multiple of the rational basis vector with a 1
+    at f.  ``ncols`` must be given when ``m`` has no rows.
     """
     if not m:
         if ncols is None:
             raise ValueError("ncols required for an empty constraint matrix")
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     cols = len(m[0])
-    red, pivots = rref(m)
+    rows, pivots = integer_rref([integer_row(row)[1] for row in m])
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = zeros(cols)
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for fc in (c for c in range(cols) if c not in pivot_set):
+        # x[fc] = lam and x[pc] = -row[fc] * lam / row[pc] on each pivot row
+        lam = math.lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[fc]))
+        v = [0] * cols
+        v[fc] = lam
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc] * lam // row[pc]
+        basis.append(primitive(v))
     return basis
+
+
+def primitive(v: list[int]) -> list[int]:
+    """An integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
@@ -172,37 +185,30 @@ class SimplexStatus:
     UNBOUNDED = "unbounded"
 
 
-def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec,
-                scales: Sequence[int] | None = None) -> tuple[str, Fraction | None, Vec | None]:
-    """Maximize c.x subject to a_eq @ x = b_eq, x >= 0, exactly.
+def simplex_max(c: Sequence[int], a_eq: list[list[int]],
+                b_eq: Sequence[int]) -> tuple[str, list[int] | None, int | None]:
+    """Maximize c.x subject to a_eq @ x = b_eq, x >= 0, on integer data.
 
     Two-phase primal simplex with Bland's rule, on a fraction-free integer
-    tableau: row i of the input is scaled by the lcm of its denominators
-    (its artificial column carries the same factor), and the tableau is
-    kept as ``M = det * T``, where ``T`` is the rational tableau of the
-    current basis and ``det`` the basis determinant of the scaled system.
-    A pivot on (r, s) replaces every other row by
+    tableau kept as ``M = det * T``, where ``T`` is the rational tableau of
+    the current basis and ``det`` its basis determinant.  A pivot on
+    (r, s) replaces every other row by
     ``(M[r][s] * M[i] - M[i][s] * M[r]) // det``, exact by Cramer's rule
     (Bareiss; Edmonds' integer pivoting), and sets ``det = M[r][s]``.
     ``det`` stays positive, so signs and ratios read off ``M`` are those
     of ``T``, and the pivots are the rational tableau's.
 
-    Takes and returns Fractions: (status, optimal value, optimizer).  With
-    ``scales``, the rows come scaled to integers and are not rescaled:
-    ``a_eq`` and ``b_eq`` hold ints, and row i stands for the constraint
-    ``a_eq[i] / scales[i] = b_eq[i] / scales[i]``.
+    Returns (status, x, det): the optimizer is ``x / det`` with ``det > 0``
+    (x and det are None unless the status is optimal).  Rational rows go
+    in scaled by :func:`integer_row`; scaling a row changes the phase-1
+    path, so the optimizer may change, but not the optimal value.
     """
     m = len(a_eq)
     n = len(c)
-    if scales is None:
-        scaled = [integer_row(list(row) + [r]) for row, r in zip(a_eq, b_eq)]
-    else:
-        scaled = [(lam, list(row) + [r]) for lam, row, r in zip(scales, a_eq, b_eq)]
-    scaled = [(lam, [-x for x in ints]) if ints[-1] < 0 else (lam, ints) for lam, ints in scaled]
-    det = math.prod(lam for lam, _ in scaled)
-    # M = det * T with T = [a_eq | I | b_eq] (rows of negative b_eq negated)
-    tab = [[det // lam * x for x in ints[:n]] + [det * (j == i) for j in range(m)]
-           + [det // lam * ints[n]] for i, (lam, ints) in enumerate(scaled)]
+    det = 1
+    # M = T = [a_eq | I | b_eq], rows of negative b_eq negated
+    tab = [[x if r >= 0 else -x for x in row] + [int(j == i) for j in range(m)] + [abs(r)]
+           for i, (row, r) in enumerate(zip(a_eq, b_eq))]
     basis = [n + i for i in range(m)]
 
     def reduced_costs(cost: list[int]) -> list[int]:
@@ -249,7 +255,7 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec,
             pivot(best, enter)
 
     # Phase 1: maximize -(sum of artificials).  obj holds the reduced costs
-    # times det (times a positive scale in phase 2) and is kept by pivot.
+    # times det and is kept by pivot.
     obj = reduced_costs([0] * n + [-1] * m)
     status = run()
     if status != SimplexStatus.OPTIMAL or any(row[-1] for bv, row in zip(basis, tab) if bv >= n):
@@ -265,14 +271,14 @@ def simplex_max(c: Vec, a_eq: Mat, b_eq: Vec,
     tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    obj = reduced_costs(integer_row(c)[1])
+    obj = reduced_costs(list(c))
     status = run()
     if status == SimplexStatus.UNBOUNDED:
         return status, None, None
-    x = zeros(n)
+    x = [0] * n
     for row, bv in zip(tab, basis):
-        x[bv] = Fraction(row[-1], det)
-    return SimplexStatus.OPTIMAL, dot(c, x), x
+        x[bv] = row[-1]
+    return SimplexStatus.OPTIMAL, x, det
 
 
 def integer_row(xs: Sequence[Fraction]) -> tuple[int, list[int]]:

@@ -67,17 +67,13 @@ class OperatorSubspace:
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
-    # exact engine: rational basis of the orthogonal complement U⊥, so that
-    # g lies in U exactly when perp @ g = 0
+    # exact engine: basis of the orthogonal complement U⊥ as primitive int
+    # rows, so that g lies in U exactly when perp @ g = 0
     perp: list | None = field(default=None, init=False, repr=False)
-    # exact engine: each row of perp as (lcm of its denominators, the row
-    # times that lcm as ints), the form the exact cone analysis reads
-    perp_int: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.is_exact:
             self.perp = ela.null_space(self.basis, ncols=self.ambient_n)
-            self.perp_int = [ela.integer_row(w) for w in self.perp]
 
     @property
     def dim(self) -> int:
@@ -86,11 +82,6 @@ class OperatorSubspace:
     @property
     def is_exact(self) -> bool:
         return self.engine == ENGINE_EXACT
-
-    def identity_element(self):
-        if self.is_exact:
-            return [Fraction(1)] * self.ambient_n
-        return np.eye(self.ambient_n, dtype=np.complex128)
 
     def zero_projection(self) -> Projection:
         return Projection.zero(self.ambient_n, commutative=self.is_exact)

@@ -78,14 +78,20 @@ def cones_equal(rays_p, support_p, rays_q, support_q):
             and all(_ray_in_cone(r, support_p) for r in rays_q))
 
 
-def brute_force_members(rng, n_points, extra_dims):
-    """A random rational subspace (with the constant-one function) and its
-    member supports by the literal greatest-element definition."""
+def random_rational_subspace(rng, n_points, extra_dims):
+    """The constant-one function and ``extra_dims`` random functions with
+    small numerators and denominators 1 to 3."""
     vectors = [[Fraction(1)] * n_points]
     for _ in range(extra_dims):
         vectors.append([Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
                         for _ in range(n_points)])
-    u = from_spanning_set(vectors, engine=ENGINE_EXACT)
+    return from_spanning_set(vectors, engine=ENGINE_EXACT)
+
+
+def brute_force_members(rng, n_points, extra_dims):
+    """A random rational subspace (with the constant-one function) and its
+    member supports by the literal greatest-element definition."""
+    u = random_rational_subspace(rng, n_points, extra_dims)
     all_supports = [frozenset(i for i in range(n_points) if mask >> i & 1)
                     for mask in range(2 ** n_points)]
     rays = {s: cone_rays(s, u) for s in all_supports}

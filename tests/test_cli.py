@@ -224,6 +224,21 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR
         assert "line 1" in err
 
+    def test_unreadable_files_name_their_argument(self, capsys):
+        missing = "/does/not/exist.json"
+        code, _, err = run_cli(capsys, ["membership", "bits:N=3:k=1", missing])
+        assert code == EXIT_INPUT_ERROR
+        assert f"cannot read projection file {missing!r}" in err
+        code, _, err = run_cli(capsys, ["marginal", missing, "--system", "bits:N=3:k=1"])
+        assert code == EXIT_INPUT_ERROR
+        assert f"cannot read matrix file {missing!r}" in err
+
+    def test_engine_validated(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["klocal", "bits:N=3", "--k", "1", "--engine", "magic"])
+        assert exc.value.code == EXIT_INPUT_ERROR
+        assert "invalid choice: 'magic'" in capsys.readouterr().err
+
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR

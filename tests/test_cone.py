@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from bruteforce_oracle import cone_rays
+from bruteforce_oracle import cone_rays, random_rational_subspace
 
 from groundlattice import cone as cone_mod
 from groundlattice import exactla as ela
@@ -298,22 +298,35 @@ class TestAnalyzeConeExact:
         # the witness of the larger projection lies in the smaller cone
         assert w[1] == 0 and all(v >= 0 for v in w)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_double_description_oracle_on_every_support(self, k):
+    @pytest.mark.parametrize("case", [1, 2, "rational"])
+    def test_matches_double_description_oracle_on_every_support(self, case):
         # oracle: complete extreme-ray enumeration of each cone over row
-        # subsets, not the max-support LPs
-        u = build_klocal(SiteSystem.bits(3), k)
-        for mask in range(256):
-            support = {x for x in range(8) if mask >> x & 1}
-            desc = analyze_cone(Projection.from_support(8, support), u)
-            rays = cone_rays(support, u)
-            assert desc.dim_K == (ela.rank(rays) if rays else 0)
-            assert desc.witness_support == frozenset(
-                x for r in rays for x in range(8) if r[x] != 0)
-            if desc.dim_K:
-                w = desc.interior_witness
-                assert {x for x in range(8) if w[x] != 0} == desc.witness_support
-                assert all(v >= 0 for v in w) and project_onto(w, u) == w
+        # subsets, not the max-support LPs; on bits:N=3 for k = 1, 2 and on
+        # the random subspaces of brute_force_members, where U⊥ has rows
+        # that are not integral in the rational basis (a 1 at the free
+        # column), so the LPs and the witness see scaled rows
+        if case == "rational":
+            rng = np.random.default_rng(43)
+            spaces = [random_rational_subspace(rng, int(rng.integers(4, 7)),
+                                               int(rng.integers(1, 4))) for _ in range(8)]
+            # row j of perp is positive at the j-th free column of the basis
+            free = [sorted(set(range(u.ambient_n)) - set(ela.rref(u.basis)[1])) for u in spaces]
+            assert any(w[f] > 1 for u, fs in zip(spaces, free) for w, f in zip(u.perp, fs))
+        else:
+            spaces = [build_klocal(SiteSystem.bits(3), case)]
+        for u in spaces:
+            n = u.ambient_n
+            for mask in range(2 ** n):
+                support = {x for x in range(n) if mask >> x & 1}
+                desc = analyze_cone(Projection.from_support(n, support), u)
+                rays = cone_rays(support, u)
+                assert desc.dim_K == (ela.rank(rays) if rays else 0)
+                assert desc.witness_support == frozenset(
+                    x for r in rays for x in range(n) if r[x] != 0)
+                if desc.dim_K:
+                    w = desc.interior_witness
+                    assert {x for x in range(n) if w[x] != 0} == desc.witness_support
+                    assert all(v >= 0 for v in w) and project_onto(w, u) == w
 
     def test_lp_failure_raises_typed_error(self, monkeypatch):
         xs, u = three_bit_two_local()

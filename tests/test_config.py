@@ -21,11 +21,6 @@ def test_positive_tolerances_enforced():
         RunConfig(tol_rank=-1e-9)
 
 
-def test_engine_validated():
-    with pytest.raises(InputError):
-        RunConfig(engine="magic")
-
-
 def test_split_streams_are_stable_and_independent():
     cfg = RunConfig(seed=42)
     a1 = cfg.rng_for(1, 0).normal(size=4)

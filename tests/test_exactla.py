@@ -1,5 +1,6 @@
 """Exact rational linear algebra: row echelon, null spaces, simplex."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -85,10 +86,24 @@ def test_frac_rejects_floats():
     assert ela.frac("2/3") == Fraction(2, 3)
 
 
+def simplex(c, a, b):
+    """simplex_max on rational data: each row of [a | b], and c, scaled to
+    integers by integer_row; the answer mapped back to Fractions as
+    (status, optimal value, optimizer)."""
+    rows = [ela.integer_row(list(row) + [r])[1] for row, r in zip(a, b)]
+    status, x, det = ela.simplex_max(ela.integer_row(c)[1], [r[:-1] for r in rows],
+                                     [r[-1] for r in rows])
+    if status != ela.SimplexStatus.OPTIMAL:
+        return status, None, None
+    assert det > 0
+    y = [Fraction(v, det) for v in x]
+    return status, ela.dot(c, y), y
+
+
 class TestSimplex:
     def test_simple_bounded_lp(self):
         # max x1 subject to x1 + x2 = 1, x >= 0  ->  x = (1, 0)
-        status, val, x = ela.simplex_max(
+        status, val, x = simplex(
             ela.fvec([1, 0]), [ela.fvec([1, 1])], ela.fvec([1]))
         assert status == ela.SimplexStatus.OPTIMAL
         assert val == 1
@@ -96,19 +111,19 @@ class TestSimplex:
 
     def test_infeasible(self):
         # x1 + x2 = -1 with x >= 0 cannot hold
-        status, _, _ = ela.simplex_max(
+        status, _, _ = simplex(
             ela.fvec([1, 0]), [ela.fvec([1, 1])], ela.fvec([-1]))
         assert status == ela.SimplexStatus.INFEASIBLE
 
     def test_unbounded(self):
         # max x1 with x1 - x2 = 0: ray (t, t)
-        status, _, _ = ela.simplex_max(
+        status, _, _ = simplex(
             ela.fvec([1, 0]), [ela.fvec([1, -1])], ela.fvec([0]))
         assert status == ela.SimplexStatus.UNBOUNDED
 
     def test_degenerate_transport_like_lp(self):
         # max y1 over the set {y >= 0, sum y = 1, y1 + y2 - y3 - y4 = 0}
-        status, val, y = ela.simplex_max(
+        status, val, y = simplex(
             ela.fvec([1, 0, 0, 0]),
             [ela.fvec([1, 1, 1, 1]), ela.fvec([1, 1, -1, -1])],
             ela.fvec([1, 0]))
@@ -138,7 +153,7 @@ class TestSimplex:
                     y[cc] = sol[jj]
                 val = ela.dot(c, y)
                 best = val if best is None else max(best, val)
-            status, val, y = ela.simplex_max(c, a, b)
+            status, val, y = simplex(c, a, b)
             if best is None:
                 # no basic feasible point: LP infeasible or feasible set
                 # unbounded without vertices; skip ambiguous cases
@@ -182,7 +197,7 @@ class TestSimplexEdgeCases:
         a = [ela.fvec([1, 0, 0, "1/4", -60, "-1/25", 9]),
              ela.fvec([0, 1, 0, "1/2", -90, "-1/50", 3]),
              ela.fvec([0, 0, 1, 0, 0, 1, 0])]
-        status, val, x = ela.simplex_max(c, a, ela.fvec([0, 0, 1]))
+        status, val, x = simplex(c, a, ela.fvec([0, 0, 1]))
         assert status == ela.SimplexStatus.OPTIMAL
         assert val == Fraction(1, 20)
         assert x == ela.fvec(["3/100", 0, 0, "1/25", 0, 1, 0])
@@ -193,9 +208,9 @@ class TestSimplexEdgeCases:
         a = [ela.fvec([1, 1, 1]), ela.fvec([2, 2, 2]), ela.fvec(["1/3", "1/3", "1/3"]),
              ela.fvec([0, 0, 0]), ela.fvec([1, -1, 0])]
         b = ela.fvec([1, 2, "1/3", 0, 0])
-        status, val, x = ela.simplex_max(ela.fvec([0, 0, 1]), a, b)
+        status, val, x = simplex(ela.fvec([0, 0, 1]), a, b)
         assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, 1, ela.fvec([0, 0, 1]))
-        status, val, x = ela.simplex_max(ela.fvec([1, 0, 0]), a, b)
+        status, val, x = simplex(ela.fvec([1, 0, 0]), a, b)
         assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, Fraction(1, 2),
                                     ela.fvec(["1/2", "1/2", 0]))
 
@@ -203,10 +218,10 @@ class TestSimplexEdgeCases:
         # -x1 - x2 - x3 = -1 and x1 - x2 = -1/2: x2 = x1 + 1/2
         a = [ela.fvec([-1, -1, -1]), ela.fvec([1, -1, 0])]
         b = ela.fvec([-1, "-1/2"])
-        status, val, x = ela.simplex_max(ela.fvec([1, 0, 0]), a, b)
+        status, val, x = simplex(ela.fvec([1, 0, 0]), a, b)
         assert (status, val, x) == (ela.SimplexStatus.OPTIMAL, Fraction(1, 4),
                                     ela.fvec(["1/4", "3/4", 0]))
-        status, _, _ = ela.simplex_max(ela.fvec([1, 0, 0]), [ela.fvec([1, 1, 1])],
+        status, _, _ = simplex(ela.fvec([1, 0, 0]), [ela.fvec([1, 1, 1])],
                                        ela.fvec([-1]))
         assert status == ela.SimplexStatus.INFEASIBLE
 
@@ -215,7 +230,7 @@ class TestSimplexEdgeCases:
         a = [ela.fvec(["1/3", "1/7", 1]), ela.fvec(["1/11", "-1/2", 0])]
         b = ela.fvec(["1/5", 0])
         c = ela.fvec([1, 1, "1/13"])
-        status, val, x = ela.simplex_max(c, a, b)
+        status, val, x = simplex(c, a, b)
         assert status == ela.SimplexStatus.OPTIMAL
         assert ela.mat_vec(a, x) == b and all(v >= 0 for v in x)
         assert val == best_vertex_value(c, a, b) == ela.dot(c, x)
@@ -232,7 +247,7 @@ class TestSimplexEdgeCases:
             b = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 6))) for _ in range(m)]
             c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
             best = best_vertex_value(c, a, b)
-            status, val, y = ela.simplex_max(c, a, b)
+            status, val, y = simplex(c, a, b)
             seen.add(status)
             if status == ela.SimplexStatus.INFEASIBLE:
                 # a nonempty {y >= 0, a y = b} always has a vertex
@@ -343,10 +358,32 @@ def test_rref_matches_rational_reference():
         assert ela.rref(m) == rational_rref(m)
 
 
+def test_null_space_is_primitive_multiple_of_rational_reference():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        m = random_rational_matrix(rng, rows, cols)
+        if rows > 1 and rng.random() < 0.3:
+            m[-1] = [Fraction(2, 3) * x - y for x, y in zip(m[0], m[1])]
+        red, pivots = rational_rref(m)
+        free = [f for f in range(cols) if f not in pivots]
+        basis = ela.null_space(m)
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert all(isinstance(x, int) for x in v) and math.gcd(*v) == 1
+            reference = [Fraction(int(j == f)) for j in range(cols)]
+            for r, pc in enumerate(pivots):
+                reference[pc] = -red[r][f]
+            assert v[f] > 0 and v == [v[f] * x for x in reference]
+
+
 def test_simplex_matches_rational_reference():
-    # same pivots, so the same status, value and optimizer, on LPs shaped
-    # like the cone sections (homogeneous rows plus sum(y) = 1) and on
-    # general ones with redundant rows and negative right-hand sides
+    # same pivots, so the same status, value and optimizer as the rational
+    # simplex on the rows scaled to integers, on LPs shaped like the cone
+    # sections (homogeneous rows plus sum(y) = 1) and on general ones with
+    # redundant rows and negative right-hand sides; a positive integer
+    # factor on a row may change the phase-1 path, but not the status or
+    # the optimal value
     rng = np.random.default_rng(37)
     seen = set()
     for t in range(300):
@@ -361,13 +398,14 @@ def test_simplex_matches_rational_reference():
         else:
             b = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))) for _ in a]
         c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
-        result = ela.simplex_max(c, a, b)
-        assert result == rational_simplex_max(c, a, b)
-        # rows handed over pre-scaled, by any multiple of their lcm, as the
-        # cone's cached perp rows are
-        scales = [ela.integer_row(row + [r])[0] * int(rng.integers(1, 4)) for row, r in zip(a, b)]
-        a_int = [[int(x * lam) for x in row] for row, lam in zip(a, scales)]
-        b_int = [int(r * lam) for r, lam in zip(b, scales)]
-        assert ela.simplex_max(c, a_int, b_int, scales) == result
+        result = simplex(c, a, b)
+        scaled = [[Fraction(x) for x in ela.integer_row(list(row) + [r])[1]]
+                  for row, r in zip(a, b)]
+        assert result == rational_simplex_max(c, [r[:-1] for r in scaled],
+                                              [r[-1] for r in scaled])
+        factors = [int(rng.integers(1, 4)) for _ in a]
+        status, val, _ = simplex(c, [[f * x for x in row] for f, row in zip(factors, a)],
+                                 [f * r for f, r in zip(factors, b)])
+        assert (status, val) == result[:2]
         seen.add(result[0])
     assert len(seen) == 3

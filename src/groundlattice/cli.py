@@ -93,7 +93,7 @@ def load_subspace(token: str, engine: str, k: int | None = None) -> tuple[Operat
     """Resolve a subspace argument: file path, fixture name, or spec string.
 
     Returns the subspace and any curated coatoms the fixture contributes
-    (measure-zero strata that sampling cannot reach).
+    (measure-zero strata that a sampled enumeration is not certified to reach).
     """
     if token == "m3-example":
         return fixtures.m3_subspace(), fixtures.m3_known_coatoms()

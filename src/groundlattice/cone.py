@@ -24,10 +24,11 @@ trace-one elements.  A positive-definite element is a witness of maximal
 rank, and the section spans K(p); a negative optimum means K(p) = {0}; an
 optimum of zero cuts the face down to the large eigenvalues of the last
 iterate and repeats, at most rank(1 - p) times; each cut loosens the
-later tolerances to the tilt it can leave.  Extreme rays come from
-boundary points of the trace-one section (one eigenvalue on the face of
-the witness per direction) followed by a kernel-face certificate: a
-boundary point x lies on an extreme ray exactly when K(ker x) is a ray.
+later tolerances to the tilt it can leave.  Extreme rays come from face
+descents: from a point inside a face, move in the trace-one section to a
+boundary point x and replace the face by K(ker x), the smallest face
+holding x, until the face is a ray.  The same descents from K(0) give the
+float coatoms.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from .errors import (
     NonConvergenceError,
     PreconditionError,
     TrivialConeError,
-    UnsupportedConfigurationError,
 )
-from .linalg import Projection, kernel_projection, nullspace_cols, orthonormal_columns
+from .linalg import Projection, kernel_projection, nullspace_cols
 from .subspace import LinearSection, OperatorSubspace, linear_section
 
 PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
@@ -58,7 +58,6 @@ CENTRED = 1e-3        # Newton decrement that counts as centred
 NEWTON_CAP = 500      # Newton steps per phase-I round
 HESS_RCOND = 1e-14    # relative singular-value cutoff of the Newton system
 LINE_STEPS = 30       # scalar Newton steps of one line search
-MAX_RAY_DIM = 4       # largest dim K(p) of the float extreme-ray search
 
 
 @dataclass
@@ -211,20 +210,6 @@ def _unit_trace_exact(g: list[int]) -> list[Fraction]:
 # float engine
 # --------------------------------------------------------------------------
 
-class _SectionOps:
-    """Coefficients in, and reconstruction from, the section basis."""
-
-    def __init__(self, sec: LinearSection):
-        n = sec.base_projection.n
-        self.stack = np.stack(sec.basis) if sec.basis else np.zeros((0, n, n), complex)
-
-    def coeffs(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,ij->k", self.stack.conj(), x).real
-
-    def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        return np.tensordot(c, self.stack, axes=1)
-
-
 def _span_rank(vectors: list[np.ndarray], tol: float) -> int:
     if not vectors:
         return 0
@@ -335,9 +320,9 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                            engine=u.engine, margin=np.inf)
     if sec.dim == 0:
         return empty
-    ops = _SectionOps(sec)
+    stack = np.stack(sec.basis)
     face = nullspace_cols(p.matrix(), cfg.tol_rank)     # the range of 1 - p
-    c = face.conj().T @ ops.stack @ face
+    c = face.conj().T @ stack @ face
     coeffs = np.eye(sec.dim)
     margin = np.inf
     tol = PSD_TOL
@@ -355,7 +340,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             return ConeDescriptor(
                 base_projection=p, section=sec, dim_K=dim_k, is_ray=dim_k == 1,
                 interior_witness=_unit_trace_float(witness),
-                engine=u.engine, span_basis=[ops.reconstruct(g) for g in coeffs.T],
+                engine=u.engine, span_basis=list(np.tensordot(coeffs.T, stack, axes=1)),
                 margin=min(margin, t / tol))
         logs = np.log(np.maximum(s, np.finfo(float).tiny))
         cut = int(np.argmax(np.diff(logs))) + 1
@@ -372,11 +357,6 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     raise NonConvergenceError(
         f"facial reduction did not end within rank(1 - p) = {rounds} rounds",
         residual=float("nan"))
-
-
-def _orthonormal_rows(rows, tol: float) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row span."""
-    return orthonormal_columns(np.stack(rows, axis=1), tol).T
 
 
 # --------------------------------------------------------------------------
@@ -412,10 +392,10 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     """Generators of extreme rays of K(p), each normalized to unit trace.
 
     Exact engine: the complete list, sorted, by incremental double
-    description with the combinatorial adjacency test.  Float engine:
-    boundary walks in the trace-one section, each end point certified by
-    the kernel-face test (the face of x is a ray iff K(ker x) is); needs
-    ``subspace`` and dim_K <= MAX_RAY_DIM.
+    description with the combinatorial adjacency test.  Float engine: face
+    descents from the witness (see :func:`descent_rays`) until the rays
+    span dim K(p), at most 12 dim K(p) of them, else
+    :class:`IncompleteRaysError` with the rays found; needs ``subspace``.
     """
     cfg = cfg or RunConfig()
     if desc.dim_K < 1:
@@ -424,9 +404,6 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
         rays = _extreme_rays_exact(desc)
         desc.extreme_ray_generators = rays
         return rays
-    if desc.dim_K > MAX_RAY_DIM:
-        raise UnsupportedConfigurationError(
-            f"float extreme-ray search supports dim K <= {MAX_RAY_DIM}, got {desc.dim_K}")
     if subspace is None:
         raise PreconditionError("float extreme-ray search needs the subspace")
     rays = _extreme_rays_float(desc, subspace, cfg)
@@ -438,95 +415,84 @@ def _unit_trace_float(v: np.ndarray) -> np.ndarray:
     return v / float(np.trace(v).real)
 
 
+def _exit(w: np.ndarray, d: np.ndarray) -> float:
+    """The largest t with w + t d >= 0, for d on the face of w: on that face
+    w + t d >= 0 exactly when 1 + t e >= 0 for the eigenvalues e of
+    w^{-1/2} d w^{-1/2}.  Infinite when d never leaves the cone."""
+    lam, vecs = _eigh(w)
+    face = vecs[:, lam > PSD_TOL] / np.sqrt(lam[lam > PSD_TOL])
+    top = float(_eigh(-(face.conj().T @ d @ face))[0][-1])
+    return 1.0 / top if top > 0.0 else np.inf
+
+
+def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
+             found: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """One walk from inside a float cone down its faces to a ray.
+
+    Each step takes a random trace-free direction R in the span of the
+    current face F and a relative-interior point W of F halfway from the
+    unit-trace witness to the boundary along R.  It moves from W along a
+    trace-free direction D to the boundary point x = W + t D, where t is
+    the largest step that keeps W + t D >= 0.  The smallest face of K(0)
+    holding x is K(ker x) (Ramana & Goldman 1995), a proper face of F, so
+    the dimension drops at every step.  D is W minus the mean of the rays
+    of ``found`` that lie on F: along it every ray of a simplicial F not
+    yet found keeps a growing coefficient, so the walk ends on a new one.
+    When F holds no found ray, D = R.  Returns the unit-trace ray, or None
+    when it is in ``found`` or a step does not shrink the face.
+    """
+    while True:
+        # the found rays on this face, among those on the last one: a PSD
+        # ray g lies on K(q) exactly when g q = 0
+        found = found[np.linalg.norm(found @ desc.base_projection.image_basis,
+                                     axis=(1, 2)) <= 1e-6]
+        w = _unit_trace_float(desc.interior_witness)
+        if desc.dim_K == 1:
+            return None if len(found) else w
+        g = np.tensordot(rng.normal(size=desc.dim_K), np.stack(desc.span_basis), axes=1)
+        r = g - np.trace(g).real * w
+        w = w + 0.5 * _exit(w, r) * r
+        d = w - found.mean(axis=0) if len(found) else r
+        x = w + _exit(w, d) * d
+        if not np.all(np.isfinite(x)):
+            return None
+        sub = analyze_cone(kernel_projection(0.5 * (x + x.conj().T), max(cfg.tol_rank, 1e-8)),
+                           u, cfg)
+        if not 0 < sub.dim_K < desc.dim_K:
+            return None
+        desc = sub
+
+
+def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
+                 attempts: int, stream: int, enough=None) -> np.ndarray:
+    """Distinct unit-trace extreme rays of a float cone, stacked, from up
+    to ``attempts`` face descents; descent t draws from random stream
+    ``cfg.rng_for(stream, t)``.  Stops early once ``enough(rays)`` holds."""
+    n = desc.base_projection.n
+    buf, count = np.empty((8, n, n), complex), 0      # doubled when full
+    for t in range(attempts):
+        if enough is not None and enough(buf[:count]):
+            break
+        ray = _descend(desc, u, cfg, buf[:count], cfg.rng_for(stream, t))
+        if ray is None:
+            continue
+        if count == len(buf):
+            buf = np.concatenate([buf, np.empty_like(buf)])
+        buf[count] = ray
+        count += 1
+    return buf[:count]
+
+
 def _extreme_rays_float(desc: ConeDescriptor, u: OperatorSubspace,
                         cfg: RunConfig) -> list[np.ndarray]:
     d = desc.dim_K
-    if d == 1:
-        return [_unit_trace_float(desc.interior_witness)]
-    ops = _SectionOps(desc.section)
-    w = _unit_trace_float(desc.interior_witness)
-    w_coeff = ops.coeffs(w)
 
-    # directions inside the trace-one section: span(K) rows projected off
-    # the trace functional within span(K), so that they stay on the face
-    # of the witness
-    span_rows = np.stack([ops.coeffs(m) for m in desc.span_basis])
-    traces = span_rows @ np.array([float(np.trace(b).real) for b in desc.section.basis])
-    span_rows = span_rows - np.outer(traces, traces @ span_rows) / (traces @ traces)
-    dirs_basis = list(_orthonormal_rows(span_rows, cfg.tol_rank))
+    def rank(rays: np.ndarray) -> int:
+        return _span_rank([r.reshape(-1).view(float) for r in rays], cfg.tol_rank)
 
-    # on the face of the witness W, W + t D >= 0 exactly when
-    # 1 + t e >= 0 for the eigenvalues e of W^{-1/2} D W^{-1/2}
-    lam, vecs = _eigh(w)
-    on_face = lam > PSD_TOL
-    face = vecs[:, on_face]
-    inv_sqrt = 1.0 / np.sqrt(lam[on_face])
-    whiten = np.outer(inv_sqrt, inv_sqrt)
-
-    def boundary_point(direction: np.ndarray) -> np.ndarray | None:
-        """The matrix where w + t * direction leaves the cone, t > 0;
-        None when the direction stays inside."""
-        on = face.conj().T @ ops.reconstruct(direction) @ face
-        top = float(_eigh(-on * whiten)[0][-1])
-        if top <= 0.0:
-            return None
-        m = ops.reconstruct(w_coeff + direction / top)
-        return 0.5 * (m + m.conj().T)
-
-    def descend(x: np.ndarray) -> np.ndarray | None:
-        """Walk down the face lattice of K(p) from boundary point x."""
-        q = kernel_projection(x, max(cfg.tol_rank, 1e-8))
-        sub = analyze_cone(q, u, cfg)
-        if sub.dim_K == 1:
-            return _unit_trace_float(sub.interior_witness)
-        if sub.dim_K == 0 or sub.dim_K >= d:
-            return None  # kernel certificate failed to shrink the face
-        try:
-            sub_rays = _extreme_rays_float(sub, u, cfg)
-        except IncompleteRaysError as err:
-            sub_rays = err.partial
-        return sub_rays[0] if sub_rays else None
-
-    rays: list[np.ndarray] = []
-    ray_coeffs: list[np.ndarray] = []
-
-    def register(candidate: np.ndarray | None) -> None:
-        if candidate is None:
-            return
-        c = ops.coeffs(candidate)
-        nc = float(np.linalg.norm(c))
-        if nc <= 1e-12:
-            return
-        for known in ray_coeffs:
-            if float(np.linalg.norm(c / nc - known / np.linalg.norm(known))) <= 1e-6:
-                return
-        rays.append(_unit_trace_float(candidate))
-        ray_coeffs.append(c)
-
-    trial_dirs = []
-    for e in dirs_basis:
-        trial_dirs.append(e)
-        trial_dirs.append(-e)
-    rng_budget = 12 * d
-    for t in range(rng_budget):
-        rng = cfg.rng_for(2, t)
-        if dirs_basis:
-            coeffs = rng.normal(size=len(dirs_basis))
-            v = sum(c * e for c, e in zip(coeffs, dirs_basis))
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-12:
-                trial_dirs.append(v / nv)
-
-    for direction in trial_dirs:
-        if _span_rank(ray_coeffs, cfg.tol_rank) >= d:
-            break
-        x = boundary_point(direction)
-        if x is None:
-            continue
-        register(descend(x))
-
-    if _span_rank(ray_coeffs, cfg.tol_rank) < d:
+    rays = descent_rays(desc, u, cfg, 12 * d, 2, lambda r: rank(r) >= d)
+    if rank(rays) < d:
         raise IncompleteRaysError(
-            f"found {len(rays)} extreme rays spanning "
-            f"{_span_rank(ray_coeffs, cfg.tol_rank)} < {d} dimensions", partial=rays)
-    return rays
+            f"found {len(rays)} extreme rays spanning {rank(rays)} < {d} dimensions",
+            partial=list(rays))
+    return list(rays)

@@ -17,16 +17,17 @@ class RunConfig:
     """All knobs that influence a computation, bundled for reproducibility.
 
     ``seed`` feeds a splittable generator (numpy ``SeedSequence``) for the
-    randomized steps: sampled float coatom enumeration and the trial
-    directions of the float extreme-ray search.  Each draws from its own
-    spawned stream, so results do not depend on evaluation order.  The
-    cone analysis itself (facial reduction) uses no randomness.
+    random directions of the float face descents: stream (2, t) for
+    descent t of an extreme-ray search, stream (3, t) for descent t of the
+    float coatom enumeration.  Each descent draws from its own spawned
+    stream, so results do not depend on evaluation order.  The cone
+    analysis itself (facial reduction) uses no randomness.
     """
 
     seed: int = 0
     tol_spec: float = DEFAULT_TOL    # eigenvalue degeneracy grouping
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
-    samples: int = 10_000            # sampled coatom enumeration draws
+    samples: int = 10_000            # face descents of float coatom enumeration
     max_nodes: int = 100_000         # lattice closure budget
 
     def __post_init__(self):

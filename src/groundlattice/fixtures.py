@@ -83,8 +83,9 @@ def m3_p_bottom() -> Projection:
 
 
 def m3_known_coatoms() -> list[Projection]:
-    """The two rank-two coatoms; a measure-zero stratum that random sampling
-    cannot hit, so lattice construction merges them in explicitly."""
+    """The two rank-two coatoms, the ends of the flat edge of K(0).  Face
+    descents reach them, but a sampled enumeration is not certified to, so
+    the CLI merges them in explicitly."""
     return [m3_p_plus(), m3_p_minus()]
 
 

@@ -4,25 +4,27 @@ Membership is decided by the greatest-projection characterization: the
 projections q with K(q) = K(p) have a greatest element q_max(p), computed
 as the kernel of a relative-interior witness of K(p), and p belongs to the
 lattice exactly when p = q_max(p).  Coatoms are the members whose cone is
-a ray; in the exact engine they are read off as the kernels of the extreme
-rays of K(0) = U ∩ PSD.  The lattice is built from the top down: every
-node is the intersection of the coatoms above it and is keyed by their
-index set, and the lower covers of a node are the minimal index sets among
-its intersections with one more coatom.
+a ray; they are read off as the kernels of the extreme rays of
+K(0) = U ∩ PSD, all of them in the exact engine and those that face
+descents reach in the float engine.  The lattice is built from the top
+down: every node is the intersection of the coatoms above it and is keyed
+by their index set, and the lower covers of a node are the minimal index
+sets among its intersections with one more coatom.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exactla as ela
-from .cone import ConeDescriptor, _span_rank, analyze_cone, extreme_rays
+from .cone import ConeDescriptor, _span_rank, analyze_cone, descent_rays, extreme_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import Projection, ground_projection, image_intersection, kernel_projection, loewner_leq
+from .linalg import Projection, image_intersection, kernel_projection, loewner_leq
 from .subspace import OperatorSubspace
 
 #: principal-angle tolerance for canonical projection equality (float engine)
@@ -136,9 +138,9 @@ def enumerate_coatoms(u: OperatorSubspace,
 
     Exact: the kernels of the extreme rays of K(0) = U ∩ PSD, whose rays
     are exactly the ray cones K(q) of the coatoms q; the list is complete.
-    Float: draw cfg.samples random elements of U with unit Gaussian
-    coefficients, collect their ground projections, keep the ray cones,
-    and always test the zero projection as well.
+    Float: the kernels of the distinct rays that cfg.samples face descents
+    from the witness of K(0) end on (see :func:`cone.descent_rays`), each
+    a coatom; the list may miss coatoms, hence the flag.
     Returns (coatoms, completeness flag).
     """
     cfg = cfg or RunConfig()
@@ -148,30 +150,35 @@ def enumerate_coatoms(u: OperatorSubspace,
         found = [_kernel_of(g, u, cfg) for g in rays]
         return sorted(found, key=lambda p: p.sort_key()), "exact"
 
-    candidates: list[Projection] = [u.zero_projection()]
-    rng = cfg.rng_for(3)
-    for _ in range(cfg.samples):
-        coeffs = rng.normal(size=u.dim)
-        a = u.element_from(coeffs)
-        candidates.append(ground_projection(a, cfg.tol_spec))
-    found = []
-    for p in candidates:
-        desc = analyze_cone(p, u, cfg)
-        if desc.dim_K == 1:
-            found.append(p)
-    return _dedupe(found), "sampled"
+    rays = descent_rays(analyze_cone(u.zero_projection(), u, cfg), u, cfg, cfg.samples, 3)
+    return _dedupe([_kernel_of(g, u, cfg) for g in rays]), "sampled"
 
 
 def _dedupe(projections: list[Projection]) -> list[Projection]:
-    buckets: dict[tuple, list[Projection]] = {}
-    out = []
+    """The first projection of each image, sorted by :meth:`Projection.sort_key`.
+
+    Same result as comparing each projection with every one kept before
+    it, but only kept projections of equal rank whose key <v, P v> lies
+    within 2 CANON_TOL of its own are compared: v is a fixed unit vector,
+    so |<v, P v> - <v, Q v>| <= |P - Q|_2, and equal images differ by at
+    most CANON_TOL (the factor 2 covers rounding).
+    """
+    if not projections:
+        return []
+    g = np.random.default_rng(0).normal(size=(2, projections[0].n))
+    v = (g[0] + 1j * g[1]) / np.linalg.norm(g)
+    out: list[Projection] = []
+    kept: dict[int, tuple[list[float], list[Projection]]] = {}   # rank -> sorted keys
     for p in projections:
-        key = (p.rank, tuple(np.round(np.diag(p.matrix()).real, 4))) \
-            if not p.is_commutative else (p.rank, tuple(sorted(p.classical_support)))
-        bucket = buckets.setdefault(key, [])
-        if any(p.same_image(q, tol=CANON_TOL) for q in bucket):
+        key = float(np.vdot(v, p.matrix() @ v).real)
+        keys, seen = kept.setdefault(p.rank, ([], []))
+        lo = bisect.bisect_left(keys, key - 2 * CANON_TOL)
+        hi = bisect.bisect_right(keys, key + 2 * CANON_TOL)
+        if any(p.same_image(q, tol=CANON_TOL) for q in seen[lo:hi]):
             continue
-        bucket.append(p)
+        at = bisect.bisect(keys, key)
+        keys.insert(at, key)
+        seen.insert(at, p)
         out.append(p)
     out.sort(key=lambda p: p.sort_key())
     return out

@@ -1,6 +1,7 @@
 """Command surface: schemas, round trips, determinism, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestCommands:
         assert 0 in ranks and 3 in ranks  # bottom and identity
         assert 1 in ranks and 2 in ranks  # 0+1 meet and the rank-two coatoms
         assert report["payload"]["completeness"] == "sampled"
+
+    def test_coatoms_m3_thousand_samples(self, capsys):
+        # the rank-one family has one diagonal, (1/2, 1/2, 0), so a dedupe
+        # keyed on the diagonal compared all ~700 coatoms pairwise
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["coatoms", "m3-example", "--samples", "1000"])
+        assert time.perf_counter() - started < 15.0
+        assert code == EXIT_OK
+        coatoms = last_json(out)["payload"]["coatoms"]
+        assert len(coatoms) >= 100
+        assert {len(c["image_basis"]) for c in coatoms} == {1, 2}
 
     def test_lattice_dot_output(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "span{id}:n=2", "--samples", "5",

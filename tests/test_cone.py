@@ -11,11 +11,11 @@ from groundlattice import cone as cone_mod
 from groundlattice import exactla as ela
 from groundlattice.config import RunConfig
 from groundlattice.cone import analyze_cone, extreme_rays, relative_interior_point
+from groundlattice.lattice import is_coatom
 from groundlattice.errors import (
     GroundLatticeError,
     NonConvergenceError,
     TrivialConeError,
-    UnsupportedConfigurationError,
 )
 from groundlattice.linalg import (
     Projection,
@@ -365,14 +365,20 @@ class TestExtremeRays:
         assert len(rays) == 1
         assert frobenius(rays[0] - U_PLUS / np.trace(U_PLUS).real) <= 1e-7
 
-    def test_max_ray_dim_guard(self):
-        # the diagonal embedding of bits:N=3:k=2 at p = 0 has dim K = 7
+    def test_float_rays_of_seven_dimensional_cone(self):
+        # the diagonal embedding of bits:N=3:k=2 at p = 0 has dim K = 7;
+        # face descents give rays that span it, each the generator of an
+        # exact coatom's ray cone
         _, exact = three_bit_two_local()
         u = from_spanning_set(exact.basis_as_matrices())
         desc = analyze_cone(Projection.zero(8), u)
-        assert desc.dim_K == 7 > cone_mod.MAX_RAY_DIM
-        with pytest.raises(UnsupportedConfigurationError):
-            extreme_rays(desc, subspace=u)
+        assert desc.dim_K == 7
+        rays = extreme_rays(desc, subspace=u)
+        assert np.linalg.matrix_rank(np.stack([r.reshape(-1) for r in rays]), tol=1e-8) == 7
+        for r in rays:
+            assert np.allclose(r, np.diag(np.diag(r)), atol=1e-9)
+            support = {x for x in range(8) if r[x, x].real <= 1e-9}
+            assert is_coatom(Projection.from_support(8, support), exact), sorted(support)
 
     def test_three_bit_two_edge_cone_rays_match_bipartite_edges(self):
         xs, u = three_bit_two_local()

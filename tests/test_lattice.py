@@ -21,6 +21,8 @@ from groundlattice.fixtures import (
     three_bit_two_local,
 )
 from groundlattice.lattice import (
+    CANON_TOL,
+    _dedupe,
     build_lattice,
     close_to_lattice,
     coatom_decomposition,
@@ -338,17 +340,79 @@ class TestEnumerateCoatoms:
         assert coatoms[0].rank == 0
 
     def test_m3_sampled_family(self):
+        # descents end on the rank-one family in the upper 2x2 block and on
+        # the two rank-two coatoms at the ends of the flat edge of K(0)
         u = m3_subspace()
         coatoms, flag = enumerate_coatoms(u, RunConfig(samples=40, seed=2))
         assert flag == "sampled"
-        # generic samples give rank-one ground projections, all coatoms
         assert len(coatoms) >= 10
         for p in coatoms:
-            assert p.rank == 1
-            # the sampled family lives in the upper 2x2 block: rank-one
-            # projections whose image vector has no third component
-            v = p.image_basis[:, 0]
-            assert abs(v[2]) <= 1e-7
+            assert is_coatom(p, u)
+            if p.rank == 1:
+                assert abs(p.image_basis[2, 0]) <= 1e-7
+        for q in m3_known_coatoms():
+            assert any(p.same_image(q, tol=1e-6) for p in coatoms)
+
+    def test_dedupe_matches_pairwise_scan(self):
+        # m3 coatoms, exact copies, copies turned by about 0.3 to 3 times
+        # the tolerance and a chain of near copies, shuffled; the windowed
+        # scan keeps the same projections, in the same order, as comparing
+        # with every kept one
+        rng = np.random.default_rng(7)
+        coatoms, _ = enumerate_coatoms(m3_subspace(), RunConfig(samples=100))
+        items = list(coatoms) + list(coatoms[:20])
+        for p in coatoms[:60]:
+            g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            w, vecs = np.linalg.eigh(g + g.conj().T)
+            turn = vecs @ np.diag(np.exp(1j * w / np.abs(w).max() * rng.uniform(0.3, 3.0)
+                                         * CANON_TOL)) @ vecs.conj().T
+            items.append(Projection.from_columns(3, turn @ p.image_basis))
+        # a chain of rank-one projections 0.6 tolerances apart, whose keys
+        # share one window
+        e = np.eye(3)
+        items += [Projection.from_columns(3, np.cos(t) * e[:, :1] + np.sin(t) * e[:, 1:2])
+                  for t in 0.6 * CANON_TOL * np.arange(40)]
+        items = [items[i] for i in rng.permutation(len(items))]
+        kept = []
+        for p in items:
+            if not any(p.same_image(q, tol=CANON_TOL) for q in kept):
+                kept.append(p)
+        kept.sort(key=lambda p: p.sort_key())
+        result = _dedupe(items)
+        assert len(coatoms) < len(result) < len(items)
+        assert [id(p) for p in result] == [id(p) for p in kept]
+
+    @pytest.mark.parametrize("k, seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_rotated_float_coatoms_match_exact(self, k, seed):
+        exact = build_klocal(three_bit_system(), k)
+        expected = sorted(sorted(p.classical_support) for p in enumerate_coatoms(exact)[0])
+        v = haar_unitary(np.random.default_rng(seed), 8)
+        coatoms, flag = enumerate_coatoms(rotated_space(exact, v), RunConfig(samples=60))
+        assert flag == "sampled"
+        assert sorted(sorted(rotated_support(p, v)) for p in coatoms) == expected
+
+    def test_qubit_pair_coatom_families(self):
+        # the coatoms of qubits:N=2:k=1 are P (x) 1 and 1 (x) P with P of
+        # rank one; the lattice they generate adds the products P (x) Q
+        u = build_klocal(SiteSystem.qubits(2), 1)
+        cfg = RunConfig(samples=12)
+        coatoms, _ = enumerate_coatoms(u, cfg)
+        families = []
+        for p in coatoms:
+            m = p.matrix().reshape(2, 2, 2, 2)
+            left, right = np.einsum("ijkj->ik", m) / 2, np.einsum("ijil->jl", m) / 2
+            if np.allclose(p.matrix(), np.kron(left, np.eye(2)), atol=1e-7):
+                families.append("left")
+                assert np.linalg.matrix_rank(left, tol=1e-7) == 1
+            else:
+                assert np.allclose(p.matrix(), np.kron(np.eye(2), right), atol=1e-7)
+                assert np.linalg.matrix_rank(right, tol=1e-7) == 1
+                families.append("right")
+        a, b = families.count("left"), families.count("right")
+        assert a and b
+        lat = close_to_lattice(u, coatoms, "sampled", cfg)
+        assert lat.node_count == 2 + a + b + a * b
+        assert len(lat.coatoms) == a + b
 
 
 class TestBuildLattice:
@@ -418,23 +482,26 @@ class TestBuildLattice:
 
     def test_rotated_three_bit_closure_matches_exact_lattice(self):
         # float closure of the 16 Haar-rotated coatoms of bits:N=3:k=2,
-        # mapped back to supports, against the exact lattice
+        # rotated from the exact ones and found by face descents, mapped
+        # back to supports, against the exact lattice
         exact = three_bit_two_local()
         reference = build_lattice(exact)
         v = haar_unitary(np.random.default_rng(11), 8)
         u = rotated_space(exact, v)
         coatoms = [Projection.from_columns(8, v[:, sorted(reference.nodes[i].classical_support)])
                    for i in reference.coatoms]
-        lat = close_to_lattice(u, coatoms, "complete")
-        nodes = [rotated_support(p, v) for p in lat.nodes]
-        assert None not in nodes
-        assert sorted(nodes, key=sorted) == sorted(
-            (p.classical_support for p in reference.nodes), key=sorted)
-        assert len(lat.hasse_edges) == 856
-        assert lattice_covers(lat, lambda p: rotated_support(p, v)) == \
-            lattice_covers(reference, lambda p: p.classical_support)
-        assert {nodes[i] for i in lat.coatoms} == \
-            {reference.nodes[i].classical_support for i in reference.coatoms}
+        for lat in (close_to_lattice(u, coatoms, "complete"),
+                    build_lattice(u, RunConfig(samples=60))):
+            nodes = [rotated_support(p, v) for p in lat.nodes]
+            assert None not in nodes
+            assert len(nodes) == 226
+            assert sorted(nodes, key=sorted) == sorted(
+                (p.classical_support for p in reference.nodes), key=sorted)
+            assert len(lat.hasse_edges) == 856
+            assert lattice_covers(lat, lambda p: rotated_support(p, v)) == \
+                lattice_covers(reference, lambda p: p.classical_support)
+            assert {nodes[i] for i in lat.coatoms} == \
+                {reference.nodes[i].classical_support for i in reference.coatoms}
 
     def test_exact_lattice_is_coatomistic(self):
         u = three_bit_two_local()
@@ -467,6 +534,26 @@ class TestEngineAgreement:
                     is_ground_projection(p_exact, exact), sub
                 assert is_coatom(p_float, embedded) == is_coatom(p_exact, exact), sub
 
+
+    def test_high_dimensional_decompositions_match_exact_engine(self):
+        # every member with dim K > 4 of the diagonal embedding of
+        # bits:N=3:k=2 decomposes into dim K exact coatoms meeting in it
+        exact = three_bit_two_local()
+        embedded = from_spanning_set(exact.basis_as_matrices())
+        count = 0
+        for mask in range(1, 256):
+            sub = [x for x in range(8) if mask >> x & 1]
+            p_exact = Projection.from_support(8, sub)
+            dim_k = analyze_cone(p_exact, exact).dim_K
+            if dim_k <= 4 or not is_ground_projection(p_exact, exact):
+                continue
+            count += 1
+            parts = coatom_decomposition(Projection.from_columns(8, np.eye(8)[:, sub]), embedded)
+            supports = {frozenset(rotated_support(q, np.eye(8))) for q in parts}
+            assert len(supports) == dim_k, sub
+            assert all(is_coatom(Projection.from_support(8, s), exact) for s in supports), sub
+            assert frozenset.intersection(*supports) == frozenset(sub)
+        assert count == 36
 
     @pytest.mark.parametrize("k, seed", [(1, 100), (1, 101), (2, 100)])
     def test_rotated_space_matches_exact_engine(self, k, seed):

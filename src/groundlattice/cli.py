@@ -116,14 +116,14 @@ def load_projection(token: str, n: int) -> Projection:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(seed=args.seed, tol_spec=args.tol, tol_rank=args.tol,
+    return RunConfig(seed=args.seed, tol_rank=args.tol,
                      samples=args.samples, max_nodes=args.max_nodes)
 
 
 def make_report(args, cfg: RunConfig, payload: dict, started: float) -> dict:
     return {
         "command": args.command,
-        "config": {"seed": cfg.seed, "tol_spec": cfg.tol_spec, "tol_rank": cfg.tol_rank,
+        "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank,
                    "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": args.engine},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),

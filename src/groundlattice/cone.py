@@ -48,8 +48,8 @@ from .errors import (
     PreconditionError,
     TrivialConeError,
 )
-from .linalg import Projection, kernel_projection, nullspace_cols
-from .subspace import LinearSection, OperatorSubspace, linear_section
+from .linalg import Projection, eigh, kernel_projection, nullspace_cols, range_cols
+from .subspace import OperatorSubspace, linear_section
 
 PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
 MU_FACE = 1e-10       # barrier weight times face size at which t* = 0 is decided
@@ -65,7 +65,6 @@ class ConeDescriptor:
     """Everything computed about K(p)."""
 
     base_projection: Projection
-    section: LinearSection | None                 # float engine only
     dim_K: int
     is_ray: bool
     interior_witness: object | None = None        # ndarray or Fraction vector
@@ -93,7 +92,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
-    trivial = ConeDescriptor(base_projection=p, section=None, dim_K=0, is_ray=False,
+    trivial = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False,
                              engine=u.engine, witness_support=frozenset())
     rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
     a_eq = rows + [[1] * len(complement)]
@@ -133,7 +132,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             g[x] = vx
         span.append(g)
     dim_k = len(span)
-    return ConeDescriptor(base_projection=p, section=None, dim_K=dim_k,
+    return ConeDescriptor(base_projection=p, dim_K=dim_k,
                           is_ray=dim_k == 1, interior_witness=witness,
                           engine=u.engine, span_basis=span,
                           witness_support=frozenset(support))
@@ -210,21 +209,6 @@ def _unit_trace_exact(g: list[int]) -> list[Fraction]:
 # float engine
 # --------------------------------------------------------------------------
 
-def _span_rank(vectors: list[np.ndarray], tol: float) -> int:
-    if not vectors:
-        return 0
-    m = np.stack(vectors)
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > tol * max(1.0, float(sv[0]))))
-
-
-def _eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(s)
-    except np.linalg.LinAlgError as err:
-        raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
-
-
 def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     """Barrier phase I for  max t  s.t.  X - tI >= 0, X in span(c), tr X = 1.
 
@@ -243,7 +227,7 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     x0 = a / (a @ a)
     null = nullspace_cols(a[None, :], tol_rank)
     x_base = np.tensordot(x0, c, axes=1)
-    lam, vecs = _eigh(x_base)
+    lam, vecs = eigh(x_base)
     if null.shape[1] == 0:              # no free direction: t* = lambda_min(X0)
         t = float(lam[0])
         status = "interior" if t > tol else "empty" if t < -tol else "face"
@@ -253,7 +237,7 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     w[-1] = lam[0] - 1.0 / r
     mu = 1.0 / float(np.sum(1.0 / (lam - w[-1])))   # the start is centred in t
     for _ in range(NEWTON_CAP):
-        s, vecs = _eigh(x_base + np.tensordot(w, dirs, axes=1))
+        s, vecs = eigh(x_base + np.tensordot(w, dirs, axes=1))
         if s[0] <= 0.0:
             raise NonConvergenceError("phase-I iterate left the PSD cone", residual=float(s[0]))
         inv_sqrt = 1.0 / np.sqrt(s)
@@ -270,7 +254,7 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
                                       residual=float("nan")) from err
         if -grad @ step > CENTRED ** 2:
             # damped steps 1 / (1 + decrement) cost a quarter more time
-            e = _eigh(np.tensordot(step, f, axes=1))[0]
+            e = eigh(np.tensordot(step, f, axes=1))[0]
             w = w + _line_search(e, -step[-1] / mu) * step
             continue
         t, x = float(w[-1]), x0 + null @ w[:-1]
@@ -316,7 +300,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     sqrt(s_low / s_high), the PSD bound on that tilt.
     """
     sec = linear_section(p, u, cfg.tol_rank)
-    empty = ConeDescriptor(base_projection=p, section=sec, dim_K=0, is_ray=False,
+    empty = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False,
                            engine=u.engine, margin=np.inf)
     if sec.dim == 0:
         return empty
@@ -338,7 +322,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             dim_k = coeffs.shape[1]
             witness = face @ np.tensordot(x, c, axes=1) @ face.conj().T
             return ConeDescriptor(
-                base_projection=p, section=sec, dim_K=dim_k, is_ray=dim_k == 1,
+                base_projection=p, dim_K=dim_k, is_ray=dim_k == 1,
                 interior_witness=_unit_trace_float(witness),
                 engine=u.engine, span_basis=list(np.tensordot(coeffs.T, stack, axes=1)),
                 margin=min(margin, t / tol))
@@ -419,9 +403,9 @@ def _exit(w: np.ndarray, d: np.ndarray) -> float:
     """The largest t with w + t d >= 0, for d on the face of w: on that face
     w + t d >= 0 exactly when 1 + t e >= 0 for the eigenvalues e of
     w^{-1/2} d w^{-1/2}.  Infinite when d never leaves the cone."""
-    lam, vecs = _eigh(w)
+    lam, vecs = eigh(w)
     face = vecs[:, lam > PSD_TOL] / np.sqrt(lam[lam > PSD_TOL])
-    top = float(_eigh(-(face.conj().T @ d @ face))[0][-1])
+    top = float(eigh(-(face.conj().T @ d @ face))[0][-1])
     return 1.0 / top if top > 0.0 else np.inf
 
 
@@ -485,10 +469,10 @@ def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
 
 def _extreme_rays_float(desc: ConeDescriptor, u: OperatorSubspace,
                         cfg: RunConfig) -> list[np.ndarray]:
-    d = desc.dim_K
+    d, n = desc.dim_K, desc.base_projection.n
 
     def rank(rays: np.ndarray) -> int:
-        return _span_rank([r.reshape(-1).view(float) for r in rays], cfg.tol_rank)
+        return range_cols(rays.reshape(len(rays), n * n).view(float), cfg.tol_rank).shape[1]
 
     rays = descent_rays(desc, u, cfg, 12 * d, 2, lambda r: rank(r) >= d)
     if rank(rays) < d:

@@ -25,15 +25,13 @@ class RunConfig:
     """
 
     seed: int = 0
-    tol_spec: float = DEFAULT_TOL    # eigenvalue degeneracy grouping
     tol_rank: float = DEFAULT_TOL    # singular-value / rank cutoff
     samples: int = 10_000            # face descents of float coatom enumeration
     max_nodes: int = 100_000         # lattice closure budget
 
     def __post_init__(self):
-        for name in ("tol_spec", "tol_rank"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be strictly positive", field=name)
+        if self.tol_rank <= 0:
+            raise InputError("tol_rank must be strictly positive", field="tol_rank")
 
     def with_(self, **kwargs) -> "RunConfig":
         return replace(self, **kwargs)

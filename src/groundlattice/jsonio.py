@@ -10,10 +10,15 @@ Cone:        {"dim_K": int, "is_ray": bool, "witness": matrix|null,
 Lattice:     {"completeness": ..., "nodes": [{"id", "rank", "projection"}],
               "hasse": [[child, parent], ...], "coatoms": [ids]}.
 Marginals:   [{"nu": [ints], "matrix": matrix}, ...].
+
+A float image or subspace basis that is orthonormal to 1e-12 is parsed
+verbatim, so payloads round-trip byte for byte; any other float basis is
+replaced by an SVD basis of its span, which drops dependent elements.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +52,11 @@ def matrix_from_json(obj) -> np.ndarray:
     return hermitian_matrix(flat.reshape(n, n))
 
 
+def _orthonormal(cols: np.ndarray) -> bool:
+    """Whether to keep a parsed basis verbatim: an SVD would rotate it."""
+    return bool(np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) <= 1e-12)
+
+
 def projection_to_json(p: Projection) -> dict:
     if p.is_commutative:
         return {"support": sorted(p.classical_support)}
@@ -66,9 +76,7 @@ def projection_from_json(obj, n: int) -> Projection:
         if mat.shape[0] != n:
             raise InputError(f"image basis columns have length {mat.shape[0]}, expected {n}",
                              field="image_basis")
-        gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(mat.shape[1])) <= 1e-12:
-            # already orthonormal: keep verbatim so parse/serialize round-trips
+        if _orthonormal(mat):
             return Projection(n=n, image_basis=mat)
         return Projection.from_columns(n, mat)
     raise InputError("projection object needs 'support' or 'image_basis'",
@@ -99,7 +107,10 @@ def subspace_from_json(obj) -> OperatorSubspace:
         mats = [matrix_from_json(m) for m in obj["basis"]]
     except KeyError as exc:
         raise InputError(f"float subspace object needs 'basis': {exc}", field="basis")
-    return from_spanning_set(mats, engine=ENGINE_FLOAT)
+    u = from_spanning_set(mats, engine=ENGINE_FLOAT)
+    if _orthonormal(np.stack([m.reshape(-1) for m in mats], axis=1)):
+        return replace(u, basis=mats)
+    return u
 
 
 def cone_to_json(desc: ConeDescriptor) -> dict:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactla as ela
-from .cone import ConeDescriptor, _span_rank, analyze_cone, descent_rays, extreme_rays
+from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import Projection, image_intersection, kernel_projection, loewner_leq
+from .linalg import Projection, image_intersection, kernel_projection, loewner_leq, range_cols
 from .subspace import OperatorSubspace
 
 #: principal-angle tolerance for canonical projection equality (float engine)
@@ -117,7 +117,8 @@ def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
     """The first d linearly independent rays, in the order given.
 
     Exact: the pivot columns of one integer elimination of the matrix whose
-    columns are the rays scaled to integers.
+    columns are the rays scaled to integers.  Float: each ray that raises
+    the numerical rank (the column count of ``range_cols``) of those kept.
     """
     if u.is_exact:
         columns = [list(col) for col in zip(*(ela.integer_row(g)[1] for g in rays))]
@@ -126,8 +127,8 @@ def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
     for g in rays:
         if len(chosen) == d:
             break
-        if _span_rank([np.asarray(v).reshape(-1).view(float) for v in chosen + [g]],
-                      1e-9) > len(chosen):
+        if range_cols(np.stack([np.asarray(v).reshape(-1).view(float) for v in chosen + [g]]),
+                      1e-9).shape[1] > len(chosen):
             chosen.append(g)
     return chosen
 

@@ -4,6 +4,10 @@ Hermitian matrices are plain complex ``numpy`` arrays; :func:`hermitian_matrix`
 is the validating constructor (symmetrizes exactly, checks the real trace).
 Projections carry either an orthonormal image basis (float engine) or a
 configuration subset (commutative engine).
+
+Every float basis, rank and null space comes from LAPACK: :func:`eigh`,
+and the two ``svd`` cutoffs :func:`nullspace_cols` and :func:`range_cols`.
+Image bases are the orthonormal columns LAPACK returns, used as they are.
 """
 
 from __future__ import annotations
@@ -72,12 +76,22 @@ def group_close(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return groups
 
 
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``eigh``: ascending eigenvalues and orthonormal eigenvectors.
+
+    Raises :class:`NonConvergenceError` when LAPACK does not converge.
+    """
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
+
+
 def eig_herm(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> EigDecomposition:
-    """Full eigendecomposition of a hermitian matrix by LAPACK ``eigh``.
+    """Full eigendecomposition of a hermitian matrix by :func:`eigh`.
 
     Eigenvalues come back ascending; eigenvalues within
     tol_spec * max(1, |a|_2) of each other are merged into one group.
-    Raises :class:`NonConvergenceError` when LAPACK does not converge.
     """
     if tol_spec <= 0:
         raise InputError("tol_spec must be positive", field="tol_spec")
@@ -85,25 +99,30 @@ def eig_herm(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> EigDecomposition:
     if not is_hermitian(a, tol=1e-12):
         raise InputError("input is not hermitian; construct via hermitian_matrix")
     n = a.shape[0]
-    try:
-        values, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
-    except np.linalg.LinAlgError as err:
-        raise NonConvergenceError(f"LAPACK eigh failed: {err}", residual=float("nan")) from err
+    values, vecs = eigh(0.5 * (a + a.conj().T))
     spectral_scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
     groups = group_close(values, tol_spec * spectral_scale) if n else []
     return EigDecomposition(values, vecs, groups)
 
 
-def nullspace_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL, scale: float = 1.0) -> np.ndarray:
+def _svd(m: np.ndarray, full_matrices: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK ``svd``; raises :class:`NonConvergenceError` when LAPACK does
+    not converge."""
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as err:
+        raise NonConvergenceError(f"LAPACK svd failed: {err}", residual=float("nan")) from err
+
+
+def nullspace_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {x : m @ x = 0} by LAPACK ``svd``.
 
     Right singular vectors whose singular value is at most
-    tol_rank * max(scale, sigma_max) are null directions; columns beyond
-    the row count have singular value zero.  The absolute floor ``scale``
-    treats a constraint matrix that is pure numerical noise (e.g. the
-    complement action of an identity projection) as imposing no
-    constraint.  Real input gives a real basis.  Raises
-    :class:`NonConvergenceError` when LAPACK does not converge.
+    tol_rank * max(1, sigma_max) are null directions; columns beyond the
+    row count have singular value zero.  The absolute floor 1 treats a
+    constraint matrix that is pure numerical noise (e.g. the complement
+    action of an identity projection) as imposing no constraint.  Real
+    input gives a real basis.
     """
     m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.ndim != 2:
@@ -113,49 +132,25 @@ def nullspace_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL, scale: float = 
         return np.zeros((0, 0), dtype=m.dtype)
     if rows == 0:
         return np.eye(cols, dtype=m.dtype)
-    try:
-        _, sv, vh = np.linalg.svd(m, full_matrices=rows < cols)
-    except np.linalg.LinAlgError as err:
-        raise NonConvergenceError(f"LAPACK svd failed: {err}", residual=float("nan")) from err
+    _, sv, vh = _svd(m, full_matrices=rows < cols)
     sigma = np.zeros(cols)
     sigma[:len(sv)] = sv
-    keep = sigma <= tol_rank * max(scale, float(sv[0]))
+    keep = sigma <= tol_rank * max(1.0, float(sv[0]))
     return vh[keep].conj().T
 
 
-def orthonormal_columns(cols: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
-    """Modified Gram-Schmidt with norm pivoting; drops dependent columns.
+def range_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the column space of m by LAPACK ``svd``.
 
-    A fixed phase convention (first significant entry real positive) keeps
-    repeated canonicalizations stable.  Real input gives a real basis.
+    The left singular vectors whose singular value is above
+    tol_rank * sigma_max; the column count is the numerical rank of m.
+    Real input gives a real basis.
     """
-    cols = np.asarray(cols, dtype=np.complex128 if np.iscomplexobj(cols) else np.float64)
-    if cols.ndim != 2 or cols.shape[1] == 0:
-        return np.zeros((cols.shape[0] if cols.ndim == 2 else 0, 0), dtype=cols.dtype)
-    remaining = [cols[:, j].copy() for j in range(cols.shape[1])]
-    scale = max(float(np.linalg.norm(c)) for c in remaining)
-    out = []
-    while remaining:
-        norms = [float(np.linalg.norm(c)) for c in remaining]
-        j = int(np.argmax(norms))
-        if norms[j] <= tol_rank * scale:
-            break
-        v = remaining.pop(j) / norms[j]
-        # re-orthogonalize once for numerical hygiene
-        for u in out:
-            v = v - np.vdot(u, v) * u
-        nv = float(np.linalg.norm(v))
-        if nv <= tol_rank:
-            continue
-        v = v / nv
-        k = int(np.argmax(np.abs(v) > 1e-12))
-        if abs(v[k]) > 1e-12:
-            v = v * (np.conj(v[k]) / abs(v[k]))
-        out.append(v)
-        remaining = [c - np.vdot(v, c) * v for c in remaining]
-    if not out:
-        return np.zeros((cols.shape[0], 0), dtype=cols.dtype)
-    return np.stack(out, axis=1)
+    m = np.asarray(m)
+    if 0 in m.shape:
+        return np.zeros((m.shape[0], 0), dtype=m.dtype)
+    u, sv, _ = _svd(m, full_matrices=False)
+    return u[:, sv > tol_rank * sv[0]]
 
 
 @dataclass
@@ -171,7 +166,7 @@ class Projection:
     # -- constructors -------------------------------------------------
     @classmethod
     def from_columns(cls, n: int, cols: np.ndarray, tol_rank: float = DEFAULT_TOL) -> "Projection":
-        basis = orthonormal_columns(np.asarray(cols, dtype=np.complex128).reshape(n, -1), tol_rank)
+        basis = range_cols(np.asarray(cols, dtype=np.complex128).reshape(n, -1), tol_rank)
         return cls(n=n, image_basis=basis)
 
     @classmethod
@@ -217,7 +212,7 @@ class Projection:
         if self.is_commutative:
             return Projection.from_support(self.n, set(range(self.n)) - self.classical_support)
         comp = nullspace_cols(self.image_basis.conj().T) if self.rank else np.eye(self.n, dtype=np.complex128)
-        return Projection(n=self.n, image_basis=orthonormal_columns(comp))
+        return Projection(n=self.n, image_basis=comp)
 
     # -- comparisons ----------------------------------------------------
     def same_image(self, other: "Projection", tol: float = 1e-7) -> bool:
@@ -274,14 +269,13 @@ def image_intersection(p: Projection, q: Projection, tol_rank: float = DEFAULT_T
         return Projection.from_support(p.n, p.classical_support & q.classical_support)
     n = p.n
     stacked = np.vstack([np.eye(n) - p.matrix(), np.eye(n) - q.matrix()])
-    cols = nullspace_cols(stacked, tol_rank)
-    return Projection.from_columns(n, cols, tol_rank)
+    return Projection(n=n, image_basis=nullspace_cols(stacked, tol_rank))
 
 
 def ground_projection(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> Projection:
     """Spectral projection onto the lowest eigenvalue group."""
     dec = eig_herm(a, tol_spec)
-    return Projection.from_columns(a.shape[0], dec.ground_columns())
+    return Projection(n=a.shape[0], image_basis=dec.ground_columns())
 
 
 def kernel_projection(a: np.ndarray, tol_rank: float = DEFAULT_TOL) -> Projection:
@@ -289,4 +283,4 @@ def kernel_projection(a: np.ndarray, tol_rank: float = DEFAULT_TOL) -> Projectio
     dec = eig_herm(a, tol_rank)
     scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))) if len(dec.eigenvalues) else 1.0)
     keep = np.abs(dec.eigenvalues) <= tol_rank * scale
-    return Projection.from_columns(a.shape[0], dec.eigenvectors[:, keep])
+    return Projection(n=a.shape[0], image_basis=dec.eigenvectors[:, keep])

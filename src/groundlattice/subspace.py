@@ -25,7 +25,7 @@ from .linalg import (
     hermitian_matrix,
     is_hermitian,
     nullspace_cols,
-    orthonormal_columns,
+    range_cols,
     trace_inner,
 )
 
@@ -33,28 +33,20 @@ ENGINE_FLOAT = "float-hermitian"
 ENGINE_EXACT = "exact-commutative"
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128).reshape(-1)
-
-
 def orthonormalize_hermitian(mats, tol_rank: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Gram-Schmidt with norm pivoting on hermitian matrices.
+    """Trace-orthonormal basis of the span of hermitian matrices.
 
-    Runs :func:`orthonormal_columns` on the real vectors (Re, Im) of the
-    matrices, whose dot product is the trace inner product; real
-    coefficients preserve hermiticity, and the phase convention makes the
-    first significant coordinate of (Re, Im) positive.  Dependent inputs
-    are dropped.
+    Runs :func:`range_cols` on the matrices read as real vectors, whose
+    dot product is the trace inner product; its real basis vectors are
+    real combinations of the inputs, so they stay hermitian.  Dependent
+    inputs are dropped.
     """
-    mats = [np.asarray(m, dtype=np.complex128) for m in mats]
     if not mats:
         return []
-    shape = mats[0].shape
-    cols = np.stack([np.concatenate([_vec(m).real, _vec(m).imag]) for m in mats], axis=1)
-    q = orthonormal_columns(cols, tol_rank)
-    half = q.shape[0] // 2
-    out = [(q[:half, j] + 1j * q[half:, j]).reshape(shape) for j in range(q.shape[1])]
-    return [0.5 * (v + v.conj().T) for v in out]
+    stack = np.stack([np.asarray(m, dtype=np.complex128) for m in mats])
+    q = range_cols(stack.reshape(len(stack), -1).view(float).T, tol_rank)
+    out = np.ascontiguousarray(q.T).view(complex).reshape(-1, *stack.shape[1:])
+    return list(0.5 * (out + out.conj().transpose(0, 2, 1)))
 
 
 @dataclass

@@ -67,6 +67,17 @@ class TestSchemas:
         assert jsonio.subspace_to_json(v) == jsonio.subspace_to_json(
             jsonio.subspace_from_json(jsonio.subspace_to_json(v)))
 
+    def test_subspace_round_trip_float_from_dependent_span(self):
+        sx, sz = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        obj = {"engine": "float-hermitian", "ambient_n": 2,
+               "basis": [jsonio.matrix_to_json(m)
+                         for m in (np.eye(2), sx + sz, 2 * (sx + sz), sz)]}
+        u = jsonio.subspace_from_json(obj)
+        assert u.dim == 3 and u.contains_identity
+        first = json.dumps(jsonio.subspace_to_json(u))
+        again = json.dumps(jsonio.subspace_to_json(jsonio.subspace_from_json(json.loads(first))))
+        assert again == first
+
     def test_subspace_round_trip_exact(self):
         u = three_bit_two_local()
         obj = jsonio.subspace_to_json(u)

@@ -27,7 +27,7 @@ from groundlattice.linalg import (
     loewner_leq,
 )
 from groundlattice.manybody import SiteSystem, build_klocal
-from groundlattice.subspace import ENGINE_EXACT, from_spanning_set, project_onto
+from groundlattice.subspace import ENGINE_EXACT, from_spanning_set, linear_section, project_onto
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -200,7 +200,7 @@ class TestAnalyzeConeFloat:
             raise np.linalg.LinAlgError("did not converge")
 
         u = m3_subspace()
-        assert analyze_cone(P_BOTTOM, u).section.dim >= 2
+        assert linear_section(P_BOTTOM, u).dim >= 2
         monkeypatch.setattr(np.linalg, "eigh", fails)
         with pytest.raises(NonConvergenceError, match="eigh"):
             analyze_cone(P_BOTTOM, u)

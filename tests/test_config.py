@@ -9,14 +9,14 @@ from groundlattice.errors import InputError
 
 def test_defaults():
     cfg = RunConfig()
-    assert cfg.tol_spec == cfg.tol_rank == 1e-9
+    assert cfg.tol_rank == 1e-9
     assert cfg.samples == 10_000
     assert cfg.max_nodes == 100_000
 
 
 def test_positive_tolerances_enforced():
     with pytest.raises(InputError):
-        RunConfig(tol_spec=0.0)
+        RunConfig(tol_rank=0.0)
     with pytest.raises(InputError):
         RunConfig(tol_rank=-1e-9)
 

@@ -14,7 +14,7 @@ from groundlattice.linalg import (
     kernel_projection,
     loewner_leq,
     nullspace_cols,
-    orthonormal_columns,
+    range_cols,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -251,12 +251,41 @@ class TestNullspaceAndOrthonormalization:
                 if k <= rows:
                     assert np.linalg.norm(r @ ns) <= 1e-8 * max(1.0, np.linalg.norm(r))
 
-    def test_orthonormal_columns_drops_dependent(self):
-        v = np.array([[1.0], [1.0]], dtype=complex)
-        cols = np.hstack([v, 2 * v, np.array([[1.0], [0.0]])])
-        q = orthonormal_columns(cols)
-        assert q.shape == (2, 2)
-        assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
+    def test_range_cols_drops_dependent(self):
+        v = np.array([[1.0], [1.0], [0.0]])
+        real = np.hstack([v, 2 * v, np.array([[1.0], [0.0], [0.0]])])
+        for cols in (real, real * np.exp(0.3j), real + 1j * np.roll(real, 1, axis=0)):
+            q = range_cols(cols)
+            assert q.shape == (3, 2)
+            assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
+            assert np.allclose(q @ (q.conj().T @ cols), cols, atol=1e-12)
+        assert range_cols(real).dtype == np.float64
+        assert range_cols(real + 0j).dtype == np.complex128
+        assert range_cols(np.zeros((3, 2))).shape == (3, 0)
+        assert range_cols(np.zeros((3, 0))).shape == (3, 0)
+
+    def test_float_projection_bases_are_orthonormal(self):
+        rng = np.random.default_rng(12)
+        n = 5
+
+        def check(p):
+            b = p.image_basis
+            assert np.linalg.norm(b.conj().T @ b - np.eye(p.rank)) <= 1e-12
+
+        for _ in range(10):
+            cols = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+            p = Projection.from_columns(n, cols @ rng.normal(size=(3, 4)))
+            q = Projection.from_columns(n, rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+            assert p.rank == 3
+            # a double ground level -1 and a double kernel
+            g = random_hermitian(rng, n)
+            lam = np.repeat([-1.0, 0.0, 2.0], [2, 2, 1])
+            w = np.linalg.eigh(g)[1]
+            a = hermitian_matrix(w @ np.diag(lam) @ w.conj().T)
+            for r in (p, image_intersection(p, q), p.complement(),
+                      kernel_projection(a), ground_projection(a)):
+                check(r)
+            assert kernel_projection(a).rank == 2 and ground_projection(a).rank == 2
 
     def test_hermitian_matrix_constructor(self):
         a = hermitian_matrix([[1, 2 + 1j], [2 - 1j, 3]])
@@ -280,3 +309,5 @@ class TestNonConvergence:
             linalg.eig_herm(SX.astype(complex))
         with pytest.raises(NonConvergenceError, match="svd"):
             linalg.nullspace_cols(SX.astype(complex))
+        with pytest.raises(NonConvergenceError, match="svd"):
+            linalg.range_cols(SX.astype(complex))

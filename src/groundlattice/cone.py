@@ -16,7 +16,7 @@ space, and extreme rays come from incremental double description on
 integer vectors: start from a simplicial cone on independent points of
 the support, add the other points one at a time, and combine a positive
 and a negative ray only when the zero-set test finds them adjacent.  Only
-the witness and the unit-trace rays are Fractions.
+the witness and the unit-trace rays of :func:`extreme_rays` are Fractions.
 
 Float engine: facial reduction.  L(p) is compressed to the range of
 1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
@@ -141,23 +141,23 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
 def _extreme_rays_exact(desc: ConeDescriptor) -> list:
     """Incremental double description of K(p) read on its witness support S.
 
-    The span basis read on S gives integer rows; one fraction-free
+    The span basis, zero off S, gives integer rows; one fraction-free
     Gauss-Jordan elimination turns them into d rows that each are positive
     at one pivot point and zero at the others: the rays of the simplicial
     cone {g >= 0 on the pivots}.  Each other point x of S then cuts the
     cone by g(x) >= 0: the rays with g(x) >= 0 stay, and every pair of a
     positive and a negative ray combines into a ray with g(x) = 0 when the
     two are adjacent, that is, when no third ray vanishes on every point
-    where both vanish.  Rays are kept as gcd-normalised integer vectors on
-    S, with their zero sets over the points added so far as bitmasks.
+    where both vanish.  Rays are kept as gcd-normalised integer vectors,
+    with their zero sets over the points added so far as bitmasks, and are
+    returned in the order of their unit-trace multiples.
     """
-    support = sorted(desc.witness_support)
-    reduced, pivots = ela.integer_rref([[g[x] for x in support] for g in desc.span_basis])
+    reduced, pivots = ela.integer_rref(desc.span_basis)
     d = len(pivots)
     rays = [ela.primitive(row if row[c] > 0 else [-v for v in row])
             for row, c in zip(reduced, pivots)]
     zero_sets = [sum(1 << c for c in pivots if c != own) for own in pivots]
-    for x in sorted(set(range(len(support))) - set(pivots)):
+    for x in sorted(desc.witness_support - set(pivots)):
         kept, kept_zeros, positive, negative = [], [], [], []
         for ray, zs in zip(rays, zero_sets):
             if ray[x] < 0:
@@ -177,14 +177,8 @@ def _extreme_rays_exact(desc: ConeDescriptor) -> list:
                     kept.append(ela.primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
                     kept_zeros.append(common | 1 << x)
         rays, zero_sets = kept, kept_zeros
-    n = len(desc.interior_witness)
-    out = []
-    for ray in rays:
-        g = [0] * n
-        for x, v in zip(support, ray):
-            g[x] = v
-        out.append(_unit_trace_exact(g))
-    return sorted(out)
+    lam = math.lcm(*(sum(g) for g in rays))    # order as if scaled to trace lam
+    return sorted(rays, key=lambda g: [v * (lam // sum(g)) for v in g])
 
 
 def _adjacent(common: int, zero_sets: list[int]) -> bool:
@@ -385,7 +379,7 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == "exact-commutative":
-        rays = _extreme_rays_exact(desc)
+        rays = [_unit_trace_exact(g) for g in _extreme_rays_exact(desc)]
         desc.extreme_ray_generators = rays
         return rays
     if subspace is None:

@@ -7,21 +7,23 @@ lattice exactly when p = q_max(p).  Coatoms are the members whose cone is
 a ray; they are read off as the kernels of the extreme rays of
 K(0) = U ∩ PSD, all of them in the exact engine and those that face
 descents reach in the float engine.  The lattice is built from the top
-down: every node is the intersection of the coatoms above it and is keyed
-by their index set, and the lower covers of a node are the minimal index
-sets among its intersections with one more coatom.
+down: every node is the intersection of the coatoms above it, keyed by
+their bitmask (its intent), and Lindig's neighbour test picks its lower
+covers among its meets with one more coatom.  Exact nodes are supports.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import and_
 
 import numpy as np
 
 from . import exactla as ela
-from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays
+from .cone import ConeDescriptor, _extreme_rays_exact, analyze_cone, descent_rays, extreme_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import Projection, image_intersection, kernel_projection, loewner_leq, range_cols
@@ -101,7 +103,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         raise PreconditionError("p is not a ground projection of U")
     if desc.dim_K == 0:
         return []  # p = id: the infimum of no coatoms
-    rays = extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
+    rays = _extreme_rays_exact(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
     chosen = _first_independent_rays(rays, desc.dim_K, u)
     coatoms = [_kernel_of(v, u, cfg) for v in chosen]
     meet = coatoms[0]
@@ -117,12 +119,11 @@ def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
     """The first d linearly independent rays, in the order given.
 
     Exact: the pivot columns of one integer elimination of the matrix whose
-    columns are the rays scaled to integers.  Float: each ray that raises
+    columns are the integer rays.  Float: each ray that raises
     the numerical rank (the column count of ``range_cols``) of those kept.
     """
     if u.is_exact:
-        columns = [list(col) for col in zip(*(ela.integer_row(g)[1] for g in rays))]
-        return [rays[j] for j in ela.integer_rref(columns)[1][:d]]
+        return [rays[j] for j in ela.integer_rref([list(col) for col in zip(*rays)])[1][:d]]
     chosen: list = []
     for g in rays:
         if len(chosen) == d:
@@ -147,7 +148,7 @@ def enumerate_coatoms(u: OperatorSubspace,
     cfg = cfg or RunConfig()
     _require_identity(u)
     if u.is_exact:
-        rays = extreme_rays(analyze_cone(u.zero_projection(), u, cfg), cfg)
+        rays = _extreme_rays_exact(analyze_cone(u.zero_projection(), u, cfg))
         found = [_kernel_of(g, u, cfg) for g in rays]
         return sorted(found, key=lambda p: p.sort_key()), "exact"
 
@@ -194,12 +195,18 @@ class GroundLattice:
     hasse_edges: list[tuple[int, int]]   # (child index, parent index) covers
     coatoms: list[int]
     completeness_flag: str
+    _by_support: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     def index_of(self, p: Projection) -> int | None:
+        """The node with the image of p: by support (exact), else by a scan."""
+        if p.is_commutative and self.subspace is not None and self.subspace.is_exact:
+            if self._by_support is None:
+                self._by_support = {(q.n, q.classical_support): i for i, q in enumerate(self.nodes)}
+            return self._by_support.get((p.n, p.classical_support))
         for i, q in enumerate(self.nodes):
             if q.same_image(p, tol=CANON_TOL):
                 return i
@@ -252,13 +259,16 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
                      cfg: RunConfig | None = None) -> GroundLattice:
     """Intersection closure of {id} ∪ coatoms with its Hasse covers, plus zero.
 
-    Breadth-first from the top.  A node is keyed by its intent, the set of
-    indices of the coatoms above it; the identity has the empty intent.
-    For a node with intent A, each coatom c outside A gives the candidate
-    meet(node, c), whose intent is A plus every coatom above the meet.  The
-    lower covers of A are the candidates with minimal intent.  The zero
-    projection goes below the meet of all coatoms when that meet is not
-    zero.  Duplicate coatoms share every intent, so they give one node.
+    Breadth-first from the top.  A node is keyed by its intent, the bitmask
+    of the coatoms above it.  Lindig's neighbour test: walk the coatoms c
+    outside the intent A from the last down, with ``mins`` at first the
+    complement of A; the intent B of meet(node, c) is a lower cover when
+    B - A - c misses ``mins``, else c leaves ``mins``.  Each cover passes at
+    the first coatom of B - A, whose meet it keeps.  Exact nodes are support
+    bitmasks: a meet is ``&``, and an intent the AND of ``cont[x]`` (the
+    coatoms holding x) over the points x.  The zero projection goes below
+    the meet of all coatoms when that meet is not zero.  Duplicate coatoms
+    give one node.
 
     Raises :class:`NodeBudgetError` when the node count exceeds
     cfg.max_nodes; its partial lattice holds the first cfg.max_nodes nodes
@@ -266,42 +276,52 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     between them.
     """
     cfg = cfg or RunConfig()
-    top = u.identity_projection()
-    top_intent = frozenset(j for j, c in enumerate(coatoms) if loewner_leq(top, c, CANON_TOL))
-    nodes = {top_intent: top}
-    covers: list[tuple[frozenset, frozenset]] = []   # (child intent, parent intent)
+    full, n, top = (1 << len(coatoms)) - 1, u.ambient_n, u.identity_projection()
+    if u.is_exact:
+        masks = [sum(1 << x for x in q.classical_support) for q in coatoms]
+        cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
+
+        @cache
+        def closed(support: int) -> int:
+            return reduce(and_, [cont[x] for x in range(n) if support >> x & 1], full)
+
+        def step(node: int, a: int, c: int) -> tuple[int, int]:
+            return node & masks[c], closed(node & masks[c])
+    else:
+        def step(node: Projection, a: int, c: int) -> tuple[Projection, int]:
+            m = image_intersection(node, coatoms[c], cfg.tol_rank)
+            return m, a | sum(1 << j for j, q in enumerate(coatoms)
+                              if not a >> j & 1 and loewner_leq(m, q, CANON_TOL))
+
+    top_intent = sum(1 << j for j, q in enumerate(coatoms) if loewner_leq(top, q, CANON_TOL))
+    nodes = {top_intent: (1 << n) - 1 if u.is_exact else top}
+    covers: list[tuple[int, int]] = []   # (child intent, parent intent)
     queue = deque([top_intent])
-    while queue:
-        intent = queue.popleft()
-        p = nodes[intent]
-        candidates: dict[frozenset, Projection] = {}
-        for c, q in enumerate(coatoms):
-            if c in intent:
-                continue
-            meet = image_intersection(p, q, cfg.tol_rank)
-            above = frozenset(j for j, r in enumerate(coatoms)
-                              if j not in intent and loewner_leq(meet, r, CANON_TOL))
-            candidates.setdefault(intent | above, meet)
-        for child, meet in candidates.items():
-            if any(other < child for other in candidates):
-                continue
-            covers.append((child, intent))
-            if child not in nodes:
-                nodes[child] = meet
-                queue.append(child)
-                _check_budget(u, nodes, covers, flag, cfg)
-    bottom = frozenset(range(len(coatoms)))
-    if nodes[bottom].rank > 0:
+    while queue and len(nodes) <= cfg.max_nodes:
+        a = queue.popleft()
+        node, mins, lower = nodes[a], full & ~a, {}
+        for c in reversed(range(len(coatoms))):
+            if not a >> c & 1:
+                m, b = step(node, a, c)
+                if b & ~a & ~(1 << c) & mins:
+                    mins &= ~(1 << c)
+                else:
+                    lower[b] = m
+        for b in sorted(lower, key=lambda b: (b & ~a) & -(b & ~a)):   # lowest bit of B - A
+            if len(nodes) > cfg.max_nodes:
+                break
+            covers.append((b, a))
+            if b not in nodes:
+                nodes[b] = lower[b]
+                queue.append(b)
+    if u.is_exact:
+        nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1))
+                 for key, s in nodes.items()}
+    if not queue and nodes[full].rank > 0:
         nodes[None] = u.zero_projection()
-        covers.append((None, bottom))
-        _check_budget(u, nodes, covers, flag, cfg)
-    return lattice_from_nodes(u, nodes, covers, flag)
-
-
-def _check_budget(u, nodes: dict, covers: list, flag: str, cfg: RunConfig) -> None:
-    if len(nodes) <= cfg.max_nodes:
-        return
+        covers.append((None, full))
     kept = dict(list(nodes.items())[: cfg.max_nodes])
-    partial = lattice_from_nodes(u, kept, [(a, b) for a, b in covers if a in kept and b in kept],
-                                 flag)
-    raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes", partial=partial)
+    lat = lattice_from_nodes(u, kept, [(a, b) for a, b in covers if a in kept and b in kept], flag)
+    if len(nodes) > cfg.max_nodes:
+        raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes", partial=lat)
+    return lat

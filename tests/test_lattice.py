@@ -5,8 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from bruteforce_oracle import brute_force_members
+
+from groundlattice import exactla as ela
 from groundlattice.config import RunConfig
-from groundlattice.cone import analyze_cone
+from groundlattice.cone import analyze_cone, extreme_rays
 from groundlattice.errors import PreconditionError
 from groundlattice.fixtures import (
     U_MINUS,
@@ -290,6 +293,36 @@ class TestCoatomDecomposition:
             decomposed += 1
         assert decomposed == 208
 
+    @staticmethod
+    def first_independent_ray_kernels(u, p):
+        """Kernels of the first dim K independent rays of the public list,
+        rank by rank on the unit-trace Fraction rays."""
+        desc = analyze_cone(p, u)
+        chosen = []
+        for g in extreme_rays(desc) if desc.dim_K else []:
+            if len(chosen) < desc.dim_K and ela.rank(chosen + [g]) > len(chosen):
+                chosen.append(g)
+        return [frozenset(x for x, v in enumerate(g) if v == 0) for g in chosen]
+
+    def test_exact_decomposition_keeps_the_public_ray_order(self):
+        # the integer rays behind the exact decomposition must come in the
+        # order of the public unit-trace list: the kernels of its first
+        # dim K independent rays, in that order
+        u = three_bit_two_local()
+        members = [p for p in build_lattice(u).nodes if p.rank > 0]
+        rng = np.random.default_rng(97)
+        cases = [(u, members)]
+        for _ in range(12):
+            v, supports = brute_force_members(rng, int(rng.integers(4, 8)), int(rng.integers(2, 5)))
+            cases.append((v, [Projection.from_support(v.ambient_n, s) for s in supports if s]))
+        checked = 0
+        for v, projections in cases:
+            for p in projections:
+                parts = [q.classical_support for q in coatom_decomposition(p, v)]
+                assert parts == self.first_independent_ray_kernels(v, p), p
+                checked += 1
+        assert checked > 225
+
 
 class TestEnumerateCoatoms:
     def test_three_bit_sixteen_coatoms(self):
@@ -310,7 +343,6 @@ class TestEnumerateCoatoms:
         assert [sorted(p.classical_support) for p in coatoms] == coatoms_by_support_scan(u)
 
     def test_extreme_rays_of_k0_match_support_scan_on_random_subspaces(self):
-        from bruteforce_oracle import brute_force_members
         rng = np.random.default_rng(61)
         for _ in range(12):
             u, members = brute_force_members(rng, int(rng.integers(3, 7)), int(rng.integers(1, 4)))
@@ -503,6 +535,43 @@ class TestBuildLattice:
             assert {nodes[i] for i in lat.coatoms} == \
                 {reference.nodes[i].classical_support for i in reference.coatoms}
 
+    def test_index_of_looks_up_every_node(self):
+        lat = build_lattice(three_bit_two_local())
+        for i, p in enumerate(lat.nodes):
+            assert lat.index_of(Projection.from_support(8, p.classical_support)) == i
+        # the complement of an equal-parity pair is not a member
+        assert lat.index_of(Projection.from_support(8, set(range(8)) - {0, 3})) is None
+        assert not lat.contains(Projection.from_support(8, set(range(8)) - {0, 3}))
+
+    def test_random_rational_lattices_match_oracle(self):
+        # the lattice of a random rational subspace holds exactly the
+        # oracle's member supports, with their inclusion covers as Hasse
+        # edges; the closure of the coatoms duplicated and shuffled gives
+        # the same lattice
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            u, members = brute_force_members(rng, int(rng.integers(4, 8)), int(rng.integers(2, 5)))
+            lat = build_lattice(u)
+            supports = [p.classical_support for p in lat.nodes]
+            assert sorted(supports, key=sorted) == sorted(members, key=sorted)
+            assert lattice_covers(lat, lambda p: p.classical_support) == inclusion_covers(supports)
+            assert len(lat.hasse_edges) == len(inclusion_covers(supports))
+            coatoms = [lat.nodes[i] for i in lat.coatoms]
+            shuffled = [coatoms[i] for i in rng.permutation(2 * len(coatoms)) % len(coatoms)]
+            again = close_to_lattice(u, shuffled, "exact")
+            assert [p.classical_support for p in again.nodes] == supports
+            assert (again.hasse_edges, again.coatoms) == (lat.hasse_edges, lat.coatoms)
+
+    def test_four_bit_lattice_counts(self):
+        # bits:N=4:k=2: the closure of the 56 facets of CUT(5) on integer
+        # intents and support bitmasks
+        u = build_klocal(SiteSystem.bits(4), 2)
+        t0 = time.perf_counter()
+        lat = build_lattice(u)
+        elapsed = time.perf_counter() - t0
+        assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == (20298, 129064, 56)
+        assert elapsed < 15.0, elapsed
+
     def test_exact_lattice_is_coatomistic(self):
         u = three_bit_two_local()
         lat = build_lattice(u)
@@ -612,7 +681,6 @@ class TestBruteForceOracleSmoke:
     the acceptance suite)."""
 
     def test_oracle_agrees_on_one_instance(self):
-        from bruteforce_oracle import brute_force_members
         rng = np.random.default_rng(40)
         u, members = brute_force_members(rng, n_points=4, extra_dims=2)
         cfg = RunConfig()
@@ -641,3 +709,22 @@ class TestNodeBudget:
         for i, j in partial.hasse_edges:
             assert 0 <= i < partial.node_count and 0 <= j < partial.node_count
             assert supports[i] < supports[j]
+
+    def test_budget_partials_are_breadth_first_prefixes(self):
+        # a smaller budget keeps a subset of the nodes, every held node but
+        # the top hangs from a held upper cover, and every held cover is a
+        # cover of the full lattice
+        from groundlattice.errors import NodeBudgetError
+        u = three_bit_two_local()
+        every_cover = lattice_covers(build_lattice(u), lambda p: p.classical_support)
+        previous = set()
+        for budget in (17, 40, 100, 225):
+            with pytest.raises(NodeBudgetError) as err:
+                build_lattice(u, RunConfig(max_nodes=budget))
+            partial = err.value.partial
+            supports = {p.classical_support for p in partial.nodes}
+            assert len(supports) == budget and previous <= supports
+            covers = lattice_covers(partial, lambda p: p.classical_support)
+            assert covers <= every_cover
+            assert {a for a, _ in covers} == supports - {frozenset(range(8))}
+            previous = supports

@@ -16,7 +16,8 @@ space, and extreme rays come from incremental double description on
 integer vectors: start from a simplicial cone on independent points of
 the support, add the other points one at a time, and combine a positive
 and a negative ray only when the zero-set test finds them adjacent.  Only
-the witness and the unit-trace rays of :func:`extreme_rays` are Fractions.
+the witness and the unit-trace rays of :func:`extreme_rays` are Fractions;
+:func:`integer_rays` gives the same rays as primitive integer vectors.
 
 Float engine: facial reduction.  L(p) is compressed to the range of
 1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
@@ -138,8 +139,8 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                           witness_support=frozenset(support))
 
 
-def _extreme_rays_exact(desc: ConeDescriptor) -> list:
-    """Incremental double description of K(p) read on its witness support S.
+def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
+    """Integer extreme rays of an exact K(p), by double description on its support S.
 
     The span basis, zero off S, gives integer rows; one fraction-free
     Gauss-Jordan elimination turns them into d rows that each are positive
@@ -150,7 +151,7 @@ def _extreme_rays_exact(desc: ConeDescriptor) -> list:
     two are adjacent, that is, when no third ray vanishes on every point
     where both vanish.  Rays are kept as gcd-normalised integer vectors,
     with their zero sets over the points added so far as bitmasks, and are
-    returned in the order of their unit-trace multiples.
+    returned in the order :func:`extreme_rays` gives their unit-trace multiples.
     """
     reduced, pivots = ela.integer_rref(desc.span_basis)
     d = len(pivots)
@@ -379,7 +380,7 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == "exact-commutative":
-        rays = [_unit_trace_exact(g) for g in _extreme_rays_exact(desc)]
+        rays = [_unit_trace_exact(g) for g in integer_rays(desc)]
         desc.extreme_ray_generators = rays
         return rays
     if subspace is None:

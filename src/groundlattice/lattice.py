@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
-from operator import and_
 
 import numpy as np
 
 from . import exactla as ela
-from .cone import ConeDescriptor, _extreme_rays_exact, analyze_cone, descent_rays, extreme_rays
+from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, integer_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import Projection, image_intersection, kernel_projection, loewner_leq, range_cols
@@ -103,7 +102,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         raise PreconditionError("p is not a ground projection of U")
     if desc.dim_K == 0:
         return []  # p = id: the infimum of no coatoms
-    rays = _extreme_rays_exact(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
+    rays = integer_rays(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
     chosen = _first_independent_rays(rays, desc.dim_K, u)
     coatoms = [_kernel_of(v, u, cfg) for v in chosen]
     meet = coatoms[0]
@@ -148,7 +147,7 @@ def enumerate_coatoms(u: OperatorSubspace,
     cfg = cfg or RunConfig()
     _require_identity(u)
     if u.is_exact:
-        rays = _extreme_rays_exact(analyze_cone(u.zero_projection(), u, cfg))
+        rays = integer_rays(analyze_cone(u.zero_projection(), u, cfg))
         found = [_kernel_of(g, u, cfg) for g in rays]
         return sorted(found, key=lambda p: p.sort_key()), "exact"
 
@@ -195,18 +194,12 @@ class GroundLattice:
     hasse_edges: list[tuple[int, int]]   # (child index, parent index) covers
     coatoms: list[int]
     completeness_flag: str
-    _by_support: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     def index_of(self, p: Projection) -> int | None:
-        """The node with the image of p: by support (exact), else by a scan."""
-        if p.is_commutative and self.subspace is not None and self.subspace.is_exact:
-            if self._by_support is None:
-                self._by_support = {(q.n, q.classical_support): i for i, q in enumerate(self.nodes)}
-            return self._by_support.get((p.n, p.classical_support))
         for i, q in enumerate(self.nodes):
             if q.same_image(p, tol=CANON_TOL):
                 return i
@@ -260,15 +253,12 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     """Intersection closure of {id} ∪ coatoms with its Hasse covers, plus zero.
 
     Breadth-first from the top.  A node is keyed by its intent, the bitmask
-    of the coatoms above it.  Lindig's neighbour test: walk the coatoms c
-    outside the intent A from the last down, with ``mins`` at first the
-    complement of A; the intent B of meet(node, c) is a lower cover when
-    B - A - c misses ``mins``, else c leaves ``mins``.  Each cover passes at
-    the first coatom of B - A, whose meet it keeps.  Exact nodes are support
-    bitmasks: a meet is ``&``, and an intent the AND of ``cont[x]`` (the
-    coatoms holding x) over the points x.  The zero projection goes below
-    the meet of all coatoms when that meet is not zero.  Duplicate coatoms
-    give one node.
+    of the coatoms above it.  Lindig's neighbour test walks the coatoms c
+    outside the intent A from the last down: the intent B of meet(node, c)
+    is a lower cover when B - A - c misses ``mins`` (at first the complement
+    of A), else c leaves ``mins``.  Exact nodes are support bitmasks, and an
+    intent is the AND of ``cont[x]`` (the coatoms holding x) over the points
+    x.  Zero goes below a nonzero meet of all coatoms.  Duplicates give one node.
 
     Raises :class:`NodeBudgetError` when the node count exceeds
     cfg.max_nodes; its partial lattice holds the first cfg.max_nodes nodes
@@ -276,52 +266,46 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     between them.
     """
     cfg = cfg or RunConfig()
-    full, n, top = (1 << len(coatoms)) - 1, u.ambient_n, u.identity_projection()
-    if u.is_exact:
+    exact, n, full = u.is_exact, u.ambient_n, (1 << len(coatoms)) - 1
+    top = u.identity_projection()
+    if exact:
         masks = [sum(1 << x for x in q.classical_support) for q in coatoms]
         cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
-
-        @cache
-        def closed(support: int) -> int:
-            return reduce(and_, [cont[x] for x in range(n) if support >> x & 1], full)
-
-        def step(node: int, a: int, c: int) -> tuple[int, int]:
-            return node & masks[c], closed(node & masks[c])
-    else:
-        def step(node: Projection, a: int, c: int) -> tuple[Projection, int]:
-            m = image_intersection(node, coatoms[c], cfg.tol_rank)
-            return m, a | sum(1 << j for j, q in enumerate(coatoms)
-                              if not a >> j & 1 and loewner_leq(m, q, CANON_TOL))
-
+        intent = cache(lambda s: reduce(int.__and__,
+                                        [cont[x] for x in range(n) if s >> x & 1], full))
     top_intent = sum(1 << j for j, q in enumerate(coatoms) if loewner_leq(top, q, CANON_TOL))
-    nodes = {top_intent: (1 << n) - 1 if u.is_exact else top}
-    covers: list[tuple[int, int]] = []   # (child intent, parent intent)
-    queue = deque([top_intent])
+    nodes = {top_intent: (1 << n) - 1 if exact else top}
+    covers, queue = [], deque([top_intent])   # covers: (child intent, parent intent)
     while queue and len(nodes) <= cfg.max_nodes:
         a = queue.popleft()
         node, mins, lower = nodes[a], full & ~a, {}
-        for c in reversed(range(len(coatoms))):
-            if not a >> c & 1:
-                m, b = step(node, a, c)
-                if b & ~a & ~(1 << c) & mins:
-                    mins &= ~(1 << c)
-                else:
-                    lower[b] = m
-        for b in sorted(lower, key=lambda b: (b & ~a) & -(b & ~a)):   # lowest bit of B - A
+        for c in [c for c in range(len(coatoms)) if not a >> c & 1][::-1]:
+            if exact:
+                m, b = node & masks[c], intent(node & masks[c])
+            else:
+                m = image_intersection(node, coatoms[c], cfg.tol_rank)
+                b = a | sum(1 << j for j, q in enumerate(coatoms)
+                            if not a >> j & 1 and loewner_leq(m, q, CANON_TOL))
+            if b & ~a & ~(1 << c) & mins:
+                mins &= ~(1 << c)
+            else:
+                lower[b] = m
+        for b in reversed(lower):   # by ascending first coatom of B - A, where B passed
             if len(nodes) > cfg.max_nodes:
                 break
             covers.append((b, a))
             if b not in nodes:
                 nodes[b] = lower[b]
                 queue.append(b)
-    if u.is_exact:
+    if exact:
         nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1))
                  for key, s in nodes.items()}
     if not queue and nodes[full].rank > 0:
         nodes[None] = u.zero_projection()
         covers.append((None, full))
+    if len(nodes) <= cfg.max_nodes:
+        return lattice_from_nodes(u, nodes, covers, flag)
     kept = dict(list(nodes.items())[: cfg.max_nodes])
-    lat = lattice_from_nodes(u, kept, [(a, b) for a, b in covers if a in kept and b in kept], flag)
-    if len(nodes) > cfg.max_nodes:
-        raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes", partial=lat)
-    return lat
+    partial = [(a, b) for a, b in covers if a in kept and b in kept]
+    raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes",
+                          partial=lattice_from_nodes(u, kept, partial, flag))

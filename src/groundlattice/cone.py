@@ -10,8 +10,8 @@ extreme-ray generators.
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
 ``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
-max-support LPs on a fraction-free integer simplex finds the maximal
-support (about two LPs per cone), the span of K(p) is an integer null
+max-support LPs on one fraction-free integer tableau (one phase I per
+cone) finds the maximal support, the span of K(p) is an integer null
 space, and extreme rays come from incremental double description on
 integer vectors: start from a simplicial cone on independent points of
 the support, add the other points one at a time, and combine a positive
@@ -89,21 +89,20 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     Each LP maximizes the mass on the points R not yet in the support; the
     positive points of its optimizer join the support.  An optimizer with
     no positive entry on R has optimum 0, which certifies that every point
-    of R is zero on all of K(p).
+    of R is zero on all of K(p).  The LPs share their feasible set, so one
+    tableau runs phase I once and each LP re-optimizes from the last basis.
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
     trivial = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False,
                              engine=u.engine, witness_support=frozenset())
     rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
-    a_eq = rows + [[1] * len(complement)]
-    b_eq = [0] * len(rows) + [1]
 
+    tableau = ela.Tableau(rows + [[1] * len(complement)], [0] * len(rows) + [1])
     rest = set(range(len(complement)))
     optimizers = []
     while rest:
-        objective = [int(i in rest) for i in range(len(complement))]
-        status, y, det = ela.simplex_max(objective, a_eq, b_eq)
+        status, y, det = tableau.maximize([int(i in rest) for i in range(len(complement))])
         if status == ela.SimplexStatus.INFEASIBLE:
             return trivial
         if status != ela.SimplexStatus.OPTIMAL:
@@ -405,7 +404,8 @@ def _exit(w: np.ndarray, d: np.ndarray) -> float:
 
 
 def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
-             found: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+             found: np.ndarray, mean: np.ndarray | None,
+             rng: np.random.Generator) -> np.ndarray | None:
     """One walk from inside a float cone down its faces to a ray.
 
     Each step takes a random trace-free direction R in the span of the
@@ -417,21 +417,18 @@ def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
     the dimension drops at every step.  D is W minus the mean of the rays
     of ``found`` that lie on F: along it every ray of a simplicial F not
     yet found keeps a growing coefficient, so the walk ends on a new one.
-    When F holds no found ray, D = R.  Returns the unit-trace ray, or None
-    when it is in ``found`` or a step does not shrink the face.
+    When F holds no found ray, D = R.  ``mean`` is the mean of ``found``,
+    all of which lie on the first F, or None.  Returns the unit-trace ray,
+    or None when it is in ``found`` or a step does not shrink the face.
     """
     while True:
-        # the found rays on this face, among those on the last one: a PSD
-        # ray g lies on K(q) exactly when g q = 0
-        found = found[np.linalg.norm(found @ desc.base_projection.image_basis,
-                                     axis=(1, 2)) <= 1e-6]
         w = _unit_trace_float(desc.interior_witness)
         if desc.dim_K == 1:
-            return None if len(found) else w
+            return None if mean is not None else w
         g = np.tensordot(rng.normal(size=desc.dim_K), np.stack(desc.span_basis), axes=1)
         r = g - np.trace(g).real * w
         w = w + 0.5 * _exit(w, r) * r
-        d = w - found.mean(axis=0) if len(found) else r
+        d = w - mean if mean is not None else r
         x = w + _exit(w, d) * d
         if not np.all(np.isfinite(x)):
             return None
@@ -440,6 +437,11 @@ def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
         if not 0 < sub.dim_K < desc.dim_K:
             return None
         desc = sub
+        # the found rays on this face, among those on the last one: a PSD
+        # ray g lies on K(q) exactly when g q = 0
+        found = found[np.linalg.norm(found @ desc.base_projection.image_basis,
+                                     axis=(1, 2)) <= 1e-6]
+        mean = found.mean(axis=0) if len(found) else None
 
 
 def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
@@ -449,15 +451,18 @@ def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
     ``cfg.rng_for(stream, t)``.  Stops early once ``enough(rays)`` holds."""
     n = desc.base_projection.n
     buf, count = np.empty((8, n, n), complex), 0      # doubled when full
+    total = np.zeros((n, n), complex)                  # the sum of the rays found
     for t in range(attempts):
         if enough is not None and enough(buf[:count]):
             break
-        ray = _descend(desc, u, cfg, buf[:count], cfg.rng_for(stream, t))
+        ray = _descend(desc, u, cfg, buf[:count], total / count if count else None,
+                       cfg.rng_for(stream, t))
         if ray is None:
             continue
         if count == len(buf):
             buf = np.concatenate([buf, np.empty_like(buf)])
         buf[count] = ray
+        total += ray
         count += 1
     return buf[:count]
 

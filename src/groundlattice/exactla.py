@@ -6,8 +6,8 @@ simplex are adequate.  Both run on integer rows (fraction-free), which
 gives the rational results without a gcd per entry.  The row echelon
 form, ``solve`` and the Gram-Schmidt helpers take and return lists of
 :class:`fractions.Fraction`; ``null_space`` takes rational or integer rows
-and returns primitive integer vectors, and ``simplex_max`` works on
-integers only (rational rows go in through :func:`integer_row`).
+and returns primitive integer vectors, and the simplex (:class:`Tableau`)
+works on integers only (rational rows go in through :func:`integer_row`).
 """
 
 from __future__ import annotations
@@ -185,45 +185,73 @@ class SimplexStatus:
     UNBOUNDED = "unbounded"
 
 
-def simplex_max(c: Sequence[int], a_eq: list[list[int]],
-                b_eq: Sequence[int]) -> tuple[str, list[int] | None, int | None]:
-    """Maximize c.x subject to a_eq @ x = b_eq, x >= 0, on integer data.
+class Tableau:
+    """Primal simplex with Bland's rule over {x >= 0 : a_eq @ x = b_eq}.
 
-    Two-phase primal simplex with Bland's rule, on a fraction-free integer
-    tableau kept as ``M = det * T``, where ``T`` is the rational tableau of
-    the current basis and ``det`` its basis determinant.  A pivot on
-    (r, s) replaces every other row by
+    The constructor runs phase I from the artificial basis and drives the
+    artificials out; each :meth:`maximize` runs phase II from the feasible
+    basis the last one left, so Bland's rule still terminates.  The
+    fraction-free integer tableau is kept as ``M = det * T``, where ``T``
+    is the rational tableau of the current basis and ``det`` its basis
+    determinant.  A pivot on (r, s) replaces every other row by
     ``(M[r][s] * M[i] - M[i][s] * M[r]) // det``, exact by Cramer's rule
     (Bareiss; Edmonds' integer pivoting), and sets ``det = M[r][s]``.
     ``det`` stays positive, so signs and ratios read off ``M`` are those
-    of ``T``, and the pivots are the rational tableau's.
-
-    Returns (status, x, det): the optimizer is ``x / det`` with ``det > 0``
-    (x and det are None unless the status is optimal).  Rational rows go
-    in scaled by :func:`integer_row`; scaling a row changes the phase-1
+    of ``T``, and the pivots are the rational tableau's.  Rational rows go
+    in scaled by :func:`integer_row`; scaling a row changes the phase-I
     path, so the optimizer may change, but not the optimal value.
     """
-    m = len(a_eq)
-    n = len(c)
-    det = 1
-    # M = T = [a_eq | I | b_eq], rows of negative b_eq negated
-    tab = [[x if r >= 0 else -x for x in row] + [int(j == i) for j in range(m)] + [abs(r)]
-           for i, (row, r) in enumerate(zip(a_eq, b_eq))]
-    basis = [n + i for i in range(m)]
 
-    def reduced_costs(cost: list[int]) -> list[int]:
+    def __init__(self, a_eq: list[list[int]], b_eq: Sequence[int]):
+        m = len(a_eq)
+        n = len(a_eq[0]) if m else 0
+        self.det = 1
+        # M = T = [a_eq | I | b_eq], rows of negative b_eq negated
+        self.tab = [[x if r >= 0 else -x for x in row] + [int(j == i) for j in range(m)] + [abs(r)]
+                    for i, (row, r) in enumerate(zip(a_eq, b_eq))]
+        self.basis = [n + i for i in range(m)]
+        # phase I: maximize -(sum of artificials); obj is det * reduced costs
+        self.obj = self._reduced_costs([0] * n + [-1] * m)
+        self.feasible = self._run() == SimplexStatus.OPTIMAL and not any(
+            row[-1] for bv, row in zip(self.basis, self.tab) if bv >= n)
+        if not self.feasible:
+            return
+        # Drive artificials out of the basis where possible.
+        for i in range(m):
+            if self.basis[i] >= n:
+                pc = next((j for j in range(n) if self.tab[i][j] != 0), None)
+                if pc is not None:
+                    self._pivot(i, pc)
+        keep = [i for i in range(m) if self.basis[i] < n]
+        self.tab = [self.tab[i][:n] + [self.tab[i][-1]] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+
+    def maximize(self, c: Sequence[int]) -> tuple[str, list[int] | None, int | None]:
+        """(status, x, det) of max c.x: the optimizer is ``x / det`` with
+        ``det > 0`` (x and det are None unless the status is optimal)."""
+        if not self.feasible:
+            return SimplexStatus.INFEASIBLE, None, None
+        self.obj = self._reduced_costs(list(c))
+        if self._run() == SimplexStatus.UNBOUNDED:
+            return SimplexStatus.UNBOUNDED, None, None
+        x = [0] * len(c)
+        for row, bv in zip(self.tab, self.basis):
+            x[bv] = row[-1]
+        return SimplexStatus.OPTIMAL, x, self.det
+
+    def _reduced_costs(self, cost: list[int]) -> list[int]:
         # det * (cost - cost_B T) over the columns of the tableau, rhs included
-        out = [x * det for x in cost] + [0]
-        for bv, row in zip(basis, tab):
+        out = [x * self.det for x in cost] + [0]
+        for bv, row in zip(self.basis, self.tab):
             if cost[bv]:
                 out = [o - cost[bv] * y for o, y in zip(out, row)]
         return out
 
-    def pivot(pr: int, pc: int) -> None:
-        nonlocal det
-        prow = tab[pr]
+    def _pivot(self, pr: int, pc: int) -> None:
+        det = self.det
+        prow = self.tab[pr]
         piv = prow[pc]
-        rows = tab + [obj]
+        rows = self.tab + [self.obj]
         for row in rows:
             if row is prow:
                 continue
@@ -232,14 +260,14 @@ def simplex_max(c: Sequence[int], a_eq: list[list[int]],
                 row[:] = [(piv * x - f * y) // det for x, y in zip(row, prow)]
             else:
                 row[:] = [piv * x // det for x in row]
-        det = piv
-        basis[pr] = pc
-        if det < 0:  # only a drive-out pivot can be negative
-            det = -det
+        self.det = abs(piv)
+        self.basis[pr] = pc
+        if piv < 0:  # only a drive-out pivot can be negative
             for row in rows:
                 row[:] = [-x for x in row]
 
-    def run() -> str:
+    def _run(self) -> str:
+        tab, obj, basis = self.tab, self.obj, self.basis
         while True:
             enter = next((j for j, rc in enumerate(obj[:-1]) if rc > 0), None)  # Bland
             if enter is None:
@@ -252,33 +280,13 @@ def simplex_max(c: Sequence[int], a_eq: list[list[int]],
                     best = i  # least ratio, ties to the lowest basic variable
             if best is None:
                 return SimplexStatus.UNBOUNDED
-            pivot(best, enter)
+            self._pivot(best, enter)
 
-    # Phase 1: maximize -(sum of artificials).  obj holds the reduced costs
-    # times det and is kept by pivot.
-    obj = reduced_costs([0] * n + [-1] * m)
-    status = run()
-    if status != SimplexStatus.OPTIMAL or any(row[-1] for bv, row in zip(basis, tab) if bv >= n):
-        return SimplexStatus.INFEASIBLE, None, None
 
-    # Drive artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n:
-            pc = next((j for j in range(n) if tab[i][j] != 0), None)
-            if pc is not None:
-                pivot(i, pc)
-    keep = [i for i in range(m) if basis[i] < n]
-    tab = [tab[i][:n] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    obj = reduced_costs(list(c))
-    status = run()
-    if status == SimplexStatus.UNBOUNDED:
-        return status, None, None
-    x = [0] * n
-    for row, bv in zip(tab, basis):
-        x[bv] = row[-1]
-    return SimplexStatus.OPTIMAL, x, det
+def simplex_max(c: Sequence[int], a_eq: list[list[int]],
+                b_eq: Sequence[int]) -> tuple[str, list[int] | None, int | None]:
+    """Maximize c.x subject to a_eq @ x = b_eq, x >= 0: :meth:`Tableau.maximize`."""
+    return Tableau(a_eq, b_eq).maximize(c)
 
 
 def integer_row(xs: Sequence[Fraction]) -> tuple[int, list[int]]:

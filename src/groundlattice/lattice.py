@@ -48,6 +48,8 @@ def q_max_from_descriptor(desc: ConeDescriptor, u: OperatorSubspace,
                           cfg: RunConfig) -> Projection:
     if desc.dim_K == 0:
         return u.identity_projection()
+    if u.is_exact:      # the witness is positive exactly on the maximal support
+        return Projection.from_support(u.ambient_n, set(range(u.ambient_n)) - desc.witness_support)
     return _kernel_of(desc.interior_witness, u, cfg)
 
 

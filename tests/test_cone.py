@@ -298,13 +298,15 @@ class TestAnalyzeConeExact:
         # the witness of the larger projection lies in the smaller cone
         assert w[1] == 0 and all(v >= 0 for v in w)
 
-    @pytest.mark.parametrize("case", [1, 2, "rational"])
+    @pytest.mark.parametrize("case", [1, 2, "rational", "four-bit"])
     def test_matches_double_description_oracle_on_every_support(self, case):
         # oracle: complete extreme-ray enumeration of each cone over row
-        # subsets, not the max-support LPs; on bits:N=3 for k = 1, 2 and on
-        # the random subspaces of brute_force_members, where U⊥ has rows
-        # that are not integral in the rational basis (a 1 at the free
-        # column), so the LPs and the witness see scaled rows
+        # subsets, not the max-support LPs; on every support of bits:N=3
+        # for k = 1, 2, and of the random subspaces of brute_force_members,
+        # where U⊥ has rows that are not integral in the rational basis (a 1
+        # at the free column), so the LPs and the witness see scaled rows;
+        # and on 30 supports of size 5-12 of bits:N=4:k=2, where U⊥ has
+        # five rows and the LPs re-optimized on one tableau take more pivots
         if case == "rational":
             rng = np.random.default_rng(43)
             spaces = [random_rational_subspace(rng, int(rng.integers(4, 7)),
@@ -312,11 +314,18 @@ class TestAnalyzeConeExact:
             # row j of perp is positive at the j-th free column of the basis
             free = [sorted(set(range(u.ambient_n)) - set(ela.rref(u.basis)[1])) for u in spaces]
             assert any(w[f] > 1 for u, fs in zip(spaces, free) for w, f in zip(u.perp, fs))
+            cases = [(u, range(2 ** u.ambient_n)) for u in spaces]
+        elif case == "four-bit":
+            rng = np.random.default_rng(47)
+            masks = [sum(1 << int(x) for x in rng.choice(16, int(rng.integers(5, 13)),
+                                                         replace=False)) for _ in range(30)]
+            cases = [(build_klocal(SiteSystem.bits(4), 2), masks)]
+            assert len(cases[0][0].perp) == 5
         else:
-            spaces = [build_klocal(SiteSystem.bits(3), case)]
-        for u in spaces:
+            cases = [(build_klocal(SiteSystem.bits(3), case), range(2 ** 8))]
+        for u, masks in cases:
             n = u.ambient_n
-            for mask in range(2 ** n):
+            for mask in masks:
                 support = {x for x in range(n) if mask >> x & 1}
                 desc = analyze_cone(Projection.from_support(n, support), u)
                 rays = cone_rays(support, u)
@@ -330,7 +339,7 @@ class TestAnalyzeConeExact:
 
     def test_lp_failure_raises_typed_error(self, monkeypatch):
         xs, u = three_bit_two_local()
-        monkeypatch.setattr(ela, "simplex_max",
+        monkeypatch.setattr(ela.Tableau, "maximize",
                             lambda *args: (ela.SimplexStatus.UNBOUNDED, None, None))
         with pytest.raises(GroundLatticeError, match="unbounded"):
             analyze_cone(Projection.from_support(8, {1}), u)

@@ -189,6 +189,44 @@ def best_vertex_value(c, a, b):
     return best
 
 
+def test_tableau_reoptimizes_each_objective_from_one_phase_one():
+    # one phase I, then phase II from whatever basis the last objective
+    # left, on general LPs (redundant rows, negative right-hand sides) and
+    # on LPs shaped like the cone sections (homogeneous rows plus
+    # sum(y) = 1); each optimum must be the best vertex
+    rng = np.random.default_rng(53)
+    seen = set()
+    for t in range(80):
+        m = int(rng.integers(1, 4))
+        n = int(rng.integers(m + 1, m + 5))
+        a = random_rational_matrix(rng, m, n, den=5)
+        if t % 2:
+            a.append([Fraction(1)] * n)
+            b = [Fraction(0)] * m + [Fraction(1)]
+        else:
+            if rng.random() < 0.3:
+                a.append([Fraction(-3, 2) * x for x in a[0]])
+            b = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))) for _ in a]
+        rows = [ela.integer_row(list(row) + [r])[1] for row, r in zip(a, b)]
+        tableau = ela.Tableau([r[:-1] for r in rows], [r[-1] for r in rows])
+        for _ in range(4):
+            c = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
+            best = best_vertex_value(c, a, b)
+            status, x, det = tableau.maximize(ela.integer_row(c)[1])
+            seen.add(status)
+            if status == ela.SimplexStatus.INFEASIBLE:
+                assert best is None
+            elif status == ela.SimplexStatus.UNBOUNDED:
+                assert best is not None and t % 2 == 0
+            else:
+                assert det > 0
+                y = [Fraction(v, det) for v in x]
+                assert all(v >= 0 for v in y) and ela.mat_vec(a, y) == b
+                assert ela.dot(c, y) == best
+    assert seen == {ela.SimplexStatus.OPTIMAL, ela.SimplexStatus.INFEASIBLE,
+                    ela.SimplexStatus.UNBOUNDED}
+
+
 class TestSimplexEdgeCases:
     def test_beale_cycling_lp_terminates_at_known_optimum(self):
         # Beale (1955): cycles under the largest-coefficient rule; Bland's

@@ -21,7 +21,8 @@ the witness and the unit-trace rays of :func:`extreme_rays` are Fractions;
 
 Float engine: facial reduction.  L(p) is compressed to the range of
 1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
-trace-one elements.  A positive-definite element is a witness of maximal
+trace-one elements from the minimum-norm one, which ends it at once when
+positive definite.  A positive-definite element is a witness of maximal
 rank, and the section spans K(p); a negative optimum means K(p) = {0}; an
 optimum of zero cuts the face down to the large eigenvalues of the last
 iterate and repeats, at most rank(1 - p) times; each cut loosens the
@@ -74,7 +75,8 @@ class ConeDescriptor:
     span_basis: list = field(default_factory=list, repr=False)  # ndarrays or int vectors
     witness_support: frozenset | None = None      # exact engine: maximal support
     # float engine: the closest call of the facial reduction as a ratio to
-    # its threshold (|t*| / tolerance, or the eigenvalue gap at a face split)
+    # its threshold (|t*| / tolerance, lambda_min(X0) / tolerance <= that when
+    # phase I accepts its start, or the eigenvalue gap at a face split)
     margin: float | None = None
 
 
@@ -206,8 +208,11 @@ def _unit_trace_exact(g: list[int]) -> list[Fraction]:
 def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     """Barrier phase I for  max t  s.t.  X - tI >= 0, X in span(c), tr X = 1.
 
-    ``c`` holds hermitian r x r matrices.  With X = X0 + sum_j z_j D_j
-    (traceless D_j), Newton steps with an exact line search minimize
+    ``c`` holds hermitian r x r matrices.  The start X0 = sum_k x0_k c_k,
+    x0 = a / |a|^2 for the traces a of ``c``, has trace one, so
+    lambda_min(X0) <= t*: above max(tol, tol_rank), X0 is returned with no
+    Newton step.  Otherwise, with X = X0 + sum_j z_j D_j (traceless D_j),
+    Newton steps with an exact line search minimize
     -t/mu - log det(X - tI), and mu is cut by MU_STEP at each centred
     point, where t* lies in [t, t + mu r].  Returns the status
     ("interior": t > tol; "empty": K = {0}; "face": |t*| <= tol), the
@@ -219,13 +224,15 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     if np.linalg.norm(a) <= tol_rank:   # a traceless section: no PSD element but 0
         return "empty", -np.inf, None, None, None
     x0 = a / (a @ a)
-    null = nullspace_cols(a[None, :], tol_rank)
     x_base = np.tensordot(x0, c, axes=1)
     lam, vecs = eigh(x_base)
-    if null.shape[1] == 0:              # no free direction: t* = lambda_min(X0)
-        t = float(lam[0])
+    t = float(lam[0])
+    if t > max(tol, tol_rank) or len(c) == 1:
+        # t = t* when X0 is the only trace-one element; the tol_rank floor
+        # keeps X0's eigenvalues above the kernel cutoff of its witness
         status = "interior" if t > tol else "empty" if t < -tol else "face"
         return status, t, x0, lam - min(t, 0.0), vecs
+    null = nullspace_cols(a[None, :], tol_rank)
     dirs = np.concatenate([np.tensordot(null.T, c, axes=1), -np.eye(r)[None]])
     w = np.zeros(len(dirs))
     w[-1] = lam[0] - 1.0 / r
@@ -439,8 +446,9 @@ def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
         desc = sub
         # the found rays on this face, among those on the last one: a PSD
         # ray g lies on K(q) exactly when g q = 0
-        found = found[np.linalg.norm(found @ desc.base_projection.image_basis,
-                                     axis=(1, 2)) <= 1e-6]
+        q = desc.base_projection.image_basis
+        found = found[np.linalg.norm((found.reshape(-1, len(q)) @ q)
+                                     .reshape(len(found), q.size), axis=1) <= 1e-6]
         mean = found.mean(axis=0) if len(found) else None
 
 

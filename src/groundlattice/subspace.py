@@ -181,9 +181,11 @@ def linear_section(p: Projection, u: OperatorSubspace,
                    tol_rank: float = DEFAULT_TOL) -> LinearSection:
     """Basis of the linear space {v in U : p v = v p = 0}.
 
-    Float engine: null space of the map coefficients -> p @ v restricted to
-    U (hermiticity makes the one-sided constraint two-sided).  Exact
-    engine: the complement formula, i.e. functions in U vanishing on p.
+    Float engine: null space of the map coefficients -> b* v restricted to
+    U, for the orthonormal image basis b of p: 2 rank(p) n real rows with
+    the singular values of v -> p v (hermiticity makes the one-sided
+    constraint two-sided).  Exact engine: the complement formula, i.e.
+    functions in U vanishing on p.
     """
     if p.n != u.ambient_n:
         raise InputError("projection dimension does not match subspace")
@@ -196,14 +198,12 @@ def linear_section(p: Projection, u: OperatorSubspace,
         return LinearSection(base_projection=p, basis=funcs, dim=len(funcs))
     if u.dim == 0:
         return LinearSection(base_projection=p, basis=[], dim=0)
-    pm = p.matrix()
-    cols = []
-    for b in u.basis:
-        pb = pm @ b
-        cols.append(np.concatenate([pb.real.reshape(-1), pb.imag.reshape(-1)]))
-    m = np.stack(cols, axis=1)
-    gamma = nullspace_cols(m, tol_rank).real
-    mats = np.tensordot(gamma.T, np.stack(u.basis), axes=1)
+    b = p.matrix() if p.is_commutative else p.image_basis
+    stack = np.stack(u.basis)
+    # row k of one product over all of U is v_k b = (b* v_k)*
+    m = (stack.reshape(-1, p.n) @ b).reshape(u.dim, -1).view(float)
+    gamma = nullspace_cols(m.T, tol_rank).real
+    mats = np.tensordot(gamma.T, stack, axes=1)
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
     return LinearSection(base_projection=p, basis=list(mats), dim=len(mats))
 

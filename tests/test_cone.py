@@ -251,6 +251,52 @@ class TestAnalyzeConeFloat:
         assert kernel_projection(w).rank == n - 1
 
 
+class TestPhaseOne:
+    """The start X0 = sum_k (a / |a|^2)_k c_k of phase I, the minimum-norm
+    trace-one element of the section, ends it when it is positive definite
+    clear of max(PSD_TOL, tol_rank); every other section runs Newton."""
+
+    @staticmethod
+    def run(monkeypatch, mats, tol_rank=1e-9):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return np.linalg.eigh(a)
+
+        monkeypatch.setattr(cone_mod, "eigh", counting)
+        c = np.array([np.diag(m) for m in mats], dtype=complex)
+        a = np.einsum("kii->k", c).real
+        x0 = a / (a @ a)
+        start = float(np.linalg.eigvalsh(np.tensordot(x0, c, axes=1))[0])
+        return cone_mod._phase_one(c, tol_rank, cone_mod.PSD_TOL), x0, start, len(calls)
+
+    def test_indefinite_start_goes_through_newton(self, monkeypatch):
+        # X0 = diag(1.0005, -5e-4) is indefinite, but the section holds
+        # 500.5 diag(1, 0) + 500 diag(-1, 1e-3) = diag(1/2, 1/2): t* = 1/2
+        (status, t, x, _, _), x0, start, calls = self.run(
+            monkeypatch, [(1.0, 0.0), (-1.0, 1e-3)])
+        assert start < 0
+        assert status == "interior" and t > 0 and calls > 1
+        assert abs(t - 0.5) <= 0.01
+
+    def test_positive_definite_start_is_the_witness(self, monkeypatch):
+        # X0 = diag(1/3, 2/3): t = 1/3 is returned, below t* = 1/2
+        (status, t, x, _, _), x0, start, calls = self.run(
+            monkeypatch, [(1.0, 2.0), (1.0, -1.0)])
+        assert status == "interior" and calls == 1
+        assert np.array_equal(x, x0) and t == start == pytest.approx(1 / 3)
+
+    def test_start_below_the_rank_cutoff_goes_through_newton(self, monkeypatch):
+        # lambda_min(X0) = 2e-7 clears PSD_TOL but not tol_rank = 1e-6: a
+        # kernel read at tol_rank would count it, so Newton decides
+        (status, t, x, _, _), x0, start, calls = self.run(
+            monkeypatch, [(1.0, 2e-7), (1.0, -1.0)], tol_rank=1e-6)
+        assert cone_mod.PSD_TOL < start <= 1e-6
+        assert status == "interior" and calls > 1
+        assert t > 1e-6 and not np.allclose(x, x0)
+
+
 class TestAnalyzeConeExact:
     def test_rank_seven_support_has_trivial_cone(self):
         xs, u = three_bit_two_local()

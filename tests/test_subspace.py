@@ -8,7 +8,14 @@ import pytest
 
 from groundlattice import exactla as ela
 from groundlattice.errors import InputError
-from groundlattice.linalg import Projection, frobenius, hermitian_matrix, trace_inner
+from groundlattice.linalg import (
+    Projection,
+    frobenius,
+    hermitian_matrix,
+    nullspace_cols,
+    trace_inner,
+)
+from groundlattice.manybody import SiteSystem, build_klocal
 from groundlattice.subspace import (
     ENGINE_EXACT,
     ENGINE_FLOAT,
@@ -63,6 +70,32 @@ def parity_vector():
 def random_hermitian(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return hermitian_matrix(g)
+
+
+def haar_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def span_projector(mats, n):
+    """Orthogonal projector onto the span of hermitian matrices, as real
+    n^2-vectors under the trace inner product."""
+    if not len(mats):
+        return np.zeros((2 * n * n, 2 * n * n))
+    q = np.linalg.qr(np.stack([np.asarray(m, complex).reshape(-1).view(float)
+                               for m in mats], axis=1))[0]
+    return q @ q.T
+
+
+def full_section(p, u, tol_rank=1e-9):
+    """Reference section: the null space of the 2 n^2 real rows of p u = 0,
+    one column per basis element of U."""
+    pm = p.matrix()
+    m = np.stack([np.concatenate([(pm @ b).real.reshape(-1), (pm @ b).imag.reshape(-1)])
+                  for b in u.basis], axis=1)
+    gamma = nullspace_cols(m, tol_rank).real
+    return [u.element_from(g) for g in gamma.T]
 
 
 class TestFromSpanningSet:
@@ -178,6 +211,42 @@ class TestLinearSection:
                 assert frobenius(pm @ b) <= 1e-8
                 assert frobenius(b @ pm) <= 1e-8
                 assert frobenius(project_onto(b, u) - b) <= 1e-8
+
+    @pytest.mark.parametrize("space", ["qubits:N=2:k=1", "qubits:N=3:k=2",
+                                       "rotated bits:N=3:k=2"])
+    def test_compressed_rows_give_the_full_section(self, space):
+        # the section is built from the 2 rank(p) n rows of b* u = 0 for the
+        # image basis b of p; it has the dimension and the span of the null
+        # space of the 2 n^2 rows of p u = 0.  At every rank p is in turn the
+        # span of rank columns of a unitary v that maps U onto itself (so not
+        # every section is {0}), a Haar-random projection, and a support
+        # projection (the CLI reads {"support": ...} on either engine)
+        rng = np.random.default_rng(31)
+        if space.startswith("qubits"):
+            n_sites, k = (2, 1) if space == "qubits:N=2:k=1" else (3, 2)
+            u = build_klocal(SiteSystem.qubits(n_sites), k)
+            v = haar_unitary(rng, 2)
+            for _ in range(n_sites - 1):
+                v = np.kron(v, haar_unitary(rng, 2))
+        else:
+            v = haar_unitary(rng, 8)
+            u = from_spanning_set([v @ m @ v.conj().T
+                                   for m in build_klocal(SiteSystem.bits(3), 2)
+                                   .basis_as_matrices()])
+        n = u.ambient_n
+        dims = set()
+        for rank in range(n + 1):
+            cols = [v[:, rng.permutation(n)[:rank]], haar_unitary(rng, n)[:, :rank]]
+            projections = [Projection.from_columns(n, c) if rank else Projection.zero(n)
+                           for c in cols] + [Projection.from_support(n, range(rank))]
+            for p in projections:
+                sec = linear_section(p, u)
+                ref = full_section(p, u)
+                assert sec.dim == len(ref), (rank, sec.dim, len(ref))
+                assert np.abs(span_projector(sec.basis, n)
+                              - span_projector(ref, n)).max() <= 1e-10
+                dims.add((rank, sec.dim))
+        assert any(rank and dim for rank, dim in dims)
 
     def test_antitone_in_the_projection(self):
         rng = np.random.default_rng(12)

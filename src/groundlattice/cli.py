@@ -4,13 +4,17 @@ Subcommands: membership, qmax, cone, coatoms, lattice, klocal, marginal,
 verify.  Exit codes: 0 success, 1 verification failure, 2 input error,
 3 budget or incompleteness.  Reports echo the command and configuration;
 re-running with identical inputs reproduces the payload byte-identically
-(timing is reported outside the payload).
+(timing is reported outside the payload).  The membership and cone
+reports also carry, outside the payload, the cone's ``margin``: the
+closest call of the float facial reduction as a ratio to its threshold,
+null where no threshold was tested (exact engine, or a section {0}).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -120,14 +124,19 @@ def config_from_args(args) -> RunConfig:
                      samples=args.samples, max_nodes=args.max_nodes)
 
 
-def make_report(args, cfg: RunConfig, payload: dict, started: float) -> dict:
+def make_report(args, cfg: RunConfig, payload: dict, started: float, **extra) -> dict:
     return {
         "command": args.command,
         "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank,
                    "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": args.engine},
         "payload": payload,
+        **extra,
         "timing_s": round(time.perf_counter() - started, 6),
     }
+
+
+def margin_of(desc) -> float | None:
+    return desc.margin if desc.margin is not None and math.isfinite(desc.margin) else None
 
 
 def emit(report: dict, stream=None) -> None:
@@ -153,7 +162,7 @@ def cmd_membership(args) -> int:
         "q_max": jsonio.projection_to_json(qm),
         "dim_K": desc.dim_K,
     }
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, margin=margin_of(desc)))
     return EXIT_OK
 
 
@@ -177,7 +186,7 @@ def cmd_cone(args) -> int:
     if args.rays and desc.dim_K >= 1:
         extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
     payload = jsonio.cone_to_json(desc)
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, margin=margin_of(desc)))
     return EXIT_OK
 
 

@@ -2,35 +2,38 @@
 
 K(p) is the set of positive semi-definite members of U whose kernel
 contains the image of p.  Its linear hull candidate is the section
-L(p) = {u in U : p u = u p = 0}, and K(p) = L(p) ∩ PSD.  The descriptor
-computed here records the dimension of the span of K(p), whether the cone
-is a ray, a relative-interior witness of maximal rank, and (on request)
-extreme-ray generators.
+L(p) = {u in U : p u = u p = 0} = U ∩ Herm(range(1 - p)), and
+K(p) = L(p) ∩ PSD.  The descriptor computed here records the dimension of
+the span of K(p), whether the cone is a ray, a relative-interior witness
+of maximal rank, and (on request) extreme-ray generators.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
 ``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
 max-support LPs on one fraction-free integer tableau (one phase I per
-cone) finds the maximal support, the span of K(p) is an integer null
-space, and extreme rays come from incremental double description on
-integer vectors: start from a simplicial cone on independent points of
-the support, add the other points one at a time, and combine a positive
-and a negative ray only when the zero-set test finds them adjacent.  Only
-the witness and the unit-trace rays of :func:`extreme_rays` are Fractions;
-:func:`integer_rays` gives the same rays as primitive integer vectors.
+cone) finds the maximal support, the span of K(p) is the null space of
+``perp`` on that support (:func:`subspace.supported_on`, which also gives
+the exact section), and extreme rays come from incremental double
+description on integer vectors: start from a simplicial cone on
+independent points of the support, add the other points one at a time,
+and combine a positive and a negative ray only when the zero-set test
+finds them adjacent.  Only the witness and the unit-trace rays of
+:func:`extreme_rays` are Fractions; :func:`integer_rays` gives the same
+rays as primitive integer vectors.
 
-Float engine: facial reduction.  L(p) is compressed to the range of
-1 - p, and a log-barrier phase I maximizes the least eigenvalue over its
-trace-one elements from the minimum-norm one, which ends it at once when
-positive definite.  A positive-definite element is a witness of maximal
-rank, and the section spans K(p); a negative optimum means K(p) = {0}; an
-optimum of zero cuts the face down to the large eigenvalues of the last
-iterate and repeats, at most rank(1 - p) times; each cut loosens the
-later tolerances to the tilt it can leave.  Extreme rays come from face
-descents: from a point inside a face, move in the trace-one section to a
-boundary point x and replace the face by K(ker x), the smallest face
-holding x, until the face is a ray.  The same descents from K(0) give the
-float coatoms.
+Float engine: facial reduction.  L(p) is read off U or off U⊥, whichever
+has fewer unknowns (:func:`subspace.linear_section`), and compressed to
+the range of 1 - p.  A log-barrier phase I maximizes the least eigenvalue
+over its trace-one elements from the minimum-norm one, which ends it at
+once when positive definite.  A positive-definite element is a witness of
+maximal rank, and the section spans K(p); a negative optimum means
+K(p) = {0}; an optimum of zero cuts the face down to the large
+eigenvalues of the last iterate and repeats, at most rank(1 - p) times;
+each cut loosens the later tolerances to the tilt it can leave.  Extreme
+rays come from face descents: from a point inside a face, move in the
+trace-one section to a boundary point x and replace the face by K(ker x),
+the smallest face holding x, until the face is a ray.  The same descents
+from K(0) give the float coatoms.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .errors import (
     TrivialConeError,
 )
 from .linalg import Projection, eigh, kernel_projection, nullspace_cols, range_cols
-from .subspace import OperatorSubspace, linear_section
+from .subspace import OperatorSubspace, linear_section, supported_on
 
 PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
 MU_FACE = 1e-10       # barrier weight times face size at which t* = 0 is decided
@@ -126,13 +129,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
         total = sum(y[i] * (denom // det) for y, det in optimizers)
         witness[x] = Fraction(total, denom * len(optimizers))
 
-    # span K(p) = {g in U : g = 0 off the support}
-    span = []
-    for v in ela.null_space([[w[x] for x in support] for w in u.perp], ncols=len(support)):
-        g = [0] * n
-        for x, vx in zip(support, v):
-            g[x] = vx
-        span.append(g)
+    span = supported_on(u, support)     # span K(p): the elements of U zero off the support
     dim_k = len(span)
     return ConeDescriptor(base_projection=p, dim_K=dim_k,
                           is_ray=dim_k == 1, interior_witness=witness,
@@ -305,8 +302,8 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                            engine=u.engine, margin=np.inf)
     if sec.dim == 0:
         return empty
-    stack = np.stack(sec.basis)
-    face = nullspace_cols(p.matrix(), cfg.tol_rank)     # the range of 1 - p
+    stack = sec.basis
+    face = sec.face if sec.face is not None else nullspace_cols(p.matrix(), cfg.tol_rank)
     c = face.conj().T @ stack @ face
     coeffs = np.eye(sec.dim)
     margin = np.inf

@@ -8,11 +8,14 @@ configuration subset (commutative engine).
 Every float basis, rank and null space comes from LAPACK: :func:`eigh`,
 and the two ``svd`` cutoffs :func:`nullspace_cols` and :func:`range_cols`.
 Image bases are the orthonormal columns LAPACK returns, used as they are.
+:func:`herm_coords` reads hermitian matrices in an orthonormal real basis
+of Herm(m), so that their null spaces are null spaces of real matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +154,44 @@ def range_cols(m: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((m.shape[0], 0), dtype=m.dtype)
     u, sv, _ = _svd(m, full_matrices=False)
     return u[:, sv > tol_rank * sv[0]]
+
+
+@lru_cache(maxsize=None)
+def _herm_slots(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gathers between the coordinates of Herm(m) and the 2 m^2 floats of an
+    m x m complex matrix: the float slots of the coordinates and their
+    scales, and for every float slot its coordinate and factor."""
+    rows, cols = np.triu_indices(m, 1)
+    upper, lower = 2 * (rows * m + cols), 2 * (cols * m + rows)
+    slots = np.concatenate([2 * (m + 1) * np.arange(m), upper, upper + 1])
+    scale = np.concatenate([np.ones(m), np.full(2 * len(rows), np.sqrt(2.0))])
+    source, factor = np.zeros(2 * m * m, dtype=int), np.zeros(2 * m * m)
+    source[slots], factor[slots] = np.arange(m * m), 1.0 / scale
+    source[lower], factor[lower] = source[upper], factor[upper]
+    source[lower + 1], factor[lower + 1] = source[upper + 1], -factor[upper + 1]
+    for shared in (slots, scale, source, factor):     # every caller gets the same arrays
+        shared.flags.writeable = False
+    return slots, scale, source, factor
+
+
+def herm_coords(mats: np.ndarray) -> np.ndarray:
+    """Real coordinates of stacked hermitian m x m matrices, shape (..., m^2).
+
+    The orthonormal basis of Herm(m) under the trace inner product: the
+    diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle.
+    """
+    m = mats.shape[-1]
+    slots, scale, _, _ = _herm_slots(m)
+    flat = np.ascontiguousarray(mats, dtype=np.complex128).reshape(*mats.shape[:-2], m * m)
+    return flat.view(np.float64)[..., slots] * scale
+
+
+def herm_from_coords(x: np.ndarray, m: int) -> np.ndarray:
+    """The hermitian m x m matrices with coordinates ``x`` (..., m^2), the
+    inverse of :func:`herm_coords`; exactly hermitian."""
+    _, _, source, factor = _herm_slots(m)
+    out = np.ascontiguousarray(x[..., source] * factor)
+    return out.view(np.complex128).reshape(*x.shape[:-1], m, m)
 
 
 @dataclass

@@ -8,6 +8,10 @@ Two engines share one interface:
   rational functions on a finite configuration space.  Bases are kept
   exactly orthogonal (orthonormality would need irrational norms); every
   formula divides by the stored squared norms, so results stay exact.
+
+Both engines store ``perp``, a basis of the orthogonal complement U⊥,
+computed once per subspace.  The section L(p) = U ∩ Herm(range(1 - p))
+is read off U or off U⊥, whichever side has fewer unknowns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .config import DEFAULT_TOL
 from .errors import InputError
 from .linalg import (
     Projection,
+    herm_coords,
+    herm_from_coords,
     hermitian_matrix,
     is_hermitian,
     nullspace_cols,
@@ -59,13 +65,20 @@ class OperatorSubspace:
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
-    # exact engine: basis of the orthogonal complement U⊥ as primitive int
-    # rows, so that g lies in U exactly when perp @ g = 0
-    perp: list | None = field(default=None, init=False, repr=False)
+    # basis of the orthogonal complement U⊥, so that g lies in U exactly
+    # when g is orthogonal to perp: primitive int rows (exact engine), or
+    # trace-orthonormal hermitian matrices stacked in one ndarray (float)
+    perp: list | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # float engine: the basis stacked in one (dim, n, n) ndarray
+    stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.is_exact:
             self.perp = ela.null_space(self.basis, ncols=self.ambient_n)
+            return
+        n = self.ambient_n
+        self.stacked = np.stack(self.basis) if self.basis else np.zeros((0, n, n), complex)
+        self.perp = herm_from_coords(nullspace_cols(herm_coords(self.stacked)).T, n)
 
     @property
     def dim(self) -> int:
@@ -100,18 +113,20 @@ class OperatorSubspace:
                 if c != 0:
                     out = ela.add(out, ela.scale(b, c))
             return out
-        if len(self.basis) == 0:
-            return np.zeros((self.ambient_n, self.ambient_n), dtype=np.complex128)
-        return np.tensordot(np.asarray(coeffs, dtype=float), np.stack(self.basis), axes=1)
+        return np.tensordot(np.asarray(coeffs, dtype=float), self.stacked, axes=1)
 
 
 @dataclass
 class LinearSection:
-    """Orthonormal basis of L(p) = {u in U : p u = u p = 0}."""
+    """Basis of L(p) = {u in U : p u = u p = 0}: primitive integer vectors
+    (exact), or orthonormal matrices stacked in one (dim, n, n) ndarray
+    (float) with the orthonormal basis ``face`` of the range of 1 - p when
+    the section was read off that range."""
 
     base_projection: Projection
-    basis: list
+    basis: list | np.ndarray
     dim: int
+    face: np.ndarray | None = None
 
 
 def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
@@ -177,35 +192,82 @@ def project_onto(a, u: OperatorSubspace):
     return u.element_from(u.coefficients_of(a))
 
 
+def supported_on(u: OperatorSubspace, points: list[int]) -> list[list[int]]:
+    """Primitive integer basis of {g in U : g = 0 off the sorted ``points``}
+    (exact engine): the null space of the rows of U⊥ restricted to them."""
+    span = []
+    for v in ela.null_space([[w[x] for x in points] for w in u.perp], ncols=len(points)):
+        g = [0] * u.ambient_n
+        for x, vx in zip(points, v):
+            g[x] = vx
+        span.append(g)
+    return span
+
+
+def rows_over_u(u: OperatorSubspace, b: np.ndarray) -> np.ndarray:
+    """The U side of L(p), one column per basis element u_k of U.
+
+    For the orthonormal image basis b of p the part of u outside
+    H = Herm(range(1 - p)) has |u - (1-p) u (1-p)|^2 = |b* u b|^2 +
+    2 |(1-p) u b|^2, so the rows are the Herm coordinates of b* u_k b and
+    sqrt(2) (1-p) u_k b: rank^2 + 2 rank n rows from one product, whose
+    singular values are the sines of the principal angles between U and H.
+    """
+    ub = (u.stacked.reshape(-1, u.ambient_n) @ b).reshape(u.dim, u.ambient_n, -1)
+    bub = b.conj().T @ ub
+    off = np.sqrt(2.0) * (ub - b @ bub)
+    return np.concatenate([herm_coords(bub), off.reshape(u.dim, -1).view(float)], axis=1).T
+
+
+def rows_over_h(u: OperatorSubspace, face: np.ndarray) -> np.ndarray:
+    """The H side of L(p), one column per coordinate of Herm(m) for the
+    orthonormal basis ``face`` (n x m) of the range of 1 - p.
+
+    Y is in the null space exactly when face Y face* is orthogonal to U⊥,
+    so the rows are the Herm(m) coordinates of face* w face for the basis
+    elements w of U⊥; the singular values are again the sines of the
+    principal angles between U and H.
+    """
+    (n, m), k = face.shape, len(u.perp)
+    # two matrix products over all of U⊥: w face, then face* (w face)
+    w = (u.perp.reshape(-1, n) @ face).reshape(k, n, m).transpose(1, 0, 2).reshape(n, -1)
+    return herm_coords((face.conj().T @ w).reshape(m, k, m).transpose(1, 0, 2))
+
+
 def linear_section(p: Projection, u: OperatorSubspace,
                    tol_rank: float = DEFAULT_TOL) -> LinearSection:
-    """Basis of the linear space {v in U : p v = v p = 0}.
+    """Basis of L(p) = {v in U : p v = v p = 0} = U ∩ Herm(range(1 - p)).
 
-    Float engine: null space of the map coefficients -> b* v restricted to
-    U, for the orthonormal image basis b of p: 2 rank(p) n real rows with
-    the singular values of v -> p v (hermiticity makes the one-sided
-    constraint two-sided).  Exact engine: the complement formula, i.e.
-    functions in U vanishing on p.
+    Float engine: the null space of whichever form has fewer unknowns,
+    :func:`rows_over_u` in the dim U coefficients of U when dim U <= m^2
+    for m = n - rank(p), else :func:`rows_over_h` in the m^2 coordinates
+    of Herm(range(1 - p)), which also hands back its face basis.  The
+    nonzero singular values of both are the sines of the principal angles
+    between U and H, so one cutoff tol_rank * max(1, sigma_max) decides
+    alike on either side.  Exact engine: :func:`supported_on` the
+    complement of p, as primitive integer vectors.
     """
     if p.n != u.ambient_n:
         raise InputError("projection dimension does not match subspace")
     if u.is_exact:
         if not p.is_commutative:
             raise InputError("exact engine needs support-based projections")
-        rows = [[b[x] for b in u.basis] for x in sorted(p.classical_support)]
-        coeff_basis = ela.null_space(rows, ncols=u.dim)
-        funcs = [u.element_from(c) for c in coeff_basis]
+        funcs = supported_on(u, sorted(set(range(p.n)) - p.classical_support))
         return LinearSection(base_projection=p, basis=funcs, dim=len(funcs))
     if u.dim == 0:
         return LinearSection(base_projection=p, basis=[], dim=0)
-    b = p.matrix() if p.is_commutative else p.image_basis
-    stack = np.stack(u.basis)
-    # row k of one product over all of U is v_k b = (b* v_k)*
-    m = (stack.reshape(-1, p.n) @ b).reshape(u.dim, -1).view(float)
-    gamma = nullspace_cols(m.T, tol_rank).real
-    mats = np.tensordot(gamma.T, stack, axes=1)
+    m = p.n - p.rank
+    face = None
+    if u.dim <= m * m:
+        b = np.eye(p.n)[:, sorted(p.classical_support)] if p.is_commutative else p.image_basis
+        gamma = nullspace_cols(rows_over_u(u, b), tol_rank)
+        mats = (gamma.T @ u.stacked.reshape(u.dim, -1)).reshape(-1, p.n, p.n)
+    else:
+        face = nullspace_cols(p.matrix(), tol_rank)
+        y = nullspace_cols(rows_over_h(u, face), tol_rank)
+        mats = face @ herm_from_coords(y.T, face.shape[1]) @ face.conj().T
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    return LinearSection(base_projection=p, basis=list(mats), dim=len(mats))
+    return LinearSection(base_projection=p, basis=mats, dim=len(mats), face=face)
 
 
 def traceless_part(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> OperatorSubspace:

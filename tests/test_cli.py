@@ -148,6 +148,7 @@ class TestCommands:
         report = last_json(out)
         assert report["payload"]["member"] is True
         assert report["payload"]["dim_K"] == 0
+        assert report["margin"] is None       # the exact engine tests no threshold
 
     def test_lattice_three_bits_spec_string(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "bits:N=3", "--k", "2"])
@@ -216,6 +217,9 @@ class TestCommands:
         report = last_json(out)
         assert report["payload"]["dim_K"] == 2
         assert len(report["payload"]["extreme_rays"]) == 2
+        # the facial reduction's closest call, outside the payload
+        assert "margin" not in report["payload"]
+        assert report["margin"] == analyze_cone(m3_p_bottom(), u).margin > 100
 
     def test_determinism_identical_payloads(self, capsys):
         _, out1, _ = run_cli(capsys, ["coatoms", "m3-example", "--samples", "15",

@@ -9,6 +9,8 @@ from groundlattice.linalg import (
     eig_herm,
     frobenius,
     ground_projection,
+    herm_coords,
+    herm_from_coords,
     hermitian_matrix,
     image_intersection,
     kernel_projection,
@@ -293,6 +295,23 @@ class TestNullspaceAndOrthonormalization:
         with pytest.raises(InputError):
             hermitian_matrix(np.zeros((2, 3)))
         assert abs(np.trace(a).imag) == 0.0
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    def test_herm_coordinates_are_an_isometry(self, m):
+        # the coordinates of Herm(m): dot products are trace inner products,
+        # and the inverse gives back the matrices, exactly hermitian
+        rng = np.random.default_rng(7)
+        mats = np.stack([hermitian_matrix(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+                         for _ in range(3)]).reshape(3, m, m)
+        x = herm_coords(mats)
+        assert x.shape == (3, m * m) and x.dtype == np.float64
+        gram = np.array([[np.trace(a @ b).real for b in mats] for a in mats])
+        assert np.abs(x @ x.T - gram).max() <= 1e-12 * max(1.0, np.abs(gram).max())
+        back = herm_from_coords(np.asfortranarray(x), m)
+        assert np.abs(back - mats).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(mats).max(initial=0.0))
+        assert np.array_equal(back, back.conj().transpose(0, 2, 1))
+        units = herm_from_coords(np.eye(m * m), m).reshape(m * m, m * m)
+        assert np.abs(units.conj() @ units.T - np.eye(m * m)).max(initial=0.0) <= 1e-15
 
 
 class TestNonConvergence:

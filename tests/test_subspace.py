@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from groundlattice import exactla as ela
+from groundlattice import jsonio
 from groundlattice.errors import InputError
 from groundlattice.linalg import (
     Projection,
     frobenius,
+    herm_from_coords,
     hermitian_matrix,
     nullspace_cols,
     trace_inner,
@@ -22,6 +24,8 @@ from groundlattice.subspace import (
     from_spanning_set,
     linear_section,
     project_onto,
+    rows_over_h,
+    rows_over_u,
     traceless_part,
 )
 
@@ -98,6 +102,35 @@ def full_section(p, u, tol_rank=1e-9):
     return [u.element_from(g) for g in gamma.T]
 
 
+def image_basis(p):
+    return np.eye(p.n)[:, sorted(p.classical_support)] if p.is_commutative else p.image_basis
+
+
+def both_sides(p, u, tol_rank=1e-9):
+    """The section from the rows over U and from the rows over
+    H = Herm(range(1 - p)), whichever side linear_section would pick."""
+    gamma = nullspace_cols(rows_over_u(u, image_basis(p)), tol_rank)
+    face = nullspace_cols(p.matrix(), tol_rank)
+    y = nullspace_cols(rows_over_h(u, face), tol_rank)
+    return ([u.element_from(g) for g in gamma.T],
+            [face @ m @ face.conj().T for m in herm_from_coords(y.T, face.shape[1])])
+
+
+def compressed_test_space(space, rng):
+    """One of the three spaces of the section tests, and a unitary v that
+    maps it onto itself (local on qubits, the rotation itself on bits)."""
+    if space.startswith("qubits"):
+        n_sites, k = (2, 1) if space == "qubits:N=2:k=1" else (3, 2)
+        u = build_klocal(SiteSystem.qubits(n_sites), k)
+        v = haar_unitary(rng, 2)
+        for _ in range(n_sites - 1):
+            v = np.kron(v, haar_unitary(rng, 2))
+        return u, v
+    v = haar_unitary(rng, 8)
+    return from_spanning_set([v @ m @ v.conj().T for m in build_klocal(SiteSystem.bits(3), 2)
+                              .basis_as_matrices()]), v
+
+
 class TestFromSpanningSet:
     def test_m3_span_has_dim_three_with_identity(self):
         u = m3_subspace()
@@ -132,6 +165,20 @@ class TestFromSpanningSet:
                     assert ela.dot(a, b) == 0
                 else:
                     assert ela.dot(a, b) == u.norms_sq[i] != 0
+
+    @pytest.mark.parametrize("space", ["m3", "qubits:N=2:k=1"])
+    def test_float_perp_is_an_orthonormal_basis_of_the_orthogonal_complement(self, space):
+        u = m3_subspace() if space == "m3" else build_klocal(SiteSystem.qubits(2), 1)
+        round_trip = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
+        assert all(np.array_equal(a, b) for a, b in zip(round_trip.basis, u.basis))
+        for v in (u, traceless_part(u), round_trip):
+            n = v.ambient_n
+            assert len(v.perp) + v.dim == n * n
+            assert np.array_equal(v.perp, v.perp.conj().transpose(0, 2, 1))
+            flat = v.perp.reshape(len(v.perp), -1)
+            assert np.abs(flat.conj() @ flat.T - np.eye(len(flat))).max() <= 1e-12
+            basis = np.stack(v.basis).reshape(v.dim, -1)
+            assert np.abs(flat.conj() @ basis.T).max() <= 1e-12
 
     def test_exact_perp_is_a_basis_of_the_orthogonal_complement(self):
         _, u = three_bit_two_local()
@@ -215,24 +262,14 @@ class TestLinearSection:
     @pytest.mark.parametrize("space", ["qubits:N=2:k=1", "qubits:N=3:k=2",
                                        "rotated bits:N=3:k=2"])
     def test_compressed_rows_give_the_full_section(self, space):
-        # the section is built from the 2 rank(p) n rows of b* u = 0 for the
-        # image basis b of p; it has the dimension and the span of the null
+        # linear_section and both of its sides, the rows over U and over
+        # Herm(range(1 - p)), have the dimension and the span of the null
         # space of the 2 n^2 rows of p u = 0.  At every rank p is in turn the
         # span of rank columns of a unitary v that maps U onto itself (so not
         # every section is {0}), a Haar-random projection, and a support
         # projection (the CLI reads {"support": ...} on either engine)
         rng = np.random.default_rng(31)
-        if space.startswith("qubits"):
-            n_sites, k = (2, 1) if space == "qubits:N=2:k=1" else (3, 2)
-            u = build_klocal(SiteSystem.qubits(n_sites), k)
-            v = haar_unitary(rng, 2)
-            for _ in range(n_sites - 1):
-                v = np.kron(v, haar_unitary(rng, 2))
-        else:
-            v = haar_unitary(rng, 8)
-            u = from_spanning_set([v @ m @ v.conj().T
-                                   for m in build_klocal(SiteSystem.bits(3), 2)
-                                   .basis_as_matrices()])
+        u, v = compressed_test_space(space, rng)
         n = u.ambient_n
         dims = set()
         for rank in range(n + 1):
@@ -240,13 +277,33 @@ class TestLinearSection:
             projections = [Projection.from_columns(n, c) if rank else Projection.zero(n)
                            for c in cols] + [Projection.from_support(n, range(rank))]
             for p in projections:
-                sec = linear_section(p, u)
                 ref = full_section(p, u)
-                assert sec.dim == len(ref), (rank, sec.dim, len(ref))
-                assert np.abs(span_projector(sec.basis, n)
-                              - span_projector(ref, n)).max() <= 1e-10
-                dims.add((rank, sec.dim))
+                for basis in (linear_section(p, u).basis, *both_sides(p, u)):
+                    assert len(basis) == len(ref), (rank, len(basis), len(ref))
+                    assert np.abs(span_projector(basis, n)
+                                  - span_projector(ref, n)).max() <= 1e-10
+                dims.add((rank, len(ref)))
         assert any(rank and dim for rank, dim in dims)
+
+    @pytest.mark.parametrize("tilt", [1e-10, 1e-8, 1e-6])
+    def test_both_sides_see_a_tilted_face_alike(self, tilt):
+        # a rank-5 support face of the rotated bits:N=3:k=2 space has a
+        # 2-dimensional section; tilted by a small unitary it has none, and
+        # the two smallest singular values of both sides are the sines of
+        # the two small principal angles between U and Herm(range(1 - p))
+        rng = np.random.default_rng(32)
+        u, v = compressed_test_space("rotated bits:N=3:k=2", rng)
+        w, vecs = np.linalg.eigh(random_hermitian(rng, 8))
+        turn = vecs @ np.diag(np.exp(1j * tilt * w / np.abs(w).max())) @ vecs.conj().T
+        for support in ([0, 1, 2, 3, 4], [1, 2, 4, 6, 7]):
+            flat = Projection.from_columns(8, v[:, support])
+            assert linear_section(flat, u).dim == 2
+            p = Projection(n=8, image_basis=turn @ v[:, support])
+            face = nullspace_cols(p.matrix())
+            sines = [np.linalg.svd(rows, compute_uv=False)[-2:]
+                     for rows in (rows_over_u(u, p.image_basis), rows_over_h(u, face))]
+            assert 1e-2 * tilt <= sines[0].min() <= sines[0].max() <= tilt
+            assert np.allclose(sines[0], sines[1], rtol=1e-6, atol=1e-15), sines
 
     def test_antitone_in_the_projection(self):
         rng = np.random.default_rng(12)

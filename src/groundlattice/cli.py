@@ -124,19 +124,18 @@ def config_from_args(args) -> RunConfig:
                      samples=args.samples, max_nodes=args.max_nodes)
 
 
-def make_report(args, cfg: RunConfig, payload: dict, started: float, **extra) -> dict:
-    return {
+def make_report(args, cfg: RunConfig, payload: dict, started: float, cone=None) -> dict:
+    report = {
         "command": args.command,
         "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank,
                    "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": args.engine},
         "payload": payload,
-        **extra,
         "timing_s": round(time.perf_counter() - started, 6),
     }
-
-
-def margin_of(desc) -> float | None:
-    return desc.margin if desc.margin is not None and math.isfinite(desc.margin) else None
+    if cone is not None:
+        finite = cone.margin is not None and math.isfinite(cone.margin)
+        report["margin"] = cone.margin if finite else None
+    return report
 
 
 def emit(report: dict, stream=None) -> None:
@@ -162,7 +161,7 @@ def cmd_membership(args) -> int:
         "q_max": jsonio.projection_to_json(qm),
         "dim_K": desc.dim_K,
     }
-    emit(make_report(args, cfg, payload, started, margin=margin_of(desc)))
+    emit(make_report(args, cfg, payload, started, cone=desc))
     return EXIT_OK
 
 
@@ -186,7 +185,7 @@ def cmd_cone(args) -> int:
     if args.rays and desc.dim_K >= 1:
         extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
     payload = jsonio.cone_to_json(desc)
-    emit(make_report(args, cfg, payload, started, margin=margin_of(desc)))
+    emit(make_report(args, cfg, payload, started, cone=desc))
     return EXIT_OK
 
 

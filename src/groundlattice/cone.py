@@ -22,8 +22,8 @@ finds them adjacent.  Only the witness and the unit-trace rays of
 rays as primitive integer vectors.
 
 Float engine: facial reduction.  L(p) is read off U or off U⊥, whichever
-has fewer unknowns (:func:`subspace.linear_section`), and compressed to
-the range of 1 - p.  A log-barrier phase I maximizes the least eigenvalue
+costs less (:func:`subspace.linear_section`), and compressed to the range
+of 1 - p.  A log-barrier phase I maximizes the least eigenvalue
 over its trace-one elements from the minimum-norm one, which ends it at
 once when positive definite.  A positive-definite element is a witness of
 maximal rank, and the section spans K(p); a negative optimum means
@@ -303,7 +303,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     if sec.dim == 0:
         return empty
     stack = sec.basis
-    face = sec.face if sec.face is not None else nullspace_cols(p.matrix(), cfg.tol_rank)
+    face = sec.face if sec.face is not None else p.complement_basis()
     c = face.conj().T @ stack @ face
     coeffs = np.eye(sec.dim)
     margin = np.inf

@@ -249,11 +249,19 @@ class Projection:
         b = self.image_basis
         return b @ b.conj().T
 
+    def complement_basis(self) -> np.ndarray:
+        """Orthonormal basis of the range of 1 - p, n x (n - rank): the unit
+        vectors off the support, or the last columns of a complete QR of the
+        image basis."""
+        if self.is_commutative:
+            off = sorted(set(range(self.n)) - self.classical_support)
+            return np.eye(self.n, dtype=np.complex128)[:, off]
+        return np.linalg.qr(self.image_basis, mode="complete")[0][:, self.rank:]
+
     def complement(self) -> "Projection":
         if self.is_commutative:
             return Projection.from_support(self.n, set(range(self.n)) - self.classical_support)
-        comp = nullspace_cols(self.image_basis.conj().T) if self.rank else np.eye(self.n, dtype=np.complex128)
-        return Projection(n=self.n, image_basis=comp)
+        return Projection(n=self.n, image_basis=self.complement_basis())
 
     # -- comparisons ----------------------------------------------------
     def same_image(self, other: "Projection", tol: float = 1e-7) -> bool:

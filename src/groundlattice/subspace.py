@@ -9,9 +9,9 @@ Two engines share one interface:
   exactly orthogonal (orthonormality would need irrational norms); every
   formula divides by the stored squared norms, so results stay exact.
 
-Both engines store ``perp``, a basis of the orthogonal complement U⊥,
-computed once per subspace.  The section L(p) = U ∩ Herm(range(1 - p))
-is read off U or off U⊥, whichever side has fewer unknowns.
+Both engines give ``perp``, a basis of the orthogonal complement U⊥,
+computed on first use.  The section L(p) = U ∩ Herm(range(1 - p))
+is read off U or off U⊥, whichever side costs less.
 """
 
 from __future__ import annotations
@@ -65,20 +65,30 @@ class OperatorSubspace:
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
     norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
-    # basis of the orthogonal complement U⊥, so that g lies in U exactly
-    # when g is orthogonal to perp: primitive int rows (exact engine), or
-    # trace-orthonormal hermitian matrices stacked in one ndarray (float)
-    perp: list | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # float engine: the basis stacked in one (dim, n, n) ndarray
+    # float engine: the basis stacked in one (dim, n, n) ndarray, of which
+    # the matrices in ``basis`` are views
     stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _perp: list | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.is_exact:
-            self.perp = ela.null_space(self.basis, ncols=self.ambient_n)
-            return
-        n = self.ambient_n
-        self.stacked = np.stack(self.basis) if self.basis else np.zeros((0, n, n), complex)
-        self.perp = herm_from_coords(nullspace_cols(herm_coords(self.stacked)).T, n)
+        if not self.is_exact:
+            n = self.ambient_n
+            self.stacked = np.stack(self.basis) if self.basis else np.zeros((0, n, n), complex)
+            self.basis = list(self.stacked)
+
+    @property
+    def perp(self) -> list | np.ndarray:
+        """Basis of the orthogonal complement U⊥, so that g lies in U exactly
+        when g is orthogonal to it: primitive int rows (exact engine), or
+        trace-orthonormal hermitian matrices stacked in one ndarray (float).
+        Computed on first use and kept."""
+        if self._perp is None:
+            if self.is_exact:
+                self._perp = ela.null_space(self.basis, ncols=self.ambient_n)
+            else:
+                coords = nullspace_cols(herm_coords(self.stacked))
+                self._perp = herm_from_coords(coords.T, self.ambient_n)
+        return self._perp
 
     @property
     def dim(self) -> int:
@@ -208,15 +218,14 @@ def rows_over_u(u: OperatorSubspace, b: np.ndarray) -> np.ndarray:
     """The U side of L(p), one column per basis element u_k of U.
 
     For the orthonormal image basis b of p the part of u outside
-    H = Herm(range(1 - p)) has |u - (1-p) u (1-p)|^2 = |b* u b|^2 +
-    2 |(1-p) u b|^2, so the rows are the Herm coordinates of b* u_k b and
-    sqrt(2) (1-p) u_k b: rank^2 + 2 rank n rows from one product, whose
-    singular values are the sines of the principal angles between U and H.
+    H = Herm(range(1 - p)) is p u + (1-p) u p, with squared norm
+    |u b|^2 + |(1-p) u b|^2, so the rows are the entries of u_k b and of
+    (1-p) u_k b: 4 rank n real rows from one product, whose singular
+    values are the sines of the principal angles between U and H.
     """
     ub = (u.stacked.reshape(-1, u.ambient_n) @ b).reshape(u.dim, u.ambient_n, -1)
-    bub = b.conj().T @ ub
-    off = np.sqrt(2.0) * (ub - b @ bub)
-    return np.concatenate([herm_coords(bub), off.reshape(u.dim, -1).view(float)], axis=1).T
+    off = ub - b @ (b.conj().T @ ub)
+    return np.concatenate([ub, off], axis=1).reshape(u.dim, -1).view(float).T
 
 
 def rows_over_h(u: OperatorSubspace, face: np.ndarray) -> np.ndarray:
@@ -238,10 +247,12 @@ def linear_section(p: Projection, u: OperatorSubspace,
                    tol_rank: float = DEFAULT_TOL) -> LinearSection:
     """Basis of L(p) = {v in U : p v = v p = 0} = U ∩ Herm(range(1 - p)).
 
-    Float engine: the null space of whichever form has fewer unknowns,
-    :func:`rows_over_u` in the dim U coefficients of U when dim U <= m^2
-    for m = n - rank(p), else :func:`rows_over_h` in the m^2 coordinates
-    of Herm(range(1 - p)), which also hands back its face basis.  The
+    Float engine: the null space of one of two forms, :func:`rows_over_u`
+    in the dim U coefficients of U, or :func:`rows_over_h` in the m^2
+    coordinates of Herm(range(1 - p)) for m = n - rank(p), which also
+    hands back its face basis.  The H side is taken when it has fewer
+    unknowns, counting the face as n more unless it is read off a
+    support: the QR that gives it costs about as much.  The
     nonzero singular values of both are the sines of the principal angles
     between U and H, so one cutoff tol_rank * max(1, sigma_max) decides
     alike on either side.  Exact engine: :func:`supported_on` the
@@ -258,12 +269,12 @@ def linear_section(p: Projection, u: OperatorSubspace,
         return LinearSection(base_projection=p, basis=[], dim=0)
     m = p.n - p.rank
     face = None
-    if u.dim <= m * m:
+    if u.dim <= m * m + (0 if p.is_commutative else p.n):
         b = np.eye(p.n)[:, sorted(p.classical_support)] if p.is_commutative else p.image_basis
         gamma = nullspace_cols(rows_over_u(u, b), tol_rank)
         mats = (gamma.T @ u.stacked.reshape(u.dim, -1)).reshape(-1, p.n, p.n)
     else:
-        face = nullspace_cols(p.matrix(), tol_rank)
+        face = p.complement_basis()
         y = nullspace_cols(rows_over_h(u, face), tol_rank)
         mats = face @ herm_from_coords(y.T, face.shape[1]) @ face.conj().T
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))

@@ -155,6 +155,7 @@ class TestCommands:
         assert code == EXIT_OK
         report = last_json(out)
         assert report["payload"]["coatom_count"] == 16
+        assert "margin" not in report      # only the membership and cone reports carry it
 
     def test_lattice_span_id(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "span{id}:n=3", "--samples", "20"])

@@ -288,6 +288,10 @@ class TestNullspaceAndOrthonormalization:
                       kernel_projection(a), ground_projection(a)):
                 check(r)
             assert kernel_projection(a).rank == 2 and ground_projection(a).rank == 2
+            assert np.abs(p.matrix() + p.complement().matrix() - np.eye(n)).max() <= 1e-12
+        # the range of 1 - p for a support is read off the unit vectors
+        face = Projection.from_support(n, {1, 3}).complement_basis()
+        assert np.array_equal(face, np.eye(n)[:, [0, 2, 4]])
 
     def test_hermitian_matrix_constructor(self):
         a = hermitian_matrix([[1, 2 + 1j], [2 - 1j, 3]])

@@ -180,6 +180,21 @@ class TestFromSpanningSet:
             basis = np.stack(v.basis).reshape(v.dim, -1)
             assert np.abs(flat.conj() @ basis.T).max() <= 1e-12
 
+    def test_float_perp_is_built_on_first_use_only(self):
+        # perp is an SVD over all n^2 coordinates of Herm(n) and n^2 - dim U
+        # dense matrices: building a subspace, its traceless part, a
+        # verbatim copy, or a section read off U does not pay for it
+        u = build_klocal(SiteSystem.qubits(5), 2)
+        copy = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
+        for v in (u, traceless_part(u), copy):
+            assert v._perp is None
+        assert all(b.base is u.stacked for b in u.basis)     # one copy of the basis
+        pure = Projection.from_columns(32, np.eye(32)[:, :1])
+        assert linear_section(pure, u).face is None and u._perp is None
+        small = build_klocal(SiteSystem.qubits(3), 2)
+        sec = linear_section(Projection.from_columns(8, np.eye(8)[:, :7]), small)
+        assert sec.face is not None and small.perp is small._perp is not None
+
     def test_exact_perp_is_a_basis_of_the_orthogonal_complement(self):
         _, u = three_bit_two_local()
         for v in (u, traceless_part(u)):

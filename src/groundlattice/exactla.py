@@ -161,22 +161,25 @@ def in_span(basis: Mat, v: Vec) -> bool:
     return solve([list(col) for col in zip(*basis)], v) is not None
 
 
-def orthogonalize(vectors: Mat) -> Mat:
-    """Gram-Schmidt without normalization: exact pairwise-orthogonal basis.
+def orthogonalize(vectors: Mat) -> tuple[Mat, list[Fraction]]:
+    """Gram-Schmidt without normalization (norms stay rational only as
+    squares): an exact pairwise-orthogonal basis and its squared norms.
 
-    Dependent inputs are dropped.  Norms stay rational only as squares, so
-    the output is orthogonal, not orthonormal.
+    Each coefficient <b, w> / <b, b> is computed once, and a zero one
+    leaves w as it is, so orthogonal inputs come back verbatim.  Dependent
+    inputs are dropped.
     """
-    basis: Mat = []
+    basis, norms_sq = [], []
     for v in vectors:
         w = list(v)
-        for b in basis:
-            nb = dot(b, b)
-            if nb != 0:
-                w = [x - dot(b, w) / nb * y for x, y in zip(w, b)]
-        if any(x != 0 for x in w):
+        for b, nb in zip(basis, norms_sq):
+            c = dot(b, w) / nb
+            if c:
+                w = [x - c * y for x, y in zip(w, b)]
+        if any(w):
             basis.append(w)
-    return basis
+            norms_sq.append(dot(w, w))
+    return basis, norms_sq
 
 
 class SimplexStatus:

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .errors import InputError, UnsupportedConfigurationError
 from .lattice import GroundLattice, close_to_lattice
 from .linalg import Projection
-from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
+from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace
 
 
 @dataclass(frozen=True)
@@ -118,29 +118,27 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     """The subspace of k-local Hamiltonians on the system.
 
     For every site subset of size 1..k, traceless single-site basis
-    elements are tensored together and padded with identity; together with
-    the identity these are pairwise orthogonal, so normalization alone
-    yields an orthonormal (float) or exactly orthogonal (exact) basis.
+    elements are tensored together and padded with identity.  With the
+    identity, which comes first, these are pairwise orthogonal, so no
+    Gram-Schmidt runs: the float engine normalizes them, and the exact
+    engine keeps the integer-valued vectors as built, with one dot each
+    for their squared norms.
     """
     if not 1 <= k <= sys.n_sites:
         raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
     n_sites = sys.n_sites
     if sys.is_exact:
         site_basis = {i: _site_sumzero_rational(sys.dims[i]) for i in range(n_sites)}
+        configs = sys.configurations()
         vectors = [[Fraction(1)] * sys.total_dim]
         for ell in range(1, k + 1):
             for nu in combinations(range(n_sites), ell):
                 for choice in product(*(site_basis[i] for i in nu)):
-                    vec = []
-                    for x in sys.configurations():
-                        val = Fraction(1)
-                        for pos, site in enumerate(nu):
-                            val *= choice[pos][x[site]]
-                        vec.append(val)
-                    vectors.append(vec)
-        u = from_spanning_set(vectors, engine=ENGINE_EXACT, config_dims=sys.dims)
-        u.site_structure = (n_sites, tuple(sys.dims))
-        return u
+                    vectors.append([prod((f[x[s]] for f, s in zip(choice, nu)), start=Fraction(1))
+                                    for x in configs])
+        return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_EXACT, basis=vectors,
+                                contains_identity=True, norms_sq=[ela.dot(v, v) for v in vectors],
+                                site_structure=(n_sites, tuple(sys.dims)))
 
     site_basis_f = {i: _site_traceless_hermitian(sys.dims[i]) for i in range(n_sites)}
     mats = [np.eye(sys.total_dim, dtype=complex)]

@@ -180,9 +180,9 @@ def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
                     f"config_dims {tuple(config_dims)} give {total} configurations, "
                     f"but vectors have length {n}", field="config_dims")
         vectors = [ela.fvec(v) for v in items]
-        basis = ela.orthogonalize(vectors)
-        norms_sq = [ela.dot(b, b) for b in basis]
-        has_id = ela.in_span(basis, [Fraction(1)] * n)
+        basis, norms_sq = ela.orthogonalize(vectors)
+        # Parseval: 1 is in the span exactly when its projection has norm² n
+        has_id = sum(sum(b) ** 2 / ns for b, ns in zip(basis, norms_sq)) == n
         site = (len(config_dims), tuple(config_dims)) if config_dims else None
         return OperatorSubspace(ambient_n=n, engine=engine, basis=basis,
                                 contains_identity=has_id, norms_sq=norms_sq,
@@ -287,10 +287,9 @@ def traceless_part(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> Operat
         row = [sum(b, Fraction(0)) for b in u.basis]
         coeffs = ela.null_space([row], ncols=u.dim)
         funcs = [u.element_from(c) for c in coeffs]
-        basis = ela.orthogonalize(funcs)
+        basis, norms_sq = ela.orthogonalize(funcs)
         return OperatorSubspace(ambient_n=u.ambient_n, engine=u.engine, basis=basis,
-                                contains_identity=False,
-                                norms_sq=[ela.dot(b, b) for b in basis],
+                                contains_identity=False, norms_sq=norms_sq,
                                 site_structure=u.site_structure)
     if u.dim == 0:
         return OperatorSubspace(ambient_n=u.ambient_n, engine=u.engine, basis=[],

@@ -71,13 +71,56 @@ def test_orthogonalize_gives_orthogonal_spanning_set():
     rng = np.random.default_rng(3)
     for _ in range(20):
         vecs = random_rational_matrix(rng, 5, 4)
-        basis = ela.orthogonalize(vecs)
+        basis, _ = ela.orthogonalize(vecs)
         assert len(basis) == ela.rank(vecs)
         for i in range(len(basis)):
             for j in range(i):
                 assert ela.dot(basis[i], basis[j]) == 0
         for v in vecs:
             assert ela.in_span(basis, v)
+
+
+def reference_gram_schmidt(vectors):
+    """Classical Gram-Schmidt from the textbook: every coefficient
+    <b, v> / <b, b> is recomputed from scratch against the input vector v
+    (in exact arithmetic this equals the running-vector form)."""
+    basis = []
+    for v in vectors:
+        w = list(v)
+        for b in basis:
+            coeff = sum(x * y for x, y in zip(b, v)) / sum(x * x for x in b)
+            w = [wi - coeff * bi for wi, bi in zip(w, b)]
+        if any(x != 0 for x in w):
+            basis.append(w)
+    return basis
+
+
+def random_span_inputs(rng, rows, cols):
+    """Random rational vectors with dependent and zero vectors among them."""
+    vecs = random_rational_matrix(rng, rows, cols)
+    for _ in range(2):
+        a, b = (vecs[int(i)] for i in rng.integers(0, len(vecs), size=2))
+        c = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        vecs.insert(int(rng.integers(0, len(vecs) + 1)), [x + c * y for x, y in zip(a, b)])
+    vecs.insert(int(rng.integers(0, len(vecs) + 1)), ela.zeros(cols))
+    return vecs
+
+
+def test_orthogonalize_matches_reference_gram_schmidt():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        vecs = random_span_inputs(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)))
+        basis, norms_sq = ela.orthogonalize(vecs)
+        assert basis == reference_gram_schmidt(vecs)        # entry for entry
+        assert norms_sq == [ela.dot(b, b) for b in basis]
+        assert len(basis) == ela.rank(vecs)
+
+
+def test_orthogonalize_passes_orthogonal_inputs_verbatim():
+    vecs = [ela.fvec([1, 1, 1, 1]), ela.fvec([1, -1, 1, -1]), ela.fvec([1, 1, -1, -1])]
+    basis, norms_sq = ela.orthogonalize(vecs)
+    assert all(all(x is y for x, y in zip(b, v)) for b, v in zip(basis, vecs))
+    assert norms_sq == [4, 4, 4]
 
 
 def test_frac_rejects_floats():

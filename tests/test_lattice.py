@@ -42,7 +42,12 @@ from groundlattice.linalg import (
     image_intersection,
     loewner_leq,
 )
-from groundlattice.manybody import SiteSystem, build_klocal
+from groundlattice.manybody import (
+    SiteSystem,
+    affine_dimension,
+    build_klocal,
+    marginal_polytope_vertices,
+)
 from groundlattice.subspace import from_spanning_set
 
 
@@ -487,6 +492,25 @@ class TestBuildLattice:
         plus, minus = parity_classes()
         missing = [s for s in four_sets if s not in duals]
         assert sorted(map(sorted, missing)) == sorted(map(sorted, [plus, minus]))
+
+    def test_three_bit_lattice_is_the_face_lattice_of_the_marginal_polytope(self):
+        # the node with support S is the face conv{m(x) : x in S} of the
+        # marginal polytope; its dimension comes from affine_dimension of
+        # the marginal vectors, with no cone code, and a member has
+        # dim K(p) + dim F(p) = dim U - 1 by rank-nullity
+        sys = SiteSystem.bits(3)
+        u = build_klocal(sys, 2)
+        verts = marginal_polytope_vertices(sys, 2)
+        lat = build_lattice(u)
+        assert lat.node_count == 226
+        f_vector = [0] * u.dim
+        for p in lat.nodes:
+            face_dim = affine_dimension([verts[x] for x in sorted(p.classical_support)])
+            assert analyze_cone(p, u).dim_K + face_dim == u.dim - 1
+            if face_dim >= 0:
+                f_vector[face_dim] += 1
+        assert f_vector == [8, 28, 56, 68, 48, 16, 1]
+        assert sum((-1) ** i * f for i, f in enumerate(f_vector)) == 1   # Euler-Poincare
 
     def test_m3_lattice_with_fixture_coatoms(self):
         u = m3_subspace()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groundlattice import exactla as ela
+from groundlattice import jsonio
 from groundlattice.errors import InputError, UnsupportedConfigurationError
 from groundlattice.fixtures import parity_classes, parity_vector, three_bit_two_local
 from groundlattice.lattice import build_lattice
@@ -24,7 +25,7 @@ from groundlattice.manybody import (
     partial_trace,
     truncation_rows,
 )
-from groundlattice.subspace import project_onto
+from groundlattice.subspace import ENGINE_EXACT, from_spanning_set, project_onto
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -69,6 +70,22 @@ class TestBuildKlocal:
                 trits = build_klocal(SiteSystem(dims=(3,) * n_sites, engine="exact-commutative"), k)
                 expected = 1 + sum(comb(n_sites, ell) * 2 ** ell for ell in range(1, k + 1))
                 assert trits.dim == expected
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2, 3), (2, 3)])
+    def test_exact_basis_is_the_gram_schmidt_basis(self, dims):
+        # the product vectors are kept as built; Gram-Schmidt over the same
+        # vectors must hand them back unchanged, with the same norms and flags
+        sys = SiteSystem(dims=dims, engine=ENGINE_EXACT)
+        for k in range(1, len(dims) + 1):
+            u = build_klocal(sys, k)
+            ref = from_spanning_set(u.basis, engine=ENGINE_EXACT, config_dims=dims)
+            assert u.basis == ref.basis
+            assert u.norms_sq == ref.norms_sq
+            assert u.contains_identity is ref.contains_identity is True
+            assert u.site_structure == ref.site_structure == (len(dims), dims)
+            copy = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
+            assert (copy.basis, copy.norms_sq, copy.site_structure) == (
+                u.basis, u.norms_sq, u.site_structure)
 
     def test_k_out_of_range(self):
         with pytest.raises(InputError):

@@ -155,6 +155,24 @@ class TestFromSpanningSet:
         with pytest.raises(InputError):
             from_spanning_set([SX, np.eye(3, dtype=complex)])
 
+    def test_exact_identity_test_agrees_with_in_span(self):
+        # contains_identity is read off the orthogonal basis by Parseval;
+        # the Fraction rref of ela.in_span is the reference
+        rng = np.random.default_rng(29)
+        seen = set()
+        for trial in range(60):
+            n, rows = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            vecs = [[Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5))) for _ in range(n)]
+                    for _ in range(rows)]
+            if trial % 2:   # the all-ones vector, as such or hidden in a combination
+                c = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+                vecs.append([1 + c * x for x in vecs[0]])
+            u = from_spanning_set(vecs, engine=ENGINE_EXACT)
+            assert u.contains_identity == ela.in_span(u.basis, [Fraction(1)] * n)
+            assert u.contains_identity == ela.in_span(vecs, [Fraction(1)] * n)
+            seen.add(u.contains_identity)
+        assert seen == {True, False}
+
     def test_exact_engine_gram_is_diagonal(self):
         _, u = three_bit_two_local()
         assert u.dim == 7

@@ -13,7 +13,6 @@ import numpy as np
 
 from groundlattice import RunConfig, SiteSystem, build_klocal, eig_herm, ground_projection
 from groundlattice.cone import analyze_cone
-from groundlattice.lattice import q_max_from_descriptor
 from groundlattice.manybody import embed_on_sites
 
 sys3 = SiteSystem.qubits(3)
@@ -45,8 +44,7 @@ print(f"\nswap-sum Hamiltonian: ground energy {dec.ground_energy:.1f}, "
 cfg = RunConfig(seed=0)
 p_sym = ground_projection(h)
 desc = analyze_cone(p_sym, u, cfg)
-member = q_max_from_descriptor(desc, u, cfg).same_image(p_sym, tol=1e-6)
-print(f"symmetric-subspace projection: member = {member}, dim K = {desc.dim_K} "
+print(f"symmetric-subspace projection: member = {desc.member}, dim K = {desc.dim_K} "
       f"(> 1, so it is not a coatom; it is a meet of {desc.dim_K} coatoms)")
 
 # 3. directed search for multiplicity seven: minimize the spread of the

@@ -2,7 +2,8 @@
 
 Everything here is exact rational arithmetic: the subspace U_(2) of
 functions on {0,1}^3 spanned by at-most-2-local terms, its 16 coatoms,
-the membership strata, and the dual-lattice counts.
+the membership strata, the dual-lattice counts, and the f-vector of the
+marginal polytope whose face lattice the ground lattice is.
 """
 
 from itertools import combinations
@@ -12,9 +13,11 @@ from groundlattice.fixtures import (
     bipartite_edges,
     parity_classes,
     three_bit_configurations,
+    three_bit_system,
     three_bit_two_local,
 )
 from groundlattice.jsonio import lattice_to_dot
+from groundlattice.manybody import affine_dimension, marginal_polytope_vertices
 
 u = three_bit_two_local()
 print(f"dim U_(2) = {u.dim} over {u.ambient_n} configurations")
@@ -51,6 +54,20 @@ for size in range(9):
 lattice = build_lattice(u)
 print(f"\nlattice: {lattice.node_count} nodes, {len(lattice.hasse_edges)} covers, "
       f"{len(lattice.coatoms)} coatoms, completeness={lattice.completeness_flag}")
+
+# The lattice is the face lattice of the marginal polytope: the node with
+# support S is the face conv{m(x) : x in S}.  Face dimensions come from the
+# marginal vectors alone, so the count is independent of the cone code.
+verts = marginal_polytope_vertices(three_bit_system(), 2)
+f_vector = [0] * u.dim                  # faces of dimension 0 .. dim U - 1
+for p in lattice.nodes:
+    face_dim = affine_dimension([verts[x] for x in sorted(p.classical_support)])
+    if face_dim >= 0:                   # the zero projection is the empty face
+        f_vector[face_dim] += 1
+euler = sum((-1) ** i * f for i, f in enumerate(f_vector))
+print(f"f-vector of the marginal polytope: {tuple(f_vector)}")
+print(f"Euler-Poincare: sum (-1)^i f_i = {euler} (1 for a polytope, itself included)")
+assert tuple(f_vector) == (8, 28, 56, 68, 48, 16, 1) and euler == 1
 
 dot = lattice_to_dot(lattice)
 print(f"DOT export: {len(dot.splitlines())} lines (pipe to `dot -Tsvg` to draw)")

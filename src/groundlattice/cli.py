@@ -157,7 +157,7 @@ def cmd_membership(args) -> int:
     desc = analyze_cone(p, u, cfg)
     qm = q_max_from_descriptor(desc, u, cfg)
     payload = {
-        "member": bool(qm.same_image(p)),
+        "member": desc.member,
         "q_max": jsonio.projection_to_json(qm),
         "dim_K": desc.dim_K,
     }

@@ -72,6 +72,10 @@ class ConeDescriptor:
     base_projection: Projection
     dim_K: int
     is_ray: bool
+    # rank of q_max(p), the kernel of a maximal witness: n - |maximal support|
+    # (exact), n - rank of the final face (float, at tol_rank <= PSD_TOL), n
+    # when K(p) = {0}
+    q_max_rank: int
     interior_witness: object | None = None        # ndarray or Fraction vector
     extreme_ray_generators: list | None = None
     engine: str = "float-hermitian"
@@ -81,6 +85,11 @@ class ConeDescriptor:
     # its threshold (|t*| / tolerance, lambda_min(X0) / tolerance <= that when
     # phase I accepts its start, or the eigenvalue gap at a face split)
     margin: float | None = None
+
+    @property
+    def member(self) -> bool:
+        """p = q_max(p), read as rank q_max(p) = rank p: p <= q_max(p) always."""
+        return self.q_max_rank == self.base_projection.rank
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +108,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
-    trivial = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False,
+    trivial = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False, q_max_rank=n,
                              engine=u.engine, witness_support=frozenset())
     rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
 
@@ -131,8 +140,8 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
 
     span = supported_on(u, support)     # span K(p): the elements of U zero off the support
     dim_k = len(span)
-    return ConeDescriptor(base_projection=p, dim_K=dim_k,
-                          is_ray=dim_k == 1, interior_witness=witness,
+    return ConeDescriptor(base_projection=p, dim_K=dim_k, is_ray=dim_k == 1,
+                          q_max_rank=n - len(support), interior_witness=witness,
                           engine=u.engine, span_basis=span,
                           witness_support=frozenset(support))
 
@@ -214,7 +223,7 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
     point, where t* lies in [t, t + mu r].  Returns the status
     ("interior": t > tol; "empty": K = {0}; "face": |t*| <= tol), the
     decided value (t, or the dual bound t + mu r), the coefficients of X
-    in ``c``, and the eigenpairs of X - tI.
+    in ``c``, and the eigenpairs of X - tI, or of X when "interior".
     """
     r = c.shape[1]
     a = np.einsum("kii->k", c).real
@@ -257,7 +266,7 @@ def _phase_one(c: np.ndarray, tol_rank: float, tol: float) -> tuple:
             continue
         t, x = float(w[-1]), x0 + null @ w[:-1]
         if t > tol:
-            return "interior", t, x, s, vecs
+            return "interior", t, x, s + t, vecs
         if t + mu * r < -tol:
             return "empty", t + mu * r, x, s, vecs
         if mu * r <= MU_FACE:
@@ -298,7 +307,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     sqrt(s_low / s_high), the PSD bound on that tilt.
     """
     sec = linear_section(p, u, cfg.tol_rank)
-    empty = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False,
+    empty = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False, q_max_rank=p.n,
                            engine=u.engine, margin=np.inf)
     if sec.dim == 0:
         return empty
@@ -318,9 +327,14 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             return replace(empty, margin=min(margin, -t / tol))
         if status == "interior":
             dim_k = coeffs.shape[1]
+            # X > 0 on a face inside range(1 - p): the witness's kernel, as
+            # kernel_projection reads it, is the complement of the face plus
+            # the eigenvalues of X / tr X at most tol_rank (none unless
+            # tol_rank > PSD_TOL)
             witness = face @ np.tensordot(x, c, axes=1) @ face.conj().T
             return ConeDescriptor(
                 base_projection=p, dim_K=dim_k, is_ray=dim_k == 1,
+                q_max_rank=p.n - int(np.sum(s > cfg.tol_rank * s.sum())),
                 interior_witness=_unit_trace_float(witness),
                 engine=u.engine, span_basis=list(np.tensordot(coeffs.T, stack, axes=1)),
                 margin=min(margin, t / tol))

@@ -17,12 +17,7 @@ import numpy as np
 
 from .config import RunConfig
 from .cone import analyze_cone, extreme_rays
-from .lattice import (
-    CANON_TOL,
-    coatom_decomposition,
-    enumerate_coatoms,
-    q_max_from_descriptor,
-)
+from .lattice import coatom_decomposition, enumerate_coatoms
 from .linalg import Projection, frobenius, image_intersection
 from .manybody import (
     SiteSystem,
@@ -160,7 +155,7 @@ def check_m3(cfg: RunConfig) -> list[Check]:
     p_plus, p_minus = m3_known_coatoms()
     for name, p in (("p_plus", p_plus), ("p_minus", p_minus)):
         d = analyze_cone(p, u, cfg)
-        ok = d.dim_K == 1 and q_max_from_descriptor(d, u, cfg).same_image(p)
+        ok = d.dim_K == 1 and d.member
         checks.append((f"{name} is a coatom with a ray cone", ok, f"dim_K={d.dim_K}"))
     parts = coatom_decomposition(bottom, u, cfg)
     ok = len(parts) == 2 and all(
@@ -192,7 +187,7 @@ def check_3bit(cfg: RunConfig) -> list[Check]:
     for support in _subsets(8, range(9)):
         p = Projection.from_support(8, support)
         desc = analyze_cone(p, u, cfg)
-        if q_max_from_descriptor(desc, u, cfg).same_image(p, tol=CANON_TOL):
+        if desc.member:
             members.add(support)
             if desc.dim_K == 1:
                 ray_members.add(support)

@@ -1,15 +1,21 @@
 """The lattice of ground projections of an operator subspace.
 
 Membership is decided by the greatest-projection characterization: the
-projections q with K(q) = K(p) have a greatest element q_max(p), computed
-as the kernel of a relative-interior witness of K(p), and p belongs to the
-lattice exactly when p = q_max(p).  Coatoms are the members whose cone is
-a ray; they are read off as the kernels of the extreme rays of
+projections q with K(q) = K(p) have a greatest element q_max(p), the
+kernel of a relative-interior witness of K(p), and p belongs to the
+lattice exactly when p = q_max(p).  Since p <= q_max(p) always, that is
+the rank equality rank q_max(p) = rank p, read off the cone analysis
+(:attr:`ConeDescriptor.member`) with no eigendecomposition of the witness
+and no principal-angle test.  Coatoms are the members whose cone is a
+ray; they are read off as the kernels of the extreme rays of
 K(0) = U ∩ PSD, all of them in the exact engine and those that face
 descents reach in the float engine.  The lattice is built from the top
 down: every node is the intersection of the coatoms above it, keyed by
 their bitmask (its intent), and Lindig's neighbour test picks its lower
-covers among its meets with one more coatom.  Exact nodes are supports.
+covers among its meets with one more coatom.  Exact nodes are supports;
+float nodes are image bases B, whose meet with a coatom Q is
+B null((1 - Q) B) (:func:`linalg.meet_basis`) and whose intent comes from
+one product with the stacked complements 1 - Q of all coatoms.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from . import exactla as ela
 from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, integer_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import Projection, image_intersection, kernel_projection, loewner_leq, range_cols
+from .linalg import Projection, image_intersection, kernel_projection, meet_basis, range_cols
 from .subspace import OperatorSubspace
 
 #: principal-angle tolerance for canonical projection equality (float engine)
@@ -68,19 +74,24 @@ def q_max(p: Projection, u: OperatorSubspace, cfg: RunConfig | None = None) -> P
 
 def is_ground_projection(p: Projection, u: OperatorSubspace,
                          cfg: RunConfig | None = None) -> bool:
-    """Membership in the ground-projection lattice: p equals q_max(p)."""
+    """Membership in the ground-projection lattice: p equals q_max(p).
+
+    As p <= q_max(p), this is rank q_max(p) = rank p, compared as integers
+    (:attr:`ConeDescriptor.member`); with K(p) = {0}, q_max(p) = id and p
+    is a member exactly when rank p = n.
+    """
     cfg = cfg or RunConfig()
-    return q_max(p, u, cfg).same_image(p, tol=CANON_TOL)
+    _require_identity(u)
+    return analyze_cone(p, u, cfg).member
 
 
 def is_coatom(p: Projection, u: OperatorSubspace, cfg: RunConfig | None = None) -> bool:
-    """Maximal proper lattice element test: member with a ray cone."""
+    """Maximal proper lattice element test: a member (by the rank rule of
+    :func:`is_ground_projection`) whose cone is a ray."""
     cfg = cfg or RunConfig()
     _require_identity(u)
     desc = analyze_cone(p, u, cfg)
-    if desc.dim_K != 1:
-        return False
-    return q_max_from_descriptor(desc, u, cfg).same_image(p, tol=CANON_TOL)
+    return desc.dim_K == 1 and desc.member
 
 
 def coatom_decomposition(p: Projection, u: OperatorSubspace,
@@ -99,8 +110,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     if p.rank == 0:
         raise PreconditionError("the zero projection has no finite coatom decomposition")
     desc = analyze_cone(p, u, cfg)
-    member = q_max_from_descriptor(desc, u, cfg).same_image(p, tol=CANON_TOL)
-    if not member:
+    if not desc.member:
         raise PreconditionError("p is not a ground projection of U")
     if desc.dim_K == 0:
         return []  # p = id: the infimum of no coatoms
@@ -260,7 +270,9 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     is a lower cover when B - A - c misses ``mins`` (at first the complement
     of A), else c leaves ``mins``.  Exact nodes are support bitmasks, and an
     intent is the AND of ``cont[x]`` (the coatoms holding x) over the points
-    x.  Zero goes below a nonzero meet of all coatoms.  Duplicates give one node.
+    x.  Float nodes are image bases, met by :func:`linalg.meet_basis`, and an
+    intent tests every coatom in one product with the stacked 1 - Q.  Zero
+    goes below a nonzero meet of all coatoms.  Duplicates give one node.
 
     Raises :class:`NodeBudgetError` when the node count exceeds
     cfg.max_nodes; its partial lattice holds the first cfg.max_nodes nodes
@@ -269,25 +281,31 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     """
     cfg = cfg or RunConfig()
     exact, n, full = u.is_exact, u.ambient_n, (1 << len(coatoms)) - 1
-    top = u.identity_projection()
     if exact:
         masks = [sum(1 << x for x in q.classical_support) for q in coatoms]
         cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
         intent = cache(lambda s: reduce(int.__and__,
                                         [cont[x] for x in range(n) if s >> x & 1], full))
-    top_intent = sum(1 << j for j, q in enumerate(coatoms) if loewner_leq(top, q, CANON_TOL))
-    nodes = {top_intent: (1 << n) - 1 if exact else top}
+        top = (1 << n) - 1
+    else:
+        comp = np.eye(n) - np.array([q.matrix() for q in coatoms]).reshape(-1, n, n)
+
+        def intent(b: np.ndarray) -> int:
+            # loewner_leq against every coatom at once; its rank guard never
+            # decides for orthonormal columns, as sum |Q v_i|^2 <= rank Q
+            ok = np.all(np.linalg.norm(comp @ b, axis=1) <= CANON_TOL, axis=1)
+            return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+
+        top = np.eye(n, dtype=complex)
+    top_intent = intent(top)
+    nodes = {top_intent: top}
     covers, queue = [], deque([top_intent])   # covers: (child intent, parent intent)
     while queue and len(nodes) <= cfg.max_nodes:
         a = queue.popleft()
         node, mins, lower = nodes[a], full & ~a, {}
         for c in [c for c in range(len(coatoms)) if not a >> c & 1][::-1]:
-            if exact:
-                m, b = node & masks[c], intent(node & masks[c])
-            else:
-                m = image_intersection(node, coatoms[c], cfg.tol_rank)
-                b = a | sum(1 << j for j, q in enumerate(coatoms)
-                            if not a >> j & 1 and loewner_leq(m, q, CANON_TOL))
+            m = node & masks[c] if exact else meet_basis(node, comp[c], cfg.tol_rank)
+            b = a | intent(m)
             if b & ~a & ~(1 << c) & mins:
                 mins &= ~(1 << c)
             else:
@@ -299,9 +317,8 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
             if b not in nodes:
                 nodes[b] = lower[b]
                 queue.append(b)
-    if exact:
-        nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1))
-                 for key, s in nodes.items()}
+    nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1)) if exact
+             else Projection(n=n, image_basis=s) for key, s in nodes.items()}
     if not queue and nodes[full].rank > 0:
         nodes[None] = u.zero_projection()
         covers.append((None, full))

@@ -306,19 +306,26 @@ def loewner_leq(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(np.linalg.norm(resid, axis=0) <= tol))
 
 
+def meet_basis(b: np.ndarray, comp: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of image(b) ∩ ker(comp), for orthonormal columns b
+    and comp = 1 - q: b times the null space of the n x rank(b) matrix
+    comp @ b, whose singular values are the sines of the principal angles
+    between image(b) and image(q)."""
+    return b @ nullspace_cols(comp @ b, tol_rank)
+
+
 def image_intersection(p: Projection, q: Projection, tol_rank: float = DEFAULT_TOL) -> Projection:
     """Projection whose image is image(p) ∩ image(q).
 
-    Float engine: kernel of the stacked complement actions
-    [(1-p); (1-q)].  Commutative engine: set intersection of supports.
+    Float engine: :func:`meet_basis` of the image basis of p and 1 - q.
+    Commutative engine: set intersection of supports.
     """
     if p.n != q.n:
         raise InputError("projection dimensions differ")
     if p.is_commutative and q.is_commutative:
         return Projection.from_support(p.n, p.classical_support & q.classical_support)
-    n = p.n
-    stacked = np.vstack([np.eye(n) - p.matrix(), np.eye(n) - q.matrix()])
-    return Projection(n=n, image_basis=nullspace_cols(stacked, tol_rank))
+    b = p.matrix()[:, sorted(p.classical_support)] if p.is_commutative else p.image_basis
+    return Projection(n=p.n, image_basis=meet_basis(b, np.eye(p.n) - q.matrix(), tol_rank))
 
 
 def ground_projection(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> Projection:

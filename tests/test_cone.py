@@ -248,7 +248,7 @@ class TestAnalyzeConeFloat:
         w = relative_interior_point(desc)
         assert int(np.sum(np.linalg.eigvalsh(w) > 1e-8)) == 1
         assert frobenius(w - ray) <= cone_mod.MU_FACE ** (0.5 ** (depth - 1))
-        assert kernel_projection(w).rank == n - 1
+        assert kernel_projection(w).rank == desc.q_max_rank == n - 1
 
 
 class TestPhaseOne:

@@ -33,6 +33,7 @@ from groundlattice.lattice import (
     is_coatom,
     is_ground_projection,
     q_max,
+    q_max_from_descriptor,
 )
 from groundlattice.linalg import (
     Projection,
@@ -450,6 +451,123 @@ class TestEnumerateCoatoms:
         lat = close_to_lattice(u, coatoms, "sampled", cfg)
         assert lat.node_count == 2 + a + b + a * b
         assert len(lat.coatoms) == a + b
+
+
+class TestRankRule:
+    """Membership as rank q_max(p) = rank p (``ConeDescriptor.member``)
+    against the rule it replaced: the kernel of the witness compared with p
+    by principal angles at CANON_TOL."""
+
+    @staticmethod
+    def check(p, u, cfg=None):
+        cfg = cfg or RunConfig()
+        desc = analyze_cone(p, u, cfg)
+        qm = q_max_from_descriptor(desc, u, cfg)
+        by_angles = qm.same_image(p, tol=CANON_TOL)
+        assert qm.rank == desc.q_max_rank >= p.rank
+        assert desc.member == by_angles
+        assert is_ground_projection(p, u, cfg) == by_angles
+        assert is_coatom(p, u, cfg) == (by_angles and desc.dim_K == 1)
+        return by_angles
+
+    def test_every_support_of_rotated_three_bit_spaces(self):
+        exact = three_bit_two_local()
+        for seed in (21, 22, 23):
+            v = haar_unitary(np.random.default_rng(seed), 8)
+            u = rotated_space(exact, v)
+            members = sum(self.check(Projection.from_columns(8, v[:, [x for x in range(8)
+                                                                      if mask >> x & 1]]), u)
+                          for mask in range(256))
+            assert members == 226
+
+    def test_every_support_of_exact_three_bit_space(self):
+        u = three_bit_two_local()
+        members = sum(self.check(Projection.from_support(8, [x for x in range(8) if mask >> x & 1]),
+                                 u) for mask in range(256))
+        assert members == 226
+
+    def test_m3_fixture(self):
+        u = m3_subspace()
+        rng = np.random.default_rng(5)
+        known = [m3_p_bottom(), *m3_known_coatoms(), Projection.zero(3), Projection.identity(3)]
+        answers = [self.check(p, u) for p in known]
+        assert answers == [True] * len(known)
+        for _ in range(20):
+            self.check(random_projection(rng, 3), u)
+
+    def test_qubit_ground_spaces_and_pure_state_complements(self):
+        u = build_klocal(SiteSystem.qubits(3), 2)
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            h = u.element_from(rng.normal(size=u.dim))
+            assert self.check(ground_projection(hermitian_matrix(h)), u)
+        for _ in range(6):
+            psi = rng.normal(size=(8, 1)) + 1j * rng.normal(size=(8, 1))
+            p = Projection.from_columns(8, psi).complement()
+            assert not self.check(p, u)
+            assert analyze_cone(p, u).q_max_rank == 8
+
+    def test_loose_rank_cutoff_reads_the_witness_kernel(self):
+        # K(e3) is the ray of diag(1, 1e-7, 0): a positive-definite witness
+        # on its face, whose second eigenvalue a tol_rank of 1e-6 reads as
+        # kernel, so q_max(e3) has rank 2 there and e3 is not a member
+        u = from_spanning_set([np.eye(3, dtype=complex),
+                               np.diag([0.0, 1e-7 - 1.0, -1.0]).astype(complex)])
+        p = Projection.from_columns(3, np.eye(3, dtype=complex)[:, [2]])
+        for tol_rank, member in ((1e-9, True), (1e-6, False)):
+            cfg = RunConfig(tol_rank=tol_rank)
+            assert self.check(p, u, cfg) == member
+            assert analyze_cone(p, u, cfg).q_max_rank == (1 if member else 2)
+
+
+class TestImageBasisClosure:
+    """The float closure meets image bases with the stacked complements of
+    the coatoms; these pin it to the counts of the principal-angle
+    closure it replaced."""
+
+    def test_rotated_cube_closes_to_its_faces(self):
+        # bits:N=3:k=1 is the cube: its 6 facets close to the 27 nonempty
+        # faces and the empty one, with the face covers
+        exact = build_klocal(three_bit_system(), 1)
+        reference = build_lattice(exact)
+        v = haar_unitary(np.random.default_rng(4), 8)
+        facets = [Projection.from_columns(8, v[:, sorted(reference.nodes[i].classical_support)])
+                  for i in reference.coatoms]
+        lat = close_to_lattice(rotated_space(exact, v), facets, "complete")
+        nodes = [rotated_support(p, v) for p in lat.nodes]
+        assert len(facets) == 6 and None not in nodes
+        assert len(nodes) == reference.node_count == 28
+        assert sorted(nodes, key=sorted) == sorted(
+            (p.classical_support for p in reference.nodes), key=sorted)
+        assert lattice_covers(lat, lambda p: rotated_support(p, v)) == \
+            lattice_covers(reference, lambda p: p.classical_support)
+        assert {nodes[i] for i in lat.coatoms} == \
+            {reference.nodes[i].classical_support for i in reference.coatoms}
+        # opposite facets meet in rank 0, which is the bottom: no zero added below it
+        assert [p.rank for p in lat.nodes].count(0) == 1
+        # loewner_leq one coatom at a time, the reference for the batched
+        # intent: the facets above each node are those holding its face
+        for p, face in zip(lat.nodes, nodes):
+            above = {nodes[i] for i in lat.coatoms if loewner_leq(p, lat.nodes[i], CANON_TOL)}
+            assert above == {nodes[i] for i in lat.coatoms if face <= nodes[i]}
+
+    def test_seeded_m3_lattice_counts(self):
+        # the principal-angle closure gave the same counts
+        u = m3_subspace()
+        for seed, counts in ((0, (36, 67, 33)), (3, (44, 83, 41))):
+            lat = build_lattice(u, RunConfig(samples=50, seed=seed))
+            assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == counts
+
+    def test_meet_of_rank_zero_lies_below_every_coatom(self):
+        # two lines in C^3 meet in rank 0: that meet's intent holds every coatom
+        u = from_spanning_set([np.eye(3, dtype=complex)])
+        e = np.eye(3, dtype=complex)
+        lines = [Projection.from_columns(3, e[:, [0]]), Projection.from_columns(3, e[:, [1]])]
+        meet = image_intersection(*lines)
+        assert meet.rank == 0 and meet.image_basis.shape == (3, 0)
+        lat = close_to_lattice(u, lines, "complete")
+        assert [p.rank for p in lat.nodes] == [0, 1, 1, 3]
+        assert sorted(lat.hasse_edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 class TestBuildLattice:

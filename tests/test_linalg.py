@@ -232,6 +232,32 @@ class TestImageIntersection:
             assert left.same_image(right, tol=1e-6)
             assert image_intersection(p, p).same_image(p, tol=1e-7)
 
+    def test_basis_form_matches_stacked_form_on_random_triples(self):
+        # the meet reads null((1 - q) b) off the image basis b of p; the
+        # reference is the null space of the stacked complements
+        # [(1 - p); (1 - q); ...].  Each triple shares a subspace of rank
+        # 0, 1 or 2 and adds up to two random columns each.
+        rng = np.random.default_rng(12)
+        n = 6
+
+        def cols(k):
+            return rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+
+        def stacked(*ps):
+            comp = np.vstack([np.eye(n) - p.matrix() for p in ps])
+            return Projection(n=n, image_basis=nullspace_cols(comp))
+
+        for _ in range(30):
+            shared = cols(int(rng.integers(0, 3)))
+            p, q, r = (Projection.from_columns(n, np.hstack([shared, cols(int(rng.integers(0, 3)))]))
+                       for _ in range(3))
+            pq = image_intersection(p, q)
+            pqr = image_intersection(pq, r)
+            assert pq.same_image(stacked(p, q), tol=1e-8)
+            assert pqr.same_image(stacked(p, q, r), tol=1e-8)
+            assert pqr.same_image(Projection.from_columns(n, shared), tol=1e-8)
+            assert pqr.image_basis.shape == (n, shared.shape[1])
+
 
 class TestNullspaceAndOrthonormalization:
     def test_nullspace_of_planted_rank_products(self):

@@ -54,7 +54,6 @@ from .subspace import (
     from_spanning_set,
     linear_section,
     project_onto,
-    traceless_part,
 )
 
 __version__ = "0.1.0"
@@ -100,5 +99,4 @@ __all__ = [
     "project_onto",
     "q_max",
     "relative_interior_point",
-    "traceless_part",
 ]

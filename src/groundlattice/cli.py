@@ -32,14 +32,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .lattice import (
-    build_lattice,
-    close_to_lattice,
-    enumerate_coatoms,
-    is_coatom,
-    q_max,
-    q_max_from_descriptor,
-)
+from .lattice import close_to_lattice, enumerate_coatoms, is_coatom, q_max, q_max_from_descriptor
 from .linalg import Projection
 from .manybody import SiteSystem, build_klocal, klocal_dimension, marginal_map
 from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
@@ -63,22 +56,27 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def parse_system_spec(spec: str, engine_flag: str | None = None) -> tuple[SiteSystem, int | None]:
+def parse_system_spec(spec: str, engine_flag: str, k: int | None) -> tuple[SiteSystem, int]:
     """Parse system strings: bits:N=3, qubits:N=3, sites:dims=[2,3,2].
 
-    An inline k (e.g. bits:N=3:k=2) is returned alongside; None otherwise.
+    Returns the system and k: ``k`` (the --k flag) when given, else the
+    inline one (e.g. bits:N=3:k=2), else InputError with field "k".
+    ``engine_flag`` selects the engine of sites: specs only.
     """
     kv = _parse_kv(spec)
-    k = int(kv["k"]) if "k" in kv else None
     if spec.startswith("bits:"):
-        return SiteSystem.bits(int(kv["N"])), k
-    if spec.startswith("qubits:"):
-        return SiteSystem.qubits(int(kv["N"])), k
-    if spec.startswith("sites:"):
+        system = SiteSystem.bits(int(kv["N"]))
+    elif spec.startswith("qubits:"):
+        system = SiteSystem.qubits(int(kv["N"]))
+    elif spec.startswith("sites:"):
         dims = tuple(int(x) for x in kv["dims"].strip("[]").split(","))
         engine = ENGINE_EXACT if engine_flag == "exact" else ENGINE_FLOAT
-        return SiteSystem(dims=dims, engine=engine), k
-    raise InputError(f"unknown system spec {spec!r}", field="system")
+        system = SiteSystem(dims=dims, engine=engine)
+    else:
+        raise InputError(f"unknown system spec {spec!r}", field="system")
+    if k is None and "k" not in kv:
+        raise InputError("k-local system specs need k (flag --k or spec :k=)", field="k")
+    return system, int(kv["k"]) if k is None else k
 
 
 def read_json(path: str, field: str):
@@ -106,12 +104,7 @@ def load_subspace(token: str, engine: str, k: int | None = None) -> tuple[Operat
         n = int(kv.get("n", 2))
         return from_spanning_set([np.eye(n, dtype=complex)]), []
     if token.startswith(("bits:", "qubits:", "sites:")):
-        sys_, inline_k = parse_system_spec(token, engine)
-        use_k = k if k is not None else inline_k
-        if use_k is None:
-            raise InputError("k-local system specs need k (flag --k or spec :k=)",
-                             field="k")
-        return build_klocal(sys_, use_k), []
+        return build_klocal(*parse_system_spec(token, engine, k)), []
     return jsonio.subspace_from_json(read_json(token, "subspace")), []
 
 
@@ -124,11 +117,15 @@ def config_from_args(args) -> RunConfig:
                      samples=args.samples, max_nodes=args.max_nodes)
 
 
-def make_report(args, cfg: RunConfig, payload: dict, started: float, cone=None) -> dict:
+def make_report(args, cfg: RunConfig, payload: dict, started: float, ran, cone=None) -> dict:
+    """The report around ``payload``.  Its config echoes the engine of
+    ``ran``, the subspace or system the command ran on (null for verify,
+    whose fixtures carry their own engines)."""
+    engine = None if ran is None else "exact" if ran.is_exact else "float"
     report = {
         "command": args.command,
         "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank,
-                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": args.engine},
+                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": engine},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),
     }
@@ -161,7 +158,7 @@ def cmd_membership(args) -> int:
         "q_max": jsonio.projection_to_json(qm),
         "dim_K": desc.dim_K,
     }
-    emit(make_report(args, cfg, payload, started, cone=desc))
+    emit(make_report(args, cfg, payload, started, u, cone=desc))
     return EXIT_OK
 
 
@@ -172,7 +169,7 @@ def cmd_qmax(args) -> int:
     p = load_projection(args.projection, u.ambient_n)
     qm = q_max(p, u, cfg)
     payload = {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, u))
     return EXIT_OK
 
 
@@ -182,27 +179,34 @@ def cmd_cone(args) -> int:
     u, _ = load_subspace(args.subspace, args.engine, args.k)
     p = load_projection(args.projection, u.ambient_n)
     desc = analyze_cone(p, u, cfg)
-    if args.rays and desc.dim_K >= 1:
-        extreme_rays(desc, cfg, subspace=None if u.is_exact else u)
-    payload = jsonio.cone_to_json(desc)
-    emit(make_report(args, cfg, payload, started, cone=desc))
+    rays = extreme_rays(desc, cfg, subspace=u) if args.rays and desc.dim_K >= 1 else None
+    payload = jsonio.cone_to_json(desc, rays)
+    emit(make_report(args, cfg, payload, started, u, cone=desc))
     return EXIT_OK
+
+
+def coatoms_with_curated(u: OperatorSubspace, curated: list[Projection],
+                         cfg: RunConfig) -> tuple[list[Projection], str]:
+    """The enumerated coatoms, then each curated projection that passes
+    :func:`is_coatom` and is not among them; and the enumeration's flag."""
+    coatoms, flag = enumerate_coatoms(u, cfg)
+    for p in curated:
+        if is_coatom(p, u, cfg) and not any(p.same_image(q) for q in coatoms):
+            coatoms.append(p)
+    return coatoms, flag
 
 
 def cmd_coatoms(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
     u, extra = load_subspace(args.subspace, args.engine, args.k)
-    coatoms, flag = enumerate_coatoms(u, cfg)
-    for p in extra:
-        if is_coatom(p, u, cfg) and not any(p.same_image(q) for q in coatoms):
-            coatoms.append(p)
+    coatoms, flag = coatoms_with_curated(u, extra, cfg)
     payload = {
         "completeness": flag,
         "count": len(coatoms),
         "coatoms": [jsonio.projection_to_json(p) for p in coatoms],
     }
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, u))
     return EXIT_OK
 
 
@@ -212,12 +216,7 @@ def cmd_lattice(args) -> int:
     u, extra = load_subspace(args.subspace, args.engine, args.k)
     partial = False
     try:
-        if extra:
-            sampled, flag = enumerate_coatoms(u, cfg)
-            verified = [p for p in extra if is_coatom(p, u, cfg)]
-            lat = close_to_lattice(u, sampled + verified, flag, cfg)
-        else:
-            lat = build_lattice(u, cfg)
+        lat = close_to_lattice(u, *coatoms_with_curated(u, extra, cfg), cfg)
     except NodeBudgetError as exc:
         lat = exc.partial
         partial = True
@@ -227,17 +226,14 @@ def cmd_lattice(args) -> int:
     payload = jsonio.lattice_to_json(lat)
     payload["coatom_count"] = len(lat.coatoms)
     payload["partial"] = partial
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, u))
     return EXIT_BUDGET if partial else EXIT_OK
 
 
 def cmd_klocal(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    sys_, inline_k = parse_system_spec(args.system, args.engine)
-    k = args.k if args.k is not None else inline_k
-    if k is None:
-        raise InputError("klocal needs k (flag --k or spec :k=)", field="k")
+    sys_, k = parse_system_spec(args.system, args.engine, args.k)
     u = build_klocal(sys_, k)
     payload = {
         "dim_U": u.dim,
@@ -249,17 +245,14 @@ def cmd_klocal(args) -> int:
         payload["closed_form_dim"] = klocal_dimension(sys_, k)
     except InputError:
         pass  # non-uniform sites have no closed form
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, u))
     return EXIT_OK
 
 
 def cmd_marginal(args) -> int:
     started = time.perf_counter()
     cfg = config_from_args(args)
-    sys_, inline_k = parse_system_spec(args.system, args.engine)
-    k = args.k if args.k is not None else inline_k
-    if k is None:
-        raise InputError("marginal needs k (flag --k or spec :k=)", field="k")
+    sys_, k = parse_system_spec(args.system, args.engine, args.k)
     a = jsonio.matrix_from_json(read_json(args.matrix, "matrix"))
     if sys_.is_exact:
         if not np.allclose(a, np.diag(np.diag(a))):
@@ -269,7 +262,7 @@ def cmd_marginal(args) -> int:
     else:
         tup = marginal_map(a, sys_, k)
     payload = {"marginals": jsonio.marginal_tuple_to_json(tup)}
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, sys_))
     return EXIT_OK
 
 
@@ -293,7 +286,7 @@ def cmd_verify(args) -> int:
     payload = {"fixture": args.fixture,
                "checks": [{"name": n, "ok": ok} for n, ok, _ in checks],
                "all_ok": all_ok}
-    emit(make_report(args, cfg, payload, started))
+    emit(make_report(args, cfg, payload, started, None))
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -308,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--engine", choices=["exact", "float"], default="float")
+        p.add_argument("--engine", choices=["exact", "float"], default="float",
+                       help="engine of sites: specs (bits: is exact, qubits: float; "
+                            "JSON files and fixtures carry their own)")
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=10_000)

@@ -3,9 +3,10 @@
 K(p) is the set of positive semi-definite members of U whose kernel
 contains the image of p.  Its linear hull candidate is the section
 L(p) = {u in U : p u = u p = 0} = U ∩ Herm(range(1 - p)), and
-K(p) = L(p) ∩ PSD.  The descriptor computed here records the dimension of
-the span of K(p), whether the cone is a ray, a relative-interior witness
-of maximal rank, and (on request) extreme-ray generators.
+K(p) = L(p) ∩ PSD.  The descriptor computed here records a basis of the
+span of K(p), whose length is dim K(p), and a relative-interior witness
+of maximal rank; :func:`extreme_rays` computes extreme-ray generators on
+request.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
@@ -70,14 +71,11 @@ class ConeDescriptor:
     """Everything computed about K(p)."""
 
     base_projection: Projection
-    dim_K: int
-    is_ray: bool
     # rank of q_max(p), the kernel of a maximal witness: n - |maximal support|
     # (exact), n - rank of the final face (float, at tol_rank <= PSD_TOL), n
     # when K(p) = {0}
     q_max_rank: int
     interior_witness: object | None = None        # ndarray or Fraction vector
-    extreme_ray_generators: list | None = None
     engine: str = "float-hermitian"
     span_basis: list = field(default_factory=list, repr=False)  # ndarrays or int vectors
     witness_support: frozenset | None = None      # exact engine: maximal support
@@ -85,6 +83,14 @@ class ConeDescriptor:
     # its threshold (|t*| / tolerance, lambda_min(X0) / tolerance <= that when
     # phase I accepts its start, or the eigenvalue gap at a face split)
     margin: float | None = None
+
+    @property
+    def dim_K(self) -> int:
+        return len(self.span_basis)
+
+    @property
+    def is_ray(self) -> bool:
+        return self.dim_K == 1
 
     @property
     def member(self) -> bool:
@@ -108,8 +114,8 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
-    trivial = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False, q_max_rank=n,
-                             engine=u.engine, witness_support=frozenset())
+    trivial = ConeDescriptor(base_projection=p, q_max_rank=n, engine=u.engine,
+                             witness_support=frozenset())
     rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
 
     tableau = ela.Tableau(rows + [[1] * len(complement)], [0] * len(rows) + [1])
@@ -138,11 +144,10 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
         total = sum(y[i] * (denom // det) for y, det in optimizers)
         witness[x] = Fraction(total, denom * len(optimizers))
 
-    span = supported_on(u, support)     # span K(p): the elements of U zero off the support
-    dim_k = len(span)
-    return ConeDescriptor(base_projection=p, dim_K=dim_k, is_ray=dim_k == 1,
-                          q_max_rank=n - len(support), interior_witness=witness,
-                          engine=u.engine, span_basis=span,
+    # span K(p): the elements of U zero off the support
+    return ConeDescriptor(base_projection=p, q_max_rank=n - len(support),
+                          interior_witness=witness, engine=u.engine,
+                          span_basis=supported_on(u, support),
                           witness_support=frozenset(support))
 
 
@@ -307,8 +312,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     sqrt(s_low / s_high), the PSD bound on that tilt.
     """
     sec = linear_section(p, u, cfg.tol_rank)
-    empty = ConeDescriptor(base_projection=p, dim_K=0, is_ray=False, q_max_rank=p.n,
-                           engine=u.engine, margin=np.inf)
+    empty = ConeDescriptor(base_projection=p, q_max_rank=p.n, engine=u.engine, margin=np.inf)
     if sec.dim == 0:
         return empty
     stack = sec.basis
@@ -326,15 +330,13 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
         if status == "empty":
             return replace(empty, margin=min(margin, -t / tol))
         if status == "interior":
-            dim_k = coeffs.shape[1]
             # X > 0 on a face inside range(1 - p): the witness's kernel, as
             # kernel_projection reads it, is the complement of the face plus
             # the eigenvalues of X / tr X at most tol_rank (none unless
             # tol_rank > PSD_TOL)
             witness = face @ np.tensordot(x, c, axes=1) @ face.conj().T
             return ConeDescriptor(
-                base_projection=p, dim_K=dim_k, is_ray=dim_k == 1,
-                q_max_rank=p.n - int(np.sum(s > cfg.tol_rank * s.sum())),
+                base_projection=p, q_max_rank=p.n - int(np.sum(s > cfg.tol_rank * s.sum())),
                 interior_witness=_unit_trace_float(witness),
                 engine=u.engine, span_basis=list(np.tensordot(coeffs.T, stack, axes=1)),
                 margin=min(margin, t / tol))
@@ -397,14 +399,10 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == "exact-commutative":
-        rays = [_unit_trace_exact(g) for g in integer_rays(desc)]
-        desc.extreme_ray_generators = rays
-        return rays
+        return [_unit_trace_exact(g) for g in integer_rays(desc)]
     if subspace is None:
         raise PreconditionError("float extreme-ray search needs the subspace")
-    rays = _extreme_rays_float(desc, subspace, cfg)
-    desc.extreme_ray_generators = rays
-    return rays
+    return _extreme_rays_float(desc, subspace, cfg)
 
 
 def _unit_trace_float(v: np.ndarray) -> np.ndarray:

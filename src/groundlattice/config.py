@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol_rank <= 0:
             raise InputError("tol_rank must be strictly positive", field="tol_rank")
-
-    def with_(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
     def rng_for(self, *key: int) -> np.random.Generator:
         """Independent generator for a named sub-task of this run."""

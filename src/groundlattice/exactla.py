@@ -39,10 +39,6 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def mat_vec(m: Mat, v: Sequence[Fraction]) -> Vec:
-    return [dot(row, v) for row in m]
-
-
 def scale(v: Sequence[Fraction], c: Fraction) -> Vec:
     return [c * x for x in v]
 

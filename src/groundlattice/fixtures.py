@@ -159,7 +159,7 @@ def check_m3(cfg: RunConfig) -> list[Check]:
         checks.append((f"{name} is a coatom with a ray cone", ok, f"dim_K={d.dim_K}"))
     parts = coatom_decomposition(bottom, u, cfg)
     ok = len(parts) == 2 and all(
-        any(part.same_image(t, tol=1e-7) for part in parts) for t in (p_plus, p_minus))
+        any(part.same_image(t) for part in parts) for t in (p_plus, p_minus))
     checks.append(("decomposition of 0+1 is {p_plus, p_minus}", ok, f"parts={len(parts)}"))
     rays = extreme_rays(desc, cfg, subspace=u)
     targets = [U_PLUS / np.trace(U_PLUS).real, U_MINUS / np.trace(U_MINUS).real]
@@ -169,7 +169,7 @@ def check_m3(cfg: RunConfig) -> list[Check]:
                    f"rays={len(rays)}"))
     meet = image_intersection(parts[0], parts[1]) if len(parts) == 2 else None
     checks.append(("intersection of the two coatoms is 0+1",
-                   meet is not None and meet.same_image(bottom, tol=1e-7), ""))
+                   meet is not None and meet.same_image(bottom), ""))
     return checks
 
 

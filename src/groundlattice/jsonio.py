@@ -113,15 +113,12 @@ def subspace_from_json(obj) -> OperatorSubspace:
     return u
 
 
-def cone_to_json(desc: ConeDescriptor) -> dict:
+def cone_to_json(desc: ConeDescriptor, rays: list | None = None) -> dict:
     witness = None
     if desc.interior_witness is not None:
         witness = matrix_to_json(desc.interior_witness)
-    rays = None
-    if desc.extreme_ray_generators is not None:
-        rays = [matrix_to_json(r) for r in desc.extreme_ray_generators]
-    return {"dim_K": desc.dim_K, "is_ray": desc.is_ray,
-            "witness": witness, "extreme_rays": rays}
+    return {"dim_K": desc.dim_K, "is_ray": desc.is_ray, "witness": witness,
+            "extreme_rays": None if rays is None else [matrix_to_json(r) for r in rays]}
 
 
 def lattice_to_json(lat: GroundLattice) -> dict:

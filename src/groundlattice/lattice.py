@@ -20,7 +20,6 @@ one product with the stacked complements 1 - Q of all coatoms.
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -31,11 +30,9 @@ from . import exactla as ela
 from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, integer_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import Projection, image_intersection, kernel_projection, meet_basis, range_cols
+from .linalg import (CANON_TOL, Projection, image_intersection, kernel_projection,
+                     meet_basis, range_cols)
 from .subspace import OperatorSubspace
-
-#: principal-angle tolerance for canonical projection equality (float engine)
-CANON_TOL = 1e-7
 
 
 def _require_identity(u: OperatorSubspace):
@@ -120,7 +117,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     meet = coatoms[0]
     for q in coatoms[1:]:
         meet = image_intersection(meet, q, cfg.tol_rank)
-    if not meet.same_image(p, tol=CANON_TOL):
+    if not meet.same_image(p):
         raise IncompleteRaysError(
             "extreme-ray kernels failed to intersect back to p", partial=coatoms)
     return coatoms
@@ -147,54 +144,26 @@ def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
 
 def enumerate_coatoms(u: OperatorSubspace,
                       cfg: RunConfig | None = None) -> tuple[list[Projection], str]:
-    """All coatoms (exact engine) or a sampled, deduplicated subset (float).
+    """All coatoms (exact engine) or a sampled subset (float).
 
     Exact: the kernels of the extreme rays of K(0) = U ∩ PSD, whose rays
     are exactly the ray cones K(q) of the coatoms q; the list is complete.
-    Float: the kernels of the distinct rays that cfg.samples face descents
-    from the witness of K(0) end on (see :func:`cone.descent_rays`), each
-    a coatom; the list may miss coatoms, hence the flag.
+    Float: the kernels of the rays that cfg.samples face descents from the
+    witness of K(0) end on (see :func:`cone.descent_rays`), each a coatom.
+    A descent that ends on a ray found before returns none, so the coatoms
+    are distinct; the list may miss coatoms, hence the flag.  Both lists
+    are sorted by :meth:`Projection.sort_key`.
     Returns (coatoms, completeness flag).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
+    top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
-        rays = integer_rays(analyze_cone(u.zero_projection(), u, cfg))
-        found = [_kernel_of(g, u, cfg) for g in rays]
-        return sorted(found, key=lambda p: p.sort_key()), "exact"
-
-    rays = descent_rays(analyze_cone(u.zero_projection(), u, cfg), u, cfg, cfg.samples, 3)
-    return _dedupe([_kernel_of(g, u, cfg) for g in rays]), "sampled"
-
-
-def _dedupe(projections: list[Projection]) -> list[Projection]:
-    """The first projection of each image, sorted by :meth:`Projection.sort_key`.
-
-    Same result as comparing each projection with every one kept before
-    it, but only kept projections of equal rank whose key <v, P v> lies
-    within 2 CANON_TOL of its own are compared: v is a fixed unit vector,
-    so |<v, P v> - <v, Q v>| <= |P - Q|_2, and equal images differ by at
-    most CANON_TOL (the factor 2 covers rounding).
-    """
-    if not projections:
-        return []
-    g = np.random.default_rng(0).normal(size=(2, projections[0].n))
-    v = (g[0] + 1j * g[1]) / np.linalg.norm(g)
-    out: list[Projection] = []
-    kept: dict[int, tuple[list[float], list[Projection]]] = {}   # rank -> sorted keys
-    for p in projections:
-        key = float(np.vdot(v, p.matrix() @ v).real)
-        keys, seen = kept.setdefault(p.rank, ([], []))
-        lo = bisect.bisect_left(keys, key - 2 * CANON_TOL)
-        hi = bisect.bisect_right(keys, key + 2 * CANON_TOL)
-        if any(p.same_image(q, tol=CANON_TOL) for q in seen[lo:hi]):
-            continue
-        at = bisect.bisect(keys, key)
-        keys.insert(at, key)
-        seen.insert(at, p)
-        out.append(p)
-    out.sort(key=lambda p: p.sort_key())
-    return out
+        rays, flag = integer_rays(top), "exact"
+    else:
+        rays, flag = descent_rays(top, u, cfg, cfg.samples, 3), "sampled"
+    found = [_kernel_of(g, u, cfg) for g in rays]
+    return sorted(found, key=lambda p: p.sort_key()), flag
 
 
 @dataclass
@@ -210,15 +179,6 @@ class GroundLattice:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def index_of(self, p: Projection) -> int | None:
-        for i, q in enumerate(self.nodes):
-            if q.same_image(p, tol=CANON_TOL):
-                return i
-        return None
-
-    def contains(self, p: Projection) -> bool:
-        return self.index_of(p) is not None
 
     def dual_supports(self) -> set[frozenset[int]]:
         """Complements of the node supports (commutative engine only)."""

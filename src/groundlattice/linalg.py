@@ -22,6 +22,9 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import InputError, NonConvergenceError
 
+#: principal-angle tolerance for canonical projection equality (float engine)
+CANON_TOL = 1e-7
+
 
 def hermitian_matrix(entries) -> np.ndarray:
     """Validating constructor: square input, symmetrized to (a + a*)/2."""
@@ -264,7 +267,7 @@ class Projection:
         return Projection(n=self.n, image_basis=self.complement_basis())
 
     # -- comparisons ----------------------------------------------------
-    def same_image(self, other: "Projection", tol: float = 1e-7) -> bool:
+    def same_image(self, other: "Projection", tol: float = CANON_TOL) -> bool:
         """Equality of images; float engine compares principal angles
         (largest principal angle sine <= tol)."""
         if self.n != other.n:

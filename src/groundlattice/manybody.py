@@ -65,12 +65,6 @@ class SiteSystem:
         use = range(self.n_sites) if sites is None else sites
         return list(product(*(range(self.dims[i]) for i in use)))
 
-    def index_of(self, x: tuple[int, ...]) -> int:
-        idx = 0
-        for i, xi in enumerate(x):
-            idx = idx * self.dims[i] + xi
-        return idx
-
 
 def _site_traceless_hermitian(m: int) -> list[np.ndarray]:
     """Orthogonal traceless hermitian basis of M_m (generalized Gell-Mann)."""

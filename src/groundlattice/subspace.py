@@ -280,23 +280,3 @@ def linear_section(p: Projection, u: OperatorSubspace,
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
     return LinearSection(base_projection=p, basis=mats, dim=len(mats), face=face)
 
-
-def traceless_part(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> OperatorSubspace:
-    """The subspace of trace-zero elements of U."""
-    if u.is_exact:
-        row = [sum(b, Fraction(0)) for b in u.basis]
-        coeffs = ela.null_space([row], ncols=u.dim)
-        funcs = [u.element_from(c) for c in coeffs]
-        basis, norms_sq = ela.orthogonalize(funcs)
-        return OperatorSubspace(ambient_n=u.ambient_n, engine=u.engine, basis=basis,
-                                contains_identity=False, norms_sq=norms_sq,
-                                site_structure=u.site_structure)
-    if u.dim == 0:
-        return OperatorSubspace(ambient_n=u.ambient_n, engine=u.engine, basis=[],
-                                contains_identity=False)
-    row = np.array([[float(np.trace(b).real) for b in u.basis]])
-    gamma = nullspace_cols(row, tol_rank).real
-    mats = [u.element_from(gamma[:, j]) for j in range(gamma.shape[1])]
-    basis = orthonormalize_hermitian(mats, tol_rank)
-    return OperatorSubspace(ambient_n=u.ambient_n, engine=u.engine, basis=basis,
-                            contains_identity=False, site_structure=u.site_structure)

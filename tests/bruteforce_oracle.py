@@ -51,7 +51,7 @@ def cone_rays(support, u):
         if len(null) != 1:
             continue
         v = null[0]
-        vals = ela.mat_vec(rows, v)
+        vals = [ela.dot(r, v) for r in rows]
         if all(x >= 0 for x in vals):
             pass
         elif all(x <= 0 for x in vals):

@@ -89,8 +89,8 @@ class TestSchemas:
     def test_cone_json(self):
         u = m3_subspace()
         desc = analyze_cone(m3_p_bottom(), u)
-        extreme_rays(desc, subspace=u)
-        obj = jsonio.cone_to_json(desc)
+        assert jsonio.cone_to_json(desc)["extreme_rays"] is None
+        obj = jsonio.cone_to_json(desc, extreme_rays(desc, subspace=u))
         assert obj["dim_K"] == 2 and obj["is_ray"] is False
         assert obj["witness"]["n"] == 3
         assert len(obj["extreme_rays"]) == 2
@@ -156,6 +156,19 @@ class TestCommands:
         report = last_json(out)
         assert report["payload"]["coatom_count"] == 16
         assert "margin" not in report      # only the membership and cone reports carry it
+
+    def test_report_echoes_the_engine_that_ran(self, capsys):
+        # --engine selects the engine of sites: specs only: bits: is exact,
+        # qubits: float, and fixtures carry their own
+        for argv, engine in [(["lattice", "bits:N=3:k=2"], "exact"),
+                             (["klocal", "qubits:N=2", "--k", "1", "--engine", "exact"], "float"),
+                             (["klocal", "sites:dims=2,3", "--k", "1", "--engine", "exact"],
+                              "exact"),
+                             (["coatoms", "m3-example", "--samples", "5", "--engine", "exact"],
+                              "float")]:
+            code, out, _ = run_cli(capsys, argv)
+            assert code == EXIT_OK
+            assert last_json(out)["config"]["engine"] == engine
 
     def test_lattice_span_id(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "span{id}:n=3", "--samples", "20"])

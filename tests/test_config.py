@@ -29,7 +29,3 @@ def test_split_streams_are_stable_and_independent():
     assert np.allclose(a1, a2)
     assert not np.allclose(a1, b)
 
-
-def test_with_override():
-    cfg = RunConfig(seed=1).with_(samples=5)
-    assert cfg.samples == 5 and cfg.seed == 1

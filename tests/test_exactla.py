@@ -41,7 +41,7 @@ def test_null_space_annihilates_and_has_complementary_dimension():
         basis = ela.null_space(m)
         assert len(basis) == cols - ela.rank(m)
         for v in basis:
-            assert all(x == 0 for x in ela.mat_vec(m, v))
+            assert all(ela.dot(r, v) == 0 for r in m)
         if basis:
             assert ela.rank(basis) == len(basis)
 
@@ -205,7 +205,7 @@ class TestSimplex:
             if status == ela.SimplexStatus.OPTIMAL:
                 assert val >= best
                 assert all(x >= 0 for x in y)
-                assert ela.mat_vec(a, y) == b
+                assert [ela.dot(r, y) for r in a] == b
                 # optimal value of an LP with vertices equals the best vertex
                 # when bounded
                 assert val == best
@@ -264,7 +264,7 @@ def test_tableau_reoptimizes_each_objective_from_one_phase_one():
             else:
                 assert det > 0
                 y = [Fraction(v, det) for v in x]
-                assert all(v >= 0 for v in y) and ela.mat_vec(a, y) == b
+                assert all(v >= 0 for v in y) and [ela.dot(r, y) for r in a] == b
                 assert ela.dot(c, y) == best
     assert seen == {ela.SimplexStatus.OPTIMAL, ela.SimplexStatus.INFEASIBLE,
                     ela.SimplexStatus.UNBOUNDED}
@@ -313,7 +313,7 @@ class TestSimplexEdgeCases:
         c = ela.fvec([1, 1, "1/13"])
         status, val, x = simplex(c, a, b)
         assert status == ela.SimplexStatus.OPTIMAL
-        assert ela.mat_vec(a, x) == b and all(v >= 0 for v in x)
+        assert [ela.dot(r, x) for r in a] == b and all(v >= 0 for v in x)
         assert val == best_vertex_value(c, a, b) == ela.dot(c, x)
         # x3 = 0, x2 = 2 x1 / 11, so x1 (1/3 + 2/77) = 1/5
         assert x == [Fraction(231, 415), Fraction(42, 415), Fraction(0)]
@@ -336,7 +336,7 @@ class TestSimplexEdgeCases:
             elif status == ela.SimplexStatus.UNBOUNDED:
                 assert best is not None
             else:
-                assert all(x >= 0 for x in y) and ela.mat_vec(a, y) == b
+                assert all(x >= 0 for x in y) and [ela.dot(r, y) for r in a] == b
                 assert val == best == ela.dot(c, y)
         assert seen == {ela.SimplexStatus.OPTIMAL, ela.SimplexStatus.INFEASIBLE,
                         ela.SimplexStatus.UNBOUNDED}

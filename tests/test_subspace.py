@@ -26,11 +26,19 @@ from groundlattice.subspace import (
     project_onto,
     rows_over_h,
     rows_over_u,
-    traceless_part,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def traceless_span(u):
+    """The subspace spanned by the trace-free parts of U's basis."""
+    n = u.ambient_n
+    if u.is_exact:
+        return from_spanning_set([[x - sum(b) / n for x in b] for b in u.basis],
+                                 engine=ENGINE_EXACT)
+    return from_spanning_set([b - np.trace(b).real / n * np.eye(n) for b in u.basis])
 
 
 def block(two_by_two, scalar):
@@ -189,7 +197,7 @@ class TestFromSpanningSet:
         u = m3_subspace() if space == "m3" else build_klocal(SiteSystem.qubits(2), 1)
         round_trip = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
         assert all(np.array_equal(a, b) for a, b in zip(round_trip.basis, u.basis))
-        for v in (u, traceless_part(u), round_trip):
+        for v in (u, traceless_span(u), round_trip):
             n = v.ambient_n
             assert len(v.perp) + v.dim == n * n
             assert np.array_equal(v.perp, v.perp.conj().transpose(0, 2, 1))
@@ -200,11 +208,11 @@ class TestFromSpanningSet:
 
     def test_float_perp_is_built_on_first_use_only(self):
         # perp is an SVD over all n^2 coordinates of Herm(n) and n^2 - dim U
-        # dense matrices: building a subspace, its traceless part, a
-        # verbatim copy, or a section read off U does not pay for it
+        # dense matrices: building a k-local subspace, a subspace from a
+        # spanning set, a verbatim copy, or a section read off U does not pay for it
         u = build_klocal(SiteSystem.qubits(5), 2)
         copy = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
-        for v in (u, traceless_part(u), copy):
+        for v in (u, traceless_span(u), copy):
             assert v._perp is None
         assert all(b.base is u.stacked for b in u.basis)     # one copy of the basis
         pure = Projection.from_columns(32, np.eye(32)[:, :1])
@@ -215,11 +223,13 @@ class TestFromSpanningSet:
 
     def test_exact_perp_is_a_basis_of_the_orthogonal_complement(self):
         _, u = three_bit_two_local()
-        for v in (u, traceless_part(u)):
+        traceless = traceless_span(u)
+        assert traceless.dim == u.dim - 1
+        for v in (u, traceless):
             assert len(v.perp) + v.dim == v.ambient_n
             assert ela.rank(v.perp) == len(v.perp)
             assert all(ela.dot(w, b) == 0 for w in v.perp for b in v.basis)
-        assert ela.in_span(traceless_part(u).perp, [Fraction(1)] * 8)
+        assert ela.in_span(traceless.perp, [Fraction(1)] * 8)
 
 
 class TestProjectOnto:
@@ -356,37 +366,3 @@ class TestLinearSection:
                 recon = sum(co * c for co, c in zip(coeffs, sec_p.basis))
                 assert frobenius(recon - b) <= 1e-8
 
-
-class TestTracelessPart:
-    def test_span_of_identity_becomes_zero(self):
-        u = from_spanning_set([np.eye(3, dtype=complex)])
-        t = traceless_part(u)
-        assert t.dim == 0
-
-    def test_m3_drops_exactly_one_dimension(self):
-        u = m3_subspace()
-        # oracle: rank of the traceless components of A1, A2
-        t1 = A1 - np.trace(A1) / 3 * np.eye(3)
-        t2 = A2 - np.trace(A2) / 3 * np.eye(3)
-        stacked = np.stack([t1.reshape(-1), t2.reshape(-1)])
-        assert np.linalg.matrix_rank(stacked, tol=1e-9) == 2
-        t = traceless_part(u)
-        assert t.dim == 2
-        for b in t.basis:
-            assert abs(np.trace(b)) <= 1e-10
-
-    def test_already_traceless_space_unchanged(self):
-        u = from_spanning_set([SX, SY])
-        t = traceless_part(u)
-        assert t.dim == 2
-        for b in t.basis:
-            coeffs = [trace_inner(c, b).real for c in u.basis]
-            recon = sum(co * c for co, c in zip(coeffs, u.basis))
-            assert frobenius(recon - b) <= 1e-10
-
-    def test_exact_engine_traceless(self):
-        _, u = three_bit_two_local()
-        t = traceless_part(u)
-        assert t.dim == 6
-        for b in t.basis:
-            assert sum(b, Fraction(0)) == 0

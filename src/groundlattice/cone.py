@@ -3,24 +3,26 @@
 K(p) is the set of positive semi-definite members of U whose kernel
 contains the image of p.  Its linear hull candidate is the section
 L(p) = {u in U : p u = u p = 0} = U ∩ Herm(range(1 - p)), and
-K(p) = L(p) ∩ PSD.  The descriptor computed here records a basis of the
-span of K(p), whose length is dim K(p), and a relative-interior witness
-of maximal rank; :func:`extreme_rays` computes extreme-ray generators on
+K(p) = L(p) ∩ PSD.  The analysis decides the rank of q_max(p), which is
+all that membership needs; the descriptor computes dim K(p), a basis of
+the span of K(p) and a relative-interior witness of maximal rank on first
+read, from data the analysis already holds, so a decision builds neither
+span nor witness.  :func:`extreme_rays` computes extreme-ray generators on
 request.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
 ``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
 max-support LPs on one fraction-free integer tableau (one phase I per
-cone) finds the maximal support, the span of K(p) is the null space of
-``perp`` on that support (:func:`subspace.supported_on`, which also gives
-the exact section), and extreme rays come from incremental double
-description on integer vectors: start from a simplicial cone on
-independent points of the support, add the other points one at a time,
-and combine a positive and a negative ray only when the zero-set test
-finds them adjacent.  Only the witness and the unit-trace rays of
-:func:`extreme_rays` are Fractions; :func:`integer_rays` gives the same
-rays as primitive integer vectors.
+cone) finds the maximal support S.  dim K(p) is |S| - rank perp[:, S],
+from one elimination; the span of K(p) is the null space of ``perp`` on S
+(:func:`subspace.supported_on`, which also gives the exact section); and
+extreme rays come from incremental double description on integer vectors:
+start from the simplicial cone that this null-space basis spans, add the
+other points of S one at a time, and combine a positive and a negative ray
+only when the zero-set test finds them adjacent.  Only the witness and the
+unit-trace rays of :func:`extreme_rays` are Fractions; :func:`integer_rays`
+gives the same rays as primitive integer vectors.
 
 Float engine: facial reduction.  L(p) is read off U or off U⊥, whichever
 costs less (:func:`subspace.linear_section`), and compressed to the range
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +58,7 @@ from .errors import (
     TrivialConeError,
 )
 from .linalg import Projection, eigh, kernel_projection, nullspace_cols, range_cols
-from .subspace import OperatorSubspace, linear_section, supported_on
+from .subspace import ENGINE_EXACT, OperatorSubspace, linear_section, supported_on
 
 PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
 MU_FACE = 1e-10       # barrier weight times face size at which t* = 0 is decided
@@ -68,25 +71,65 @@ LINE_STEPS = 30       # scalar Newton steps of one line search
 
 @dataclass
 class ConeDescriptor:
-    """Everything computed about K(p)."""
+    """Everything computed about K(p).
+
+    ``q_max_rank``, ``witness_support`` and ``margin`` come from the
+    analysis.  ``dim_K``, ``span_basis`` and ``interior_witness`` are
+    computed on first read, once, from ``source``: the subspace, the
+    complement of p and the LP optimizers (exact), or the phase-I
+    coefficients x, the face section c, the face, the restriction
+    coefficients and the section stack (float); None when K(p) = {0}.
+    """
 
     base_projection: Projection
     # rank of q_max(p), the kernel of a maximal witness: n - |maximal support|
     # (exact), n - rank of the final face (float, at tol_rank <= PSD_TOL), n
     # when K(p) = {0}
     q_max_rank: int
-    interior_witness: object | None = None        # ndarray or Fraction vector
     engine: str = "float-hermitian"
-    span_basis: list = field(default_factory=list, repr=False)  # ndarrays or int vectors
     witness_support: frozenset | None = None      # exact engine: maximal support
     # float engine: the closest call of the facial reduction as a ratio to
     # its threshold (|t*| / tolerance, lambda_min(X0) / tolerance <= that when
     # phase I accepts its start, or the eigenvalue gap at a face split)
     margin: float | None = None
+    source: tuple | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def dim_K(self) -> int:
-        return len(self.span_basis)
+        """dim K(p), the length of ``span_basis``, computed without it."""
+        if self.source is None:
+            return 0
+        if self.engine == ENGINE_EXACT:     # |S| - rank perp[:, S]
+            support = sorted(self.witness_support)
+            rows = [[w[x] for x in support] for w in self.source[0].perp]
+            return len(support) - len(ela.integer_rref(rows)[1])
+        return self.source[3].shape[1]
+
+    @cached_property
+    def span_basis(self) -> list:
+        """Basis of the span of K(p): primitive int vectors, each positive at
+        its free point and zero at the others (exact), or matrices (float)."""
+        if self.source is None:
+            return []
+        if self.engine == ENGINE_EXACT:
+            return supported_on(self.source[0], sorted(self.witness_support))
+        coeffs, stack = self.source[3:]
+        return list(np.tensordot(coeffs.T, stack, axes=1))
+
+    @cached_property
+    def interior_witness(self):
+        """Unit-trace element of maximal rank: the mean of the LP optimizers
+        (a Fraction vector) or face X face* (an ndarray); None when K(p) = {0}."""
+        if self.source is None:
+            return None
+        if self.engine == ENGINE_EXACT:
+            _, complement, optimizers = self.source
+            witness = ela.zeros(self.base_projection.n)
+            for i, x in enumerate(complement):
+                witness[x] = sum(Fraction(y[i], det) for y, det in optimizers) / len(optimizers)
+            return witness
+        x, c, face = self.source[:3]
+        return _unit_trace_float(face @ np.tensordot(x, c, axes=1) @ face.conj().T)
 
     @property
     def is_ray(self) -> bool:
@@ -136,41 +179,37 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     if not optimizers:
         return trivial
 
-    # the witness is the mean of the optimizers y / det
     support = [x for i, x in enumerate(complement) if i not in rest]
-    denom = math.lcm(*(det for _, det in optimizers))
-    witness = ela.zeros(n)
-    for i, x in enumerate(complement):
-        total = sum(y[i] * (denom // det) for y, det in optimizers)
-        witness[x] = Fraction(total, denom * len(optimizers))
-
-    # span K(p): the elements of U zero off the support
-    return ConeDescriptor(base_projection=p, q_max_rank=n - len(support),
-                          interior_witness=witness, engine=u.engine,
-                          span_basis=supported_on(u, support),
-                          witness_support=frozenset(support))
+    return ConeDescriptor(base_projection=p, q_max_rank=n - len(support), engine=u.engine,
+                          witness_support=frozenset(support),
+                          source=(u, complement, optimizers))
 
 
 def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
     """Integer extreme rays of an exact K(p), by double description on its support S.
 
-    The span basis, zero off S, gives integer rows; one fraction-free
-    Gauss-Jordan elimination turns them into d rows that each are positive
-    at one pivot point and zero at the others: the rays of the simplicial
-    cone {g >= 0 on the pivots}.  Each other point x of S then cuts the
-    cone by g(x) >= 0: the rays with g(x) >= 0 stay, and every pair of a
-    positive and a negative ray combines into a ray with g(x) = 0 when the
-    two are adjacent, that is, when no third ray vanishes on every point
-    where both vanish.  Rays are kept as gcd-normalised integer vectors,
-    with their zero sets over the points added so far as bitmasks, and are
-    returned in the order :func:`extreme_rays` gives their unit-trace multiples.
+    The span basis as :func:`subspace.supported_on` gives it holds d
+    vectors that each are positive at one free point of S and zero at the
+    others: the rays of the simplicial cone {g >= 0 on the free points}.
+    Each other point x of S then cuts the cone by g(x) >= 0: the rays with
+    g(x) >= 0 stay, and every pair of a positive and a negative ray
+    combines into a ray with g(x) = 0 when the two are adjacent, that is,
+    when no third ray vanishes on every point where both vanish.  Rays are
+    kept as gcd-normalised integer vectors, with their zero sets over the
+    points added so far as bitmasks, and are returned in the order
+    :func:`extreme_rays` gives their unit-trace multiples.
     """
-    reduced, pivots = ela.integer_rref(desc.span_basis)
-    d = len(pivots)
-    rays = [ela.primitive(row if row[c] > 0 else [-v for v in row])
-            for row, c in zip(reduced, pivots)]
-    zero_sets = [sum(1 << c for c in pivots if c != own) for own in pivots]
-    for x in sorted(desc.witness_support - set(pivots)):
+    rays = desc.span_basis
+    d = len(rays)
+    # the free points are the last basis among the points of S (the
+    # complement of the first basis of the columns of perp): the free point
+    # of a vector is the last point where it alone is nonzero, and positive
+    nonzero = [sum(1 for g in rays if g[x]) for x in range(desc.base_projection.n)]
+    free = [max(x for x, v in enumerate(g) if v > 0 and nonzero[x] == 1) for g in rays]
+    # so the other points go in from the last down; bit i of a zero set
+    # stands for the i-th point in, so zero sets stay short while few are in
+    zero_sets = [(1 << d) - 1 - (1 << i) for i in range(d)]
+    for bit, x in enumerate(sorted(desc.witness_support - set(free), reverse=True), d):
         kept, kept_zeros, positive, negative = [], [], [], []
         for ray, zs in zip(rays, zero_sets):
             if ray[x] < 0:
@@ -179,7 +218,7 @@ def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
             if ray[x] > 0:
                 positive.append((ray, zs))
             else:
-                zs |= 1 << x
+                zs |= 1 << bit
             kept.append(ray)
             kept_zeros.append(zs)
         for a, za in positive:
@@ -188,7 +227,7 @@ def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
                 common = za & zb
                 if common.bit_count() >= d - 2 and _adjacent(common, zero_sets):
                     kept.append(ela.primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
-                    kept_zeros.append(common | 1 << x)
+                    kept_zeros.append(common | 1 << bit)
         rays, zero_sets = kept, kept_zeros
     lam = math.lcm(*(sum(g) for g in rays))    # order as if scaled to trace lam
     return sorted(rays, key=lambda g: [v * (lam // sum(g)) for v in g])
@@ -334,12 +373,10 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             # kernel_projection reads it, is the complement of the face plus
             # the eigenvalues of X / tr X at most tol_rank (none unless
             # tol_rank > PSD_TOL)
-            witness = face @ np.tensordot(x, c, axes=1) @ face.conj().T
             return ConeDescriptor(
                 base_projection=p, q_max_rank=p.n - int(np.sum(s > cfg.tol_rank * s.sum())),
-                interior_witness=_unit_trace_float(witness),
-                engine=u.engine, span_basis=list(np.tensordot(coeffs.T, stack, axes=1)),
-                margin=min(margin, t / tol))
+                engine=u.engine, margin=min(margin, t / tol),
+                source=(x, c, face, coeffs, stack))
         logs = np.log(np.maximum(s, np.finfo(float).tiny))
         cut = int(np.argmax(np.diff(logs))) + 1
         gap = float(np.exp(logs[cut] - logs[cut - 1]))
@@ -363,7 +400,8 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
 
 def analyze_cone(p: Projection, u: OperatorSubspace,
                  cfg: RunConfig | None = None) -> ConeDescriptor:
-    """Dimension, ray flag, and relative-interior witness of K(p).
+    """The rank of q_max(p), with dim K(p), the span and a relative-interior
+    witness computed on first read (see :class:`ConeDescriptor`).
 
     Deterministic, and independent of ``cfg.seed``.  An empty cone is a
     valid result (dim_K = 0, no witness).  Float descriptors carry
@@ -398,7 +436,7 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
     cfg = cfg or RunConfig()
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
-    if desc.engine == "exact-commutative":
+    if desc.engine == ENGINE_EXACT:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
     if subspace is None:
         raise PreconditionError("float extreme-ray search needs the subspace")

@@ -7,15 +7,18 @@ lattice exactly when p = q_max(p).  Since p <= q_max(p) always, that is
 the rank equality rank q_max(p) = rank p, read off the cone analysis
 (:attr:`ConeDescriptor.member`) with no eigendecomposition of the witness
 and no principal-angle test.  Coatoms are the members whose cone is a
-ray; they are read off as the kernels of the extreme rays of
-K(0) = U ∩ PSD, all of them in the exact engine and those that face
-descents reach in the float engine.  The lattice is built from the top
-down: every node is the intersection of the coatoms above it, keyed by
-their bitmask (its intent), and Lindig's neighbour test picks its lower
-covers among its meets with one more coatom.  Exact nodes are supports;
-float nodes are image bases B, whose meet with a coatom Q is
-B null((1 - Q) B) (:func:`linalg.meet_basis`) and whose intent comes from
-one product with the stacked complements 1 - Q of all coatoms.
+ray, so a decision reads only ``q_max_rank`` and ``dim_K``; the span and
+the witness, which the descriptor computes on first read, are built only
+for decompositions, q_max and coatom enumeration.  Coatoms are read off
+as the kernels of the extreme rays of K(0) = U ∩ PSD, all of them in the
+exact engine and those that face descents reach in the float engine.  The
+lattice is built from the top down: every node is the intersection of the
+coatoms above it, keyed by their bitmask (its intent), and Lindig's
+neighbour test picks its lower covers among its meets with one more
+coatom.  Exact nodes are supports; float nodes are image bases B, whose
+meets with all coatoms Q outside the intent come from one batched SVD of
+the stacked (1 - Q) B (:func:`linalg.meet_bases`), and whose intents come
+from one product with the stacked complements 1 - Q of all coatoms.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, inte
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import (CANON_TOL, Projection, image_intersection, kernel_projection,
-                     meet_basis, range_cols)
+                     meet_bases, range_cols)
 from .subspace import OperatorSubspace
 
 
@@ -49,10 +52,10 @@ def _kernel_of(witness, u: OperatorSubspace, cfg: RunConfig) -> Projection:
 
 def q_max_from_descriptor(desc: ConeDescriptor, u: OperatorSubspace,
                           cfg: RunConfig) -> Projection:
-    if desc.dim_K == 0:
-        return u.identity_projection()
     if u.is_exact:      # the witness is positive exactly on the maximal support
         return Projection.from_support(u.ambient_n, set(range(u.ambient_n)) - desc.witness_support)
+    if desc.dim_K == 0:
+        return u.identity_projection()
     return _kernel_of(desc.interior_witness, u, cfg)
 
 
@@ -84,11 +87,12 @@ def is_ground_projection(p: Projection, u: OperatorSubspace,
 
 def is_coatom(p: Projection, u: OperatorSubspace, cfg: RunConfig | None = None) -> bool:
     """Maximal proper lattice element test: a member (by the rank rule of
-    :func:`is_ground_projection`) whose cone is a ray."""
+    :func:`is_ground_projection`) whose cone is a ray; dim K(p) is read
+    only for members."""
     cfg = cfg or RunConfig()
     _require_identity(u)
     desc = analyze_cone(p, u, cfg)
-    return desc.dim_K == 1 and desc.member
+    return desc.member and desc.dim_K == 1
 
 
 def coatom_decomposition(p: Projection, u: OperatorSubspace,
@@ -99,8 +103,9 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     rays of K(p), in the order :func:`extreme_rays` returns them.  Any d
     independent rays span the linear hull of K(p), so the range of their
     sum holds the range of every element of K(p), and their kernels meet
-    in the kernel of a witness, which is p.  Returns [] for p = id (the
-    empty infimum).
+    in the kernel of a witness, which is p.  Exact kernels are supports and
+    meet as sets; float ones meet by :func:`linalg.image_intersection`.
+    Returns [] for p = id (the empty infimum).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
@@ -109,15 +114,17 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     desc = analyze_cone(p, u, cfg)
     if not desc.member:
         raise PreconditionError("p is not a ground projection of U")
-    if desc.dim_K == 0:
+    if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
     rays = integer_rays(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
-    chosen = _first_independent_rays(rays, desc.dim_K, u)
+    # dim K(p) as the length of the span the rays were built from
+    chosen = _first_independent_rays(rays, len(desc.span_basis), u)
     coatoms = [_kernel_of(v, u, cfg) for v in chosen]
-    meet = coatoms[0]
-    for q in coatoms[1:]:
-        meet = image_intersection(meet, q, cfg.tol_rank)
-    if not meet.same_image(p):
+    if u.is_exact:
+        ok = frozenset.intersection(*(q.classical_support for q in coatoms)) == p.classical_support
+    else:
+        ok = reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank), coatoms).same_image(p)
+    if not ok:
         raise IncompleteRaysError(
             "extreme-ray kernels failed to intersect back to p", partial=coatoms)
     return coatoms
@@ -230,9 +237,10 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     is a lower cover when B - A - c misses ``mins`` (at first the complement
     of A), else c leaves ``mins``.  Exact nodes are support bitmasks, and an
     intent is the AND of ``cont[x]`` (the coatoms holding x) over the points
-    x.  Float nodes are image bases, met by :func:`linalg.meet_basis`, and an
-    intent tests every coatom in one product with the stacked 1 - Q.  Zero
-    goes below a nonzero meet of all coatoms.  Duplicates give one node.
+    x.  Float nodes are image bases, met with every coatom outside A by
+    one :func:`linalg.meet_bases`, and the intents of all those meets test
+    every coatom in one product with the stacked 1 - Q.  Zero goes below a
+    nonzero meet of all coatoms.  Duplicates give one node.
 
     Raises :class:`NodeBudgetError` when the node count exceeds
     cfg.max_nodes; its partial lattice holds the first cfg.max_nodes nodes
@@ -246,26 +254,43 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
         cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
         intent = cache(lambda s: reduce(int.__and__,
                                         [cont[x] for x in range(n) if s >> x & 1], full))
+
+        def meets(node: int, cs: list[int]) -> list:
+            return [(m, intent(m)) for m in (node & masks[c] for c in cs)]
+
         top = (1 << n) - 1
+        top_intent = intent(top)
     else:
         comp = np.eye(n) - np.array([q.matrix() for q in coatoms]).reshape(-1, n, n)
 
-        def intent(b: np.ndarray) -> int:
-            # loewner_leq against every coatom at once; its rank guard never
-            # decides for orthonormal columns, as sum |Q v_i|^2 <= rank Q
-            ok = np.all(np.linalg.norm(comp @ b, axis=1) <= CANON_TOL, axis=1)
-            return int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+        def intents(bases: list) -> list[int]:
+            # loewner_leq of every basis against every coatom from one
+            # product; its rank guard never decides for orthonormal columns,
+            # as sum |Q v_i|^2 <= rank Q.  A basis passes a coatom when none
+            # of its columns, counted by a running sum, fails it
+            fails = np.linalg.norm(comp @ np.concatenate(bases, axis=1), axis=1) > CANON_TOL
+            counts = np.zeros((len(comp), fails.shape[1] + 1), int)
+            np.cumsum(fails, axis=1, out=counts[:, 1:])
+            ends = np.cumsum([0] + [b.shape[1] for b in bases])
+            ok = np.packbits(counts[:, ends[1:]] == counts[:, ends[:-1]], axis=0, bitorder="little")
+            return [int.from_bytes(col.tobytes(), "little") for col in ok.T]
+
+        def meets(node: np.ndarray, cs: list[int]) -> list:
+            if not cs:
+                return []
+            bases = meet_bases(node, comp[cs], cfg.tol_rank)
+            return list(zip(bases, intents(bases)))
 
         top = np.eye(n, dtype=complex)
-    top_intent = intent(top)
+        top_intent = intents([top])[0]
     nodes = {top_intent: top}
     covers, queue = [], deque([top_intent])   # covers: (child intent, parent intent)
     while queue and len(nodes) <= cfg.max_nodes:
         a = queue.popleft()
         node, mins, lower = nodes[a], full & ~a, {}
-        for c in [c for c in range(len(coatoms)) if not a >> c & 1][::-1]:
-            m = node & masks[c] if exact else meet_basis(node, comp[c], cfg.tol_rank)
-            b = a | intent(m)
+        cs = [c for c in range(len(coatoms)) if not a >> c & 1][::-1]
+        for c, (m, found) in zip(cs, meets(node, cs)):
+            b = a | found
             if b & ~a & ~(1 << c) & mins:
                 mins &= ~(1 << c)
             else:

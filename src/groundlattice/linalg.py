@@ -309,18 +309,21 @@ def loewner_leq(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.all(np.linalg.norm(resid, axis=0) <= tol))
 
 
-def meet_basis(b: np.ndarray, comp: np.ndarray, tol_rank: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of image(b) ∩ ker(comp), for orthonormal columns b
-    and comp = 1 - q: b times the null space of the n x rank(b) matrix
-    comp @ b, whose singular values are the sines of the principal angles
-    between image(b) and image(q)."""
-    return b @ nullspace_cols(comp @ b, tol_rank)
+def meet_bases(b: np.ndarray, comps: np.ndarray, tol_rank: float = DEFAULT_TOL) -> list:
+    """Orthonormal bases of image(b) ∩ ker(comp) for orthonormal columns b
+    and each comp = 1 - q of the stack ``comps``: b times the null space of
+    the n x rank(b) matrix comp @ b, whose singular values are the sines of
+    the principal angles between image(b) and image(q).  One batched SVD,
+    with the cutoff of :func:`nullspace_cols` per matrix."""
+    _, sv, vh = _svd(comps @ b, full_matrices=False)
+    keep = sv <= tol_rank * np.maximum(1.0, sv[:, :1])
+    return [b @ v[k].conj().T for v, k in zip(vh, keep)]
 
 
 def image_intersection(p: Projection, q: Projection, tol_rank: float = DEFAULT_TOL) -> Projection:
     """Projection whose image is image(p) ∩ image(q).
 
-    Float engine: :func:`meet_basis` of the image basis of p and 1 - q.
+    Float engine: :func:`meet_bases` of the image basis of p and 1 - q.
     Commutative engine: set intersection of supports.
     """
     if p.n != q.n:
@@ -328,7 +331,8 @@ def image_intersection(p: Projection, q: Projection, tol_rank: float = DEFAULT_T
     if p.is_commutative and q.is_commutative:
         return Projection.from_support(p.n, p.classical_support & q.classical_support)
     b = p.matrix()[:, sorted(p.classical_support)] if p.is_commutative else p.image_basis
-    return Projection(n=p.n, image_basis=meet_basis(b, np.eye(p.n) - q.matrix(), tol_rank))
+    comp = np.eye(p.n) - q.matrix()
+    return Projection(n=p.n, image_basis=meet_bases(b, comp[None], tol_rank)[0])
 
 
 def ground_projection(a: np.ndarray, tol_spec: float = DEFAULT_TOL) -> Projection:

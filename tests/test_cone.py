@@ -9,9 +9,10 @@ from bruteforce_oracle import cone_rays, random_rational_subspace
 
 from groundlattice import cone as cone_mod
 from groundlattice import exactla as ela
+from groundlattice import subspace as subspace_mod
 from groundlattice.config import RunConfig
 from groundlattice.cone import analyze_cone, extreme_rays, relative_interior_point
-from groundlattice.lattice import is_coatom
+from groundlattice.lattice import is_coatom, is_ground_projection
 from groundlattice.errors import (
     GroundLatticeError,
     NonConvergenceError,
@@ -393,6 +394,69 @@ class TestAnalyzeConeExact:
     def test_generator_without_positive_trace_raises_typed_error(self):
         with pytest.raises(GroundLatticeError, match="trace"):
             cone_mod._unit_trace_exact([Fraction(1), Fraction(-1)])
+
+
+def bit_spaces_and_supports():
+    """All 256 supports of bits:N=3:k=2 and 200 seeded ones of bits:N=4:k=2."""
+    rng = np.random.default_rng(20)
+    return [(build_klocal(SiteSystem.bits(3), 2), range(256)),
+            (build_klocal(SiteSystem.bits(4), 2), [int(m) for m in rng.integers(0, 2 ** 16, 200)])]
+
+
+def support_of(mask, n):
+    return Projection.from_support(n, [x for x in range(n) if mask >> x & 1])
+
+
+class TestLazyDescriptor:
+    """dim_K, span_basis and interior_witness are computed on first read."""
+
+    def test_decisions_build_no_span(self, monkeypatch):
+        cases = [(u, [support_of(m, u.ambient_n) for m in masks])
+                 for u, masks in bit_spaces_and_supports()]
+        expected = [[(is_ground_projection(p, u), is_coatom(p, u)) for p in ps] for u, ps in cases]
+        assert any(coatom for answers in expected for _, coatom in answers)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a decision built a span")
+
+        # u.perp is computed and kept by now; nothing else may build a null space
+        for owner in (subspace_mod, cone_mod):
+            monkeypatch.setattr(owner, "supported_on", refuse)
+        monkeypatch.setattr(ela, "null_space", refuse)
+        assert [[(is_ground_projection(p, u), is_coatom(p, u)) for p in ps]
+                for u, ps in cases] == expected
+
+    def test_exact_dim_k_span_and_witness(self):
+        for u, masks in bit_spaces_and_supports():
+            n = u.ambient_n
+            for mask in masks:
+                desc = analyze_cone(support_of(mask, n), u)
+                assert not {"dim_K", "span_basis", "interior_witness"} & set(vars(desc))
+                dim = desc.dim_K        # read before the span exists
+                assert dim == len(desc.span_basis) and desc.span_basis is desc.span_basis
+                w = desc.interior_witness
+                if not dim:
+                    assert w is None and desc.witness_support == frozenset()
+                    continue
+                assert {x for x in range(n) if w[x] != 0} == \
+                    {x for x in range(n) if w[x] > 0} == desc.witness_support
+                assert sum(w) == 1 and all(ela.dot(row, w) == 0 for row in u.perp)
+
+    def test_float_dim_k_is_the_span_length(self):
+        exact = build_klocal(SiteSystem.bits(3), 2)
+        for seed in (1, 2):
+            z = np.random.default_rng(seed).normal(size=(2, 8, 8))
+            q, r = np.linalg.qr(z[0] + 1j * z[1])
+            v = q * (np.diag(r) / np.abs(np.diag(r)))
+            u = from_spanning_set([v @ m @ v.conj().T for m in exact.basis_as_matrices()])
+            dims = []
+            for mask in range(256):
+                cols = v[:, [x for x in range(8) if mask >> x & 1]]
+                desc = analyze_cone(Projection(n=8, image_basis=cols), u)
+                dims.append(desc.dim_K)
+                assert dims[-1] == len(desc.span_basis)
+                assert (desc.interior_witness is None) == (dims[-1] == 0)
+            assert dims == [analyze_cone(support_of(m, 8), exact).dim_K for m in range(256)]
 
 
 class TestExtremeRays:

@@ -8,6 +8,7 @@ import pytest
 from bruteforce_oracle import brute_force_members
 
 from groundlattice import exactla as ela
+from groundlattice import lattice as lattice_mod
 from groundlattice.config import RunConfig
 from groundlattice.cone import analyze_cone, extreme_rays
 from groundlattice.errors import PreconditionError
@@ -41,6 +42,7 @@ from groundlattice.linalg import (
     hermitian_matrix,
     image_intersection,
     loewner_leq,
+    nullspace_cols,
 )
 from groundlattice.manybody import (
     SiteSystem,
@@ -545,6 +547,29 @@ class TestImageBasisClosure:
         for seed, counts in ((0, (36, 67, 33)), (3, (44, 83, 41))):
             lat = build_lattice(u, RunConfig(samples=50, seed=seed))
             assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == counts
+
+    @pytest.mark.parametrize("case", ["rotated-cube", "m3"])
+    def test_batched_meets_match_one_svd_per_meet(self, case, monkeypatch):
+        # the reference meets a node with one coatom at a time, by its own SVD
+        cfg = RunConfig(samples=50)
+        if case == "m3":
+            u = m3_subspace()
+            coatoms, flag = enumerate_coatoms(u, cfg)
+        else:
+            exact = build_klocal(three_bit_system(), 1)
+            v = haar_unitary(np.random.default_rng(4), 8)
+            u, flag = rotated_space(exact, v), "complete"
+            coatoms = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
+                       for q in enumerate_coatoms(exact)[0]]
+        batched = close_to_lattice(u, coatoms, flag, cfg)
+        monkeypatch.setattr(lattice_mod, "meet_bases", lambda b, comps, tol: [
+            b @ nullspace_cols(comp @ b, tol) for comp in comps])
+        reference = close_to_lattice(u, coatoms, flag, cfg)
+        assert batched.node_count == reference.node_count > len(coatoms) + 1
+        assert all(np.array_equal(p.image_basis, q.image_basis)
+                   for p, q in zip(batched.nodes, reference.nodes))
+        assert batched.hasse_edges == reference.hasse_edges
+        assert batched.coatoms == reference.coatoms
 
     def test_meet_of_rank_zero_lies_below_every_coatom(self):
         # two lines in C^3 meet in rank 0: that meet's intent holds every coatom

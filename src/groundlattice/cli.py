@@ -2,12 +2,15 @@
 
 Subcommands: membership, qmax, cone, coatoms, lattice, klocal, marginal,
 verify.  Exit codes: 0 success, 1 verification failure, 2 input error,
-3 budget or incompleteness.  Reports echo the command and configuration;
-re-running with identical inputs reproduces the payload byte-identically
-(timing is reported outside the payload).  The membership and cone
-reports also carry, outside the payload, the cone's ``margin``: the
-closest call of the float facial reduction as a ratio to its threshold,
-null where no threshold was tested (exact engine, or a section {0}).
+3 budget or incompleteness.  Each command is one library call whose result
+:func:`run` reports as it is, with the command and configuration: coatoms
+and lattice report exactly what :func:`enumerate_coatoms` and
+:func:`build_lattice` return, under their completeness flag.  Re-running
+with identical inputs reproduces the payload byte-identically (timing is
+reported outside the payload).  The membership and cone reports also
+carry, outside the payload, the cone's ``margin``: the closest call of
+the float facial reduction as a ratio to its threshold, null where no
+threshold was tested (exact engine, or a section {0}).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     PreconditionError,
     UnsupportedConfigurationError,
 )
-from .lattice import close_to_lattice, enumerate_coatoms, is_coatom, q_max, q_max_from_descriptor
+from .lattice import build_lattice, enumerate_coatoms, q_max, q_max_from_descriptor
 from .linalg import Projection
 from .manybody import SiteSystem, build_klocal, klocal_dimension, marginal_map
 from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
@@ -91,48 +94,20 @@ def read_json(path: str, field: str):
         raise InputError(f"bad JSON in {path!r} at line {exc.lineno}: {exc.msg}", field=field)
 
 
-def load_subspace(token: str, engine: str, k: int | None = None) -> tuple[OperatorSubspace, list[Projection]]:
-    """Resolve a subspace argument: file path, fixture name, or spec string.
-
-    Returns the subspace and any curated coatoms the fixture contributes
-    (measure-zero strata that a sampled enumeration is not certified to reach).
-    """
+def load_subspace(token: str, engine: str, k: int | None = None) -> OperatorSubspace:
+    """Resolve a subspace argument: file path, fixture name, or spec string."""
     if token == "m3-example":
-        return fixtures.m3_subspace(), fixtures.m3_known_coatoms()
+        return fixtures.m3_subspace()
     if token.startswith("span{id}"):
-        kv = _parse_kv(token)
-        n = int(kv.get("n", 2))
-        return from_spanning_set([np.eye(n, dtype=complex)]), []
+        n = int(_parse_kv(token).get("n", 2))
+        return from_spanning_set([np.eye(n, dtype=complex)])
     if token.startswith(("bits:", "qubits:", "sites:")):
-        return build_klocal(*parse_system_spec(token, engine, k)), []
-    return jsonio.subspace_from_json(read_json(token, "subspace")), []
+        return build_klocal(*parse_system_spec(token, engine, k))
+    return jsonio.subspace_from_json(read_json(token, "subspace"))
 
 
 def load_projection(token: str, n: int) -> Projection:
     return jsonio.projection_from_json(read_json(token, "projection"), n)
-
-
-def config_from_args(args) -> RunConfig:
-    return RunConfig(seed=args.seed, tol_rank=args.tol,
-                     samples=args.samples, max_nodes=args.max_nodes)
-
-
-def make_report(args, cfg: RunConfig, payload: dict, started: float, ran, cone=None) -> dict:
-    """The report around ``payload``.  Its config echoes the engine of
-    ``ran``, the subspace or system the command ran on (null for verify,
-    whose fixtures carry their own engines)."""
-    engine = None if ran is None else "exact" if ran.is_exact else "float"
-    report = {
-        "command": args.command,
-        "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank,
-                   "samples": cfg.samples, "max_nodes": cfg.max_nodes, "engine": engine},
-        "payload": payload,
-        "timing_s": round(time.perf_counter() - started, 6),
-    }
-    if cone is not None:
-        finite = cone.margin is not None and math.isfinite(cone.margin)
-        report["margin"] = cone.margin if finite else None
-    return report
 
 
 def emit(report: dict, stream=None) -> None:
@@ -141,98 +116,62 @@ def emit(report: dict, stream=None) -> None:
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each returns (payload, what it ran on, cone or None, exit code)
 # --------------------------------------------------------------------------
 
-def cmd_membership(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, args.engine, args.k)
+def cmd_membership(args, cfg: RunConfig):
+    u = load_subspace(args.subspace, args.engine, args.k)
     if not u.contains_identity:
         raise PreconditionError("membership needs the identity inside the subspace")
-    p = load_projection(args.projection, u.ambient_n)
-    desc = analyze_cone(p, u, cfg)
-    qm = q_max_from_descriptor(desc, u, cfg)
+    desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
     payload = {
         "member": desc.member,
-        "q_max": jsonio.projection_to_json(qm),
+        "q_max": jsonio.projection_to_json(q_max_from_descriptor(desc, u, cfg)),
         "dim_K": desc.dim_K,
     }
-    emit(make_report(args, cfg, payload, started, u, cone=desc))
-    return EXIT_OK
+    return payload, u, desc, EXIT_OK
 
 
-def cmd_qmax(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, args.engine, args.k)
-    p = load_projection(args.projection, u.ambient_n)
-    qm = q_max(p, u, cfg)
-    payload = {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}
-    emit(make_report(args, cfg, payload, started, u))
-    return EXIT_OK
+def cmd_qmax(args, cfg: RunConfig):
+    u = load_subspace(args.subspace, args.engine, args.k)
+    qm = q_max(load_projection(args.projection, u.ambient_n), u, cfg)
+    return {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}, u, None, EXIT_OK
 
 
-def cmd_cone(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
-    u, _ = load_subspace(args.subspace, args.engine, args.k)
-    p = load_projection(args.projection, u.ambient_n)
-    desc = analyze_cone(p, u, cfg)
+def cmd_cone(args, cfg: RunConfig):
+    u = load_subspace(args.subspace, args.engine, args.k)
+    desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
     rays = extreme_rays(desc, cfg, subspace=u) if args.rays and desc.dim_K >= 1 else None
-    payload = jsonio.cone_to_json(desc, rays)
-    emit(make_report(args, cfg, payload, started, u, cone=desc))
-    return EXIT_OK
+    return jsonio.cone_to_json(desc, rays), u, desc, EXIT_OK
 
 
-def coatoms_with_curated(u: OperatorSubspace, curated: list[Projection],
-                         cfg: RunConfig) -> tuple[list[Projection], str]:
-    """The enumerated coatoms, then each curated projection that passes
-    :func:`is_coatom` and is not among them; and the enumeration's flag."""
+def cmd_coatoms(args, cfg: RunConfig):
+    u = load_subspace(args.subspace, args.engine, args.k)
     coatoms, flag = enumerate_coatoms(u, cfg)
-    for p in curated:
-        if is_coatom(p, u, cfg) and not any(p.same_image(q) for q in coatoms):
-            coatoms.append(p)
-    return coatoms, flag
-
-
-def cmd_coatoms(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
-    u, extra = load_subspace(args.subspace, args.engine, args.k)
-    coatoms, flag = coatoms_with_curated(u, extra, cfg)
     payload = {
         "completeness": flag,
         "count": len(coatoms),
         "coatoms": [jsonio.projection_to_json(p) for p in coatoms],
     }
-    emit(make_report(args, cfg, payload, started, u))
-    return EXIT_OK
+    return payload, u, None, EXIT_OK
 
 
-def cmd_lattice(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
-    u, extra = load_subspace(args.subspace, args.engine, args.k)
-    partial = False
+def cmd_lattice(args, cfg: RunConfig):
+    u = load_subspace(args.subspace, args.engine, args.k)
     try:
-        lat = close_to_lattice(u, *coatoms_with_curated(u, extra, cfg), cfg)
+        lat, code = build_lattice(u, cfg), EXIT_OK
     except NodeBudgetError as exc:
-        lat = exc.partial
-        partial = True
+        lat, code = exc.partial, EXIT_BUDGET
     if args.out == "dot":
         sys.stdout.write(jsonio.lattice_to_dot(lat) + "\n")
-        return EXIT_BUDGET if partial else EXIT_OK
+        return None, u, None, code
     payload = jsonio.lattice_to_json(lat)
     payload["coatom_count"] = len(lat.coatoms)
-    payload["partial"] = partial
-    emit(make_report(args, cfg, payload, started, u))
-    return EXIT_BUDGET if partial else EXIT_OK
+    payload["partial"] = code == EXIT_BUDGET
+    return payload, u, None, code
 
 
-def cmd_klocal(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
+def cmd_klocal(args, cfg: RunConfig):
     sys_, k = parse_system_spec(args.system, args.engine, args.k)
     u = build_klocal(sys_, k)
     payload = {
@@ -245,49 +184,59 @@ def cmd_klocal(args) -> int:
         payload["closed_form_dim"] = klocal_dimension(sys_, k)
     except InputError:
         pass  # non-uniform sites have no closed form
-    emit(make_report(args, cfg, payload, started, u))
-    return EXIT_OK
+    return payload, u, None, EXIT_OK
 
 
-def cmd_marginal(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
+def cmd_marginal(args, cfg: RunConfig):
     sys_, k = parse_system_spec(args.system, args.engine, args.k)
     a = jsonio.matrix_from_json(read_json(args.matrix, "matrix"))
     if sys_.is_exact:
         if not np.allclose(a, np.diag(np.diag(a))):
             raise InputError("exact engine expects a diagonal matrix", field="matrix")
-        vec = [Fraction(float(x.real)).limit_denominator(10 ** 9) for x in np.diag(a)]
-        tup = marginal_map(vec, sys_, k)
-    else:
-        tup = marginal_map(a, sys_, k)
-    payload = {"marginals": jsonio.marginal_tuple_to_json(tup)}
-    emit(make_report(args, cfg, payload, started, sys_))
-    return EXIT_OK
+        a = [Fraction(float(x.real)).limit_denominator(10 ** 9) for x in np.diag(a)]
+    payload = {"marginals": jsonio.marginal_tuple_to_json(marginal_map(a, sys_, k))}
+    return payload, sys_, None, EXIT_OK
 
 
-# --------------------------------------------------------------------------
-# verify: named fixture checks
-# --------------------------------------------------------------------------
-
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    cfg = config_from_args(args)
+def cmd_verify(args, cfg: RunConfig):
+    """Run a named fixture's checks, printing a PASS or FAIL line each.
+    The report's engine is null: the fixtures carry their own."""
     if args.fixture not in fixtures.CHECKS:
         raise InputError(f"unknown fixture {args.fixture!r}; "
                          f"choose from {sorted(fixtures.CHECKS)}", field="fixture")
     checks = fixtures.CHECKS[args.fixture](cfg)
-    all_ok = True
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"{status}: {name}{suffix}")
-        all_ok = all_ok and ok
+        print(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else ""))
+    all_ok = all(ok for _, ok, _ in checks)
     payload = {"fixture": args.fixture,
                "checks": [{"name": n, "ok": ok} for n, ok, _ in checks],
                "all_ok": all_ok}
-    emit(make_report(args, cfg, payload, started, None))
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return payload, None, None, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+
+
+def run(args) -> int:
+    """Run one command and emit its report: the command, the configuration
+    with the engine of what ran, the payload, the wall time and, where a
+    cone was analysed, its margin (the last two outside the payload)."""
+    started = time.perf_counter()
+    cfg = RunConfig(seed=args.seed, tol_rank=args.tol,
+                    samples=args.samples, max_nodes=args.max_nodes)
+    payload, ran, cone, code = args.func(args, cfg)
+    if payload is None:
+        return code
+    report = {
+        "command": args.command,
+        "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank, "samples": cfg.samples,
+                   "max_nodes": cfg.max_nodes,
+                   "engine": None if ran is None else "exact" if ran.is_exact else "float"},
+        "payload": payload,
+        "timing_s": round(time.perf_counter() - started, 6),
+    }
+    if cone is not None:
+        finite = cone.margin is not None and math.isfinite(cone.margin)
+        report["margin"] = cone.margin if finite else None
+    emit(report)
+    return code
 
 
 # --------------------------------------------------------------------------
@@ -364,13 +313,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run(args)
     except (NodeBudgetError, IncompleteRaysError, UnsupportedConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except GroundLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

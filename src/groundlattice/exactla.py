@@ -96,7 +96,9 @@ def integer_rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    """The pivot count of one :func:`integer_rref` of the rows scaled by
+    :func:`integer_row`; rational or integer rows."""
+    return len(integer_rref([integer_row(row)[1] for row in m])[1])
 
 
 def null_space(m: Mat, ncols: int | None = None) -> list[list[int]]:

@@ -78,9 +78,9 @@ def m3_p_bottom() -> Projection:
 
 
 def m3_known_coatoms() -> list[Projection]:
-    """The two rank-two coatoms, the ends of the flat edge of K(0).  Face
-    descents reach them, but a sampled enumeration is not certified to, so
-    the CLI merges them in explicitly."""
+    """The two rank-two coatoms, the ends of the flat edge of K(0): the
+    reference that :func:`check_m3` and the tests hold the engine to.  Face
+    descents reach them, but a sampled enumeration is not certified to."""
     return [m3_p_plus(), m3_p_minus()]
 
 

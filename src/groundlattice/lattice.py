@@ -118,7 +118,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         return []  # p = id: the infimum of no coatoms
     rays = integer_rays(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
     # dim K(p) as the length of the span the rays were built from
-    chosen = _first_independent_rays(rays, len(desc.span_basis), u)
+    chosen = _first_independent_rays(rays, len(desc.span_basis), u, cfg.tol_rank)
     coatoms = [_kernel_of(v, u, cfg) for v in chosen]
     if u.is_exact:
         ok = frozenset.intersection(*(q.classical_support for q in coatoms)) == p.classical_support
@@ -130,12 +130,13 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     return coatoms
 
 
-def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
+def _first_independent_rays(rays: list, d: int, u: OperatorSubspace, tol_rank: float) -> list:
     """The first d linearly independent rays, in the order given.
 
     Exact: the pivot columns of one integer elimination of the matrix whose
-    columns are the integer rays.  Float: each ray that raises
-    the numerical rank (the column count of ``range_cols``) of those kept.
+    columns are the integer rays.  Float: each ray that raises the
+    numerical rank at ``tol_rank`` (the column count of ``range_cols``) of
+    those kept.
     """
     if u.is_exact:
         return [rays[j] for j in ela.integer_rref([list(col) for col in zip(*rays)])[1][:d]]
@@ -144,7 +145,7 @@ def _first_independent_rays(rays: list, d: int, u: OperatorSubspace) -> list:
         if len(chosen) == d:
             break
         if range_cols(np.stack([np.asarray(v).reshape(-1).view(float) for v in chosen + [g]]),
-                      1e-9).shape[1] > len(chosen):
+                      tol_rank).shape[1] > len(chosen):
             chosen.append(g)
     return chosen
 
@@ -177,7 +178,6 @@ def enumerate_coatoms(u: OperatorSubspace,
 class GroundLattice:
     """Canonicalized node set with Hasse edges and the coatom subset."""
 
-    subspace: OperatorSubspace | None
     nodes: list[Projection]
     hasse_edges: list[tuple[int, int]]   # (child index, parent index) covers
     coatoms: list[int]
@@ -197,8 +197,8 @@ class GroundLattice:
         return out
 
 
-def lattice_from_nodes(u: OperatorSubspace | None, nodes: dict[object, Projection],
-                       covers: list[tuple[object, object]], flag: str) -> GroundLattice:
+def lattice_from_nodes(nodes: dict[object, Projection], covers: list[tuple[object, object]],
+                       flag: str) -> GroundLattice:
     """Sort the nodes, renumber the given covers, and mark the coatoms.
 
     ``nodes`` maps a key to each node and ``covers`` holds (child, parent)
@@ -210,7 +210,7 @@ def lattice_from_nodes(u: OperatorSubspace | None, nodes: dict[object, Projectio
     index = {key: i for i, key in enumerate(order)}
     edges = sorted((index[a], index[b]) for a, b in covers)
     top = len(order) - 1
-    return GroundLattice(subspace=u, nodes=[nodes[key] for key in order], hasse_edges=edges,
+    return GroundLattice(nodes=[nodes[key] for key in order], hasse_edges=edges,
                          coatoms=[i for i, j in edges if j == top], completeness_flag=flag)
 
 
@@ -308,8 +308,8 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
         nodes[None] = u.zero_projection()
         covers.append((None, full))
     if len(nodes) <= cfg.max_nodes:
-        return lattice_from_nodes(u, nodes, covers, flag)
+        return lattice_from_nodes(nodes, covers, flag)
     kept = dict(list(nodes.items())[: cfg.max_nodes])
     partial = [(a, b) for a, b in covers if a in kept and b in kept]
     raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes",
-                          partial=lattice_from_nodes(u, kept, partial, flag))
+                          partial=lattice_from_nodes(kept, partial, flag))

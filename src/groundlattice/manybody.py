@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
 
@@ -86,16 +87,10 @@ def _site_traceless_hermitian(m: int) -> list[np.ndarray]:
     return out
 
 
-def _site_sumzero_rational(m: int) -> list[list[Fraction]]:
-    """Orthogonal sum-zero rational basis of functions on m points."""
-    out = []
-    for level in range(1, m):
-        v = [Fraction(0)] * m
-        for i in range(level):
-            v[i] = Fraction(1)
-        v[level] = Fraction(-level)
-        out.append(v)
-    return out
+def _site_sumzero_integer(m: int) -> list[np.ndarray]:
+    """Orthogonal sum-zero integer basis of functions on m points."""
+    return [np.array([1] * level + [-level] + [0] * (m - level - 1), np.int64)
+            for level in range(1, m)]
 
 
 def klocal_dimension(sys: SiteSystem, k: int) -> int:
@@ -111,46 +106,35 @@ def klocal_dimension(sys: SiteSystem, k: int) -> int:
 def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     """The subspace of k-local Hamiltonians on the system.
 
-    For every site subset of size 1..k, traceless single-site basis
-    elements are tensored together and padded with identity.  With the
+    For every site subset nu of size 1..k and every choice of traceless
+    single-site basis elements on nu, one term is the Kronecker product
+    over the sites of those elements on nu and the identity elsewhere: an
+    identity matrix (float) or the all-ones function (exact).  With the
     identity, which comes first, these are pairwise orthogonal, so no
     Gram-Schmidt runs: the float engine normalizes them, and the exact
-    engine keeps the integer-valued vectors as built, with one dot each
-    for their squared norms.
+    engine keeps the integer-valued vectors as built, as Fractions.
     """
     if not 1 <= k <= sys.n_sites:
         raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
-    n_sites = sys.n_sites
-    if sys.is_exact:
-        site_basis = {i: _site_sumzero_rational(sys.dims[i]) for i in range(n_sites)}
-        configs = sys.configurations()
-        vectors = [[Fraction(1)] * sys.total_dim]
-        for ell in range(1, k + 1):
-            for nu in combinations(range(n_sites), ell):
-                for choice in product(*(site_basis[i] for i in nu)):
-                    vectors.append([prod((f[x[s]] for f, s in zip(choice, nu)), start=Fraction(1))
-                                    for x in configs])
-        return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_EXACT, basis=vectors,
-                                contains_identity=True, norms_sq=[ela.dot(v, v) for v in vectors],
-                                site_structure=(n_sites, tuple(sys.dims)))
-
-    site_basis_f = {i: _site_traceless_hermitian(sys.dims[i]) for i in range(n_sites)}
-    mats = [np.eye(sys.total_dim, dtype=complex)]
+    n_sites, exact = sys.n_sites, sys.is_exact
+    site_basis = [_site_sumzero_integer(d) if exact else _site_traceless_hermitian(d)
+                  for d in sys.dims]
+    pad = [np.ones(d, np.int64) if exact else np.eye(d, dtype=complex) for d in sys.dims]
+    terms = [reduce(np.kron, pad)]
     for ell in range(1, k + 1):
         for nu in combinations(range(n_sites), ell):
-            for choice in product(*(site_basis_f[i] for i in nu)):
-                factors = [choice[nu.index(site)] if site in nu
-                           else np.eye(sys.dims[site], dtype=complex)
-                           for site in range(n_sites)]
-                full = factors[0]
-                for f in factors[1:]:
-                    full = np.kron(full, f)
-                mats.append(full)
-    basis = [m / np.linalg.norm(m) for m in mats]
-    u = OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_FLOAT, basis=basis,
-                         contains_identity=True,
-                         site_structure=(n_sites, tuple(sys.dims)))
-    return u
+            for choice in product(*(site_basis[i] for i in nu)):
+                factors = dict(zip(nu, choice))
+                terms.append(reduce(np.kron, [factors.get(i, f) for i, f in enumerate(pad)]))
+    if exact:
+        return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_EXACT,
+                                basis=[list(map(Fraction, t.tolist())) for t in terms],
+                                contains_identity=True,
+                                norms_sq=[Fraction(int(t @ t)) for t in terms],
+                                site_structure=(n_sites, tuple(sys.dims)))
+    return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_FLOAT,
+                            basis=[t / np.linalg.norm(t) for t in terms], contains_identity=True,
+                            site_structure=(n_sites, tuple(sys.dims)))
 
 
 def embed_on_sites(sys: SiteSystem, b: np.ndarray, kept: tuple[int, ...]) -> np.ndarray:
@@ -189,27 +173,17 @@ def partial_trace(a, sys: SiteSystem, nu: tuple[int, ...]):
     if sys.is_exact:
         if len(a) != sys.total_dim:
             raise InputError("vector length does not match the system")
-        kept_confs = sys.configurations(kept)
-        out = {yc: Fraction(0) for yc in kept_confs}
-        for x, val in zip(sys.configurations(), a):
-            out[tuple(x[i] for i in kept)] += val
-        return [out[yc] for yc in kept_confs]
+        summed = np.array(a, dtype=object).reshape(sys.dims).sum(axis=nu, keepdims=True)
+        return summed.reshape(-1).tolist()
     a = np.asarray(a, dtype=complex)
     if a.shape != (sys.total_dim, sys.total_dim):
         raise InputError("matrix shape does not match the system")
+    # einsum with the same axis label on the row and column of a traced site
     n_sites = sys.n_sites
-    tens = a.reshape(list(sys.dims) * 2)
-    # einsum with repeated axis labels on the traced sites
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = []
-    col = []
-    for i in range(n_sites):
-        row.append(letters[i])
-        col.append(letters[i] if i in nu else letters[n_sites + i])
-    out_labels = [letters[i] for i in kept] + [letters[n_sites + i] for i in kept]
-    spec = "".join(row + col) + "->" + "".join(out_labels)
-    traced = np.einsum(spec, tens)
-    d_kept = prod(sys.dims[i] for i in kept) if kept else 1
+    col = [i if i in nu else n_sites + i for i in range(n_sites)]
+    traced = np.einsum(a.reshape(sys.dims * 2), list(range(n_sites)) + col,
+                       list(kept) + [n_sites + i for i in kept])
+    d_kept = prod(sys.dims[i] for i in kept)
     return traced.reshape(d_kept, d_kept)
 
 
@@ -244,7 +218,7 @@ def truncation_rows(sys: SiteSystem, k: int) -> list[tuple[tuple[int, ...], tupl
     return rows
 
 
-def marginal_polytope_vertices(sys: SiteSystem, k: int) -> list[list[Fraction]]:
+def marginal_polytope_vertices(sys: SiteSystem, k: int) -> list[list[int]]:
     """Columns of the 0-1 truncation matrix, one per global configuration.
 
     The marginal body is their convex hull; exact engine only.
@@ -255,16 +229,11 @@ def marginal_polytope_vertices(sys: SiteSystem, k: int) -> list[list[Fraction]]:
     if not 1 <= k <= sys.n_sites:
         raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
     rows = truncation_rows(sys, k)
-    cols = []
-    for x in sys.configurations():
-        col = [Fraction(1) if tuple(x[i] for i in nu) == y else Fraction(0)
-               for (nu, y) in rows]
-        cols.append(col)
-    return cols
+    return [[int(tuple(x[i] for i in nu) == y) for nu, y in rows] for x in sys.configurations()]
 
 
-def affine_dimension(columns: list[list[Fraction]]) -> int:
-    """Dimension of the affine hull of rational points, exactly."""
+def affine_dimension(columns: list[list]) -> int:
+    """Dimension of the affine hull of rational or integer points, exactly."""
     if not columns:
         return -1
     base = columns[0]

@@ -11,7 +11,8 @@ from groundlattice.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, mai
 from groundlattice.cone import analyze_cone, extreme_rays
 from groundlattice.errors import InputError
 from groundlattice.fixtures import m3_p_bottom, m3_subspace, three_bit_two_local
-from groundlattice.lattice import build_lattice
+from groundlattice.config import RunConfig
+from groundlattice.lattice import build_lattice, enumerate_coatoms
 from groundlattice.linalg import Projection, hermitian_matrix
 from groundlattice.manybody import SiteSystem, marginal_map
 
@@ -196,6 +197,29 @@ class TestCommands:
         coatoms = last_json(out)["payload"]["coatoms"]
         assert len(coatoms) >= 100
         assert {len(c["image_basis"]) for c in coatoms} == {1, 2}
+        assert sum(len(c["image_basis"]) == 2 for c in coatoms) == 2   # p_plus and p_minus
+
+    def test_coatoms_report_the_enumeration_alone(self, capsys):
+        # five descents miss the rank-two coatom p_minus, and the report
+        # does not add it
+        code, out, _ = run_cli(capsys, ["coatoms", "m3-example", "--samples", "5",
+                                        "--seed", "1"])
+        assert code == EXIT_OK
+        coatoms, flag = enumerate_coatoms(m3_subspace(), RunConfig(samples=5, seed=1))
+        expected = {"completeness": flag, "count": len(coatoms),
+                    "coatoms": [jsonio.projection_to_json(p) for p in coatoms]}
+        assert json.dumps(last_json(out)["payload"], sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
+
+    def test_lattice_reports_build_lattice_alone(self, capsys):
+        code, out, _ = run_cli(capsys, ["lattice", "m3-example", "--samples", "5",
+                                        "--seed", "1"])
+        assert code == EXIT_OK
+        lat = build_lattice(m3_subspace(), RunConfig(samples=5, seed=1))
+        expected = jsonio.lattice_to_json(lat)
+        expected.update(coatom_count=len(lat.coatoms), partial=False)
+        assert json.dumps(last_json(out)["payload"], sort_keys=True) == \
+            json.dumps(expected, sort_keys=True)
 
     def test_lattice_dot_output(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "span{id}:n=2", "--samples", "5",

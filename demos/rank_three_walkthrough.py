@@ -56,7 +56,7 @@ print(f"\nbottom 0(+)1: dim K = {desc.dim_K} (a two-dimensional wedge)")
 witness = relative_interior_point(desc)
 print(f"  witness eigenvalues: {np.round(np.linalg.eigvalsh(witness), 6)}")
 
-rays = extreme_rays(desc, cfg, subspace=u)
+rays = extreme_rays(desc, cfg)
 targets = {"u_plus": U_PLUS / np.trace(U_PLUS).real,
            "u_minus": U_MINUS / np.trace(U_MINUS).real}
 for name, t in targets.items():

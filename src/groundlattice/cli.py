@@ -141,7 +141,7 @@ def cmd_qmax(args, cfg: RunConfig):
 def cmd_cone(args, cfg: RunConfig):
     u = load_subspace(args.subspace, args.engine, args.k)
     desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
-    rays = extreme_rays(desc, cfg, subspace=u) if args.rays and desc.dim_K >= 1 else None
+    rays = extreme_rays(desc, cfg) if args.rays and desc.dim_K >= 1 else None
     return jsonio.cone_to_json(desc, rays), u, desc, EXIT_OK
 
 

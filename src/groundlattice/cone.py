@@ -35,8 +35,10 @@ eigenvalues of the last iterate and repeats, at most rank(1 - p) times;
 each cut loosens the later tolerances to the tilt it can leave.  Extreme
 rays come from face descents: from a point inside a face, move in the
 trace-one section to a boundary point x and replace the face by K(ker x),
-the smallest face holding x, until the face is a ray.  The same descents
-from K(0) give the float coatoms.
+the smallest face holding x, until the face is a ray; ker x is read off
+the whitened eigenproblem that finds x.  :func:`extreme_rays` keeps the
+first dim K(p) linearly independent rays.  The same descents from K(0)
+give the float coatoms.
 """
 
 from __future__ import annotations
@@ -53,11 +55,12 @@ from .config import RunConfig
 from .errors import (
     GroundLatticeError,
     IncompleteRaysError,
+    InputError,
     NonConvergenceError,
     PreconditionError,
     TrivialConeError,
 )
-from .linalg import Projection, eigh, kernel_projection, nullspace_cols, range_cols
+from .linalg import Projection, eigh, nullspace_cols, range_cols
 from .subspace import ENGINE_EXACT, OperatorSubspace, linear_section, supported_on
 
 PSD_TOL = 1e-9        # phase-I acceptance of t* = max lambda_min(X) at tr X = 1
@@ -75,10 +78,11 @@ class ConeDescriptor:
 
     ``q_max_rank``, ``witness_support`` and ``margin`` come from the
     analysis.  ``dim_K``, ``span_basis`` and ``interior_witness`` are
-    computed on first read, once, from ``source``: the subspace, the
-    complement of p and the LP optimizers (exact), or the phase-I
-    coefficients x, the face section c, the face, the restriction
-    coefficients and the section stack (float); None when K(p) = {0}.
+    computed on first read, once, from ``source``, which starts with the
+    subspace: then the complement of p and the LP optimizers (exact), or
+    the phase-I coefficients x, the face section c, the face, the
+    restriction coefficients and the section stack (float); None when
+    K(p) = {0}.
     """
 
     base_projection: Projection
@@ -103,7 +107,7 @@ class ConeDescriptor:
             support = sorted(self.witness_support)
             rows = [[w[x] for x in support] for w in self.source[0].perp]
             return len(support) - len(ela.integer_rref(rows)[1])
-        return self.source[3].shape[1]
+        return self.source[4].shape[1]
 
     @cached_property
     def span_basis(self) -> list:
@@ -113,7 +117,7 @@ class ConeDescriptor:
             return []
         if self.engine == ENGINE_EXACT:
             return supported_on(self.source[0], sorted(self.witness_support))
-        coeffs, stack = self.source[3:]
+        coeffs, stack = self.source[4:]
         return list(np.tensordot(coeffs.T, stack, axes=1))
 
     @cached_property
@@ -128,7 +132,7 @@ class ConeDescriptor:
             for i, x in enumerate(complement):
                 witness[x] = sum(Fraction(y[i], det) for y, det in optimizers) / len(optimizers)
             return witness
-        x, c, face = self.source[:3]
+        x, c, face = self.source[1:4]
         return _unit_trace_float(face @ np.tensordot(x, c, axes=1) @ face.conj().T)
 
     @property
@@ -376,7 +380,7 @@ def _analyze_float(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             return ConeDescriptor(
                 base_projection=p, q_max_rank=p.n - int(np.sum(s > cfg.tol_rank * s.sum())),
                 engine=u.engine, margin=min(margin, t / tol),
-                source=(x, c, face, coeffs, stack))
+                source=(u, x, c, face, coeffs, stack))
         logs = np.log(np.maximum(s, np.finfo(float).tiny))
         cut = int(np.argmax(np.diff(logs))) + 1
         gap = float(np.exp(logs[cut] - logs[cut - 1]))
@@ -412,6 +416,8 @@ def analyze_cone(p: Projection, u: OperatorSubspace,
     if p.n != u.ambient_n:
         raise PreconditionError("projection dimension does not match subspace")
     if u.is_exact:
+        if not p.is_commutative:
+            raise InputError("exact engine needs support-based projections")
         return _analyze_exact(p, u, cfg)
     return _analyze_float(p, u, cfg)
 
@@ -423,43 +429,47 @@ def relative_interior_point(desc: ConeDescriptor):
     return desc.interior_witness
 
 
-def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None,
-                 subspace: OperatorSubspace | None = None) -> list:
+def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
     """Generators of extreme rays of K(p), each normalized to unit trace.
 
     Exact engine: the complete list, sorted, by incremental double
-    description with the combinatorial adjacency test.  Float engine: face
-    descents from the witness (see :func:`descent_rays`) until the rays
-    span dim K(p), at most 12 dim K(p) of them, else
-    :class:`IncompleteRaysError` with the rays found; needs ``subspace``.
+    description with the combinatorial adjacency test.  Float engine:
+    dim K(p) linearly independent rays, in the order the face descents
+    from the witness reach them (see :func:`descent_rays`): each ray that
+    raises the rank of those kept is kept, over at most 12 dim K(p)
+    descents, else :class:`IncompleteRaysError` with every ray found.
     """
     cfg = cfg or RunConfig()
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == ENGINE_EXACT:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
-    if subspace is None:
-        raise PreconditionError("float extreme-ray search needs the subspace")
-    return _extreme_rays_float(desc, subspace, cfg)
+    return _extreme_rays_float(desc, cfg)
 
 
 def _unit_trace_float(v: np.ndarray) -> np.ndarray:
     return v / float(np.trace(v).real)
 
 
-def _exit(w: np.ndarray, d: np.ndarray) -> float:
-    """The largest t with w + t d >= 0, for d on the face of w: on that face
-    w + t d >= 0 exactly when 1 + t e >= 0 for the eigenvalues e of
-    w^{-1/2} d w^{-1/2}.  Infinite when d never leaves the cone."""
+def _exit(w: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The largest t with w + t d >= 0, for d on the face of w, and an
+    orthonormal basis of ker(w + t d); (inf, None) when d never leaves the
+    cone.  On that face w + t d = w^{1/2} (1 + t m) w^{1/2} with
+    m = w^{-1/2} d w^{-1/2}, so t = -1 / m_min, and the kernel is ker w
+    plus w^{-1/2} v for the eigenvectors v of m with 1 + t m <= PSD_TOL."""
     lam, vecs = eigh(w)
-    face = vecs[:, lam > PSD_TOL] / np.sqrt(lam[lam > PSD_TOL])
-    top = float(eigh(-(face.conj().T @ d @ face))[0][-1])
-    return 1.0 / top if top > 0.0 else np.inf
+    on = lam > PSD_TOL
+    face = vecs[:, on] / np.sqrt(lam[on])
+    m, v = eigh(face.conj().T @ d @ face)
+    if m[0] >= 0.0:
+        return np.inf, None
+    t = -1.0 / float(m[0])
+    kernel = np.concatenate([vecs[:, ~on], face @ v[:, 1.0 + t * m <= PSD_TOL]], axis=1)
+    return t, np.linalg.qr(kernel)[0]
 
 
-def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
-             found: np.ndarray, mean: np.ndarray | None,
-             rng: np.random.Generator) -> np.ndarray | None:
+def _descend(desc: ConeDescriptor, cfg: RunConfig, found: np.ndarray,
+             mean: np.ndarray | None, rng: np.random.Generator) -> np.ndarray | None:
     """One walk from inside a float cone down its faces to a ray.
 
     Each step takes a random trace-free direction R in the span of the
@@ -468,49 +478,46 @@ def _descend(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
     trace-free direction D to the boundary point x = W + t D, where t is
     the largest step that keeps W + t D >= 0.  The smallest face of K(0)
     holding x is K(ker x) (Ramana & Goldman 1995), a proper face of F, so
-    the dimension drops at every step.  D is W minus the mean of the rays
-    of ``found`` that lie on F: along it every ray of a simplicial F not
-    yet found keeps a growing coefficient, so the walk ends on a new one.
+    the dimension drops at every step; ker x is read off the eigenproblem
+    that gives t (:func:`_exit`).  D is W minus the mean of the rays of
+    ``found`` that lie on F: along it every ray of a simplicial F not yet
+    found keeps a growing coefficient, so the walk ends on a new one.
     When F holds no found ray, D = R.  ``mean`` is the mean of ``found``,
     all of which lie on the first F, or None.  Returns the unit-trace ray,
     or None when it is in ``found`` or a step does not shrink the face.
     """
+    n = desc.base_projection.n
     while True:
         w = _unit_trace_float(desc.interior_witness)
         if desc.dim_K == 1:
             return None if mean is not None else w
         g = np.tensordot(rng.normal(size=desc.dim_K), np.stack(desc.span_basis), axes=1)
         r = g - np.trace(g).real * w
-        w = w + 0.5 * _exit(w, r) * r
-        d = w - mean if mean is not None else r
-        x = w + _exit(w, d) * d
-        if not np.all(np.isfinite(x)):
+        w = w + 0.5 * _exit(w, r)[0] * r
+        kernel = _exit(w, w - mean if mean is not None else r)[1]
+        if kernel is None:
             return None
-        sub = analyze_cone(kernel_projection(0.5 * (x + x.conj().T), max(cfg.tol_rank, 1e-8)),
-                           u, cfg)
+        sub = analyze_cone(Projection(n=n, image_basis=kernel), desc.source[0], cfg)
         if not 0 < sub.dim_K < desc.dim_K:
             return None
         desc = sub
         # the found rays on this face, among those on the last one: a PSD
         # ray g lies on K(q) exactly when g q = 0
-        q = desc.base_projection.image_basis
-        found = found[np.linalg.norm((found.reshape(-1, len(q)) @ q)
-                                     .reshape(len(found), q.size), axis=1) <= 1e-6]
+        found = found[np.linalg.norm((found.reshape(-1, n) @ kernel)
+                                     .reshape(len(found), kernel.size), axis=1) <= 1e-6]
         mean = found.mean(axis=0) if len(found) else None
 
 
-def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
-                 attempts: int, stream: int, enough=None) -> np.ndarray:
-    """Distinct unit-trace extreme rays of a float cone, stacked, from up
-    to ``attempts`` face descents; descent t draws from random stream
-    ``cfg.rng_for(stream, t)``.  Stops early once ``enough(rays)`` holds."""
+def descent_rays(desc: ConeDescriptor, cfg: RunConfig, attempts: int, stream: int):
+    """Yields the distinct unit-trace extreme rays of a float cone that up
+    to ``attempts`` face descents reach, as they reach them; descent t
+    draws from random stream ``cfg.rng_for(stream, t)``.  The caller stops
+    the search by no longer asking for rays."""
     n = desc.base_projection.n
     buf, count = np.empty((8, n, n), complex), 0      # doubled when full
     total = np.zeros((n, n), complex)                  # the sum of the rays found
     for t in range(attempts):
-        if enough is not None and enough(buf[:count]):
-            break
-        ray = _descend(desc, u, cfg, buf[:count], total / count if count else None,
+        ray = _descend(desc, cfg, buf[:count], total / count if count else None,
                        cfg.rng_for(stream, t))
         if ray is None:
             continue
@@ -519,19 +526,19 @@ def descent_rays(desc: ConeDescriptor, u: OperatorSubspace, cfg: RunConfig,
         buf[count] = ray
         total += ray
         count += 1
-    return buf[:count]
+        yield ray
 
 
-def _extreme_rays_float(desc: ConeDescriptor, u: OperatorSubspace,
-                        cfg: RunConfig) -> list[np.ndarray]:
+def _extreme_rays_float(desc: ConeDescriptor, cfg: RunConfig) -> list[np.ndarray]:
     d, n = desc.dim_K, desc.base_projection.n
-
-    def rank(rays: np.ndarray) -> int:
-        return range_cols(rays.reshape(len(rays), n * n).view(float), cfg.tol_rank).shape[1]
-
-    rays = descent_rays(desc, u, cfg, 12 * d, 2, lambda r: rank(r) >= d)
-    if rank(rays) < d:
-        raise IncompleteRaysError(
-            f"found {len(rays)} extreme rays spanning {rank(rays)} < {d} dimensions",
-            partial=list(rays))
-    return list(rays)
+    found, kept = [], []
+    for ray in descent_rays(desc, cfg, 12 * d, 2):
+        found.append(ray)
+        rows = np.stack(kept + [ray]).reshape(len(kept) + 1, n * n).view(float)
+        if range_cols(rows, cfg.tol_rank).shape[1] > len(kept):
+            kept.append(ray)
+            if len(kept) == d:
+                return kept
+    raise IncompleteRaysError(
+        f"found {len(found)} extreme rays spanning {len(kept)} < {d} dimensions",
+        partial=found)

@@ -161,7 +161,7 @@ def check_m3(cfg: RunConfig) -> list[Check]:
     ok = len(parts) == 2 and all(
         any(part.same_image(t) for part in parts) for t in (p_plus, p_minus))
     checks.append(("decomposition of 0+1 is {p_plus, p_minus}", ok, f"parts={len(parts)}"))
-    rays = extreme_rays(desc, cfg, subspace=u)
+    rays = extreme_rays(desc, cfg)
     targets = [U_PLUS / np.trace(U_PLUS).real, U_MINUS / np.trace(U_MINUS).real]
     ok = len(rays) == 2 and all(
         min(frobenius(r - t) for r in rays) <= 1e-6 for t in targets)

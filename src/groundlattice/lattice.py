@@ -33,8 +33,7 @@ from . import exactla as ela
 from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, integer_rays
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import (CANON_TOL, Projection, image_intersection, kernel_projection,
-                     meet_bases, range_cols)
+from .linalg import CANON_TOL, Projection, image_intersection, kernel_projection, meet_bases
 from .subspace import OperatorSubspace
 
 
@@ -100,7 +99,8 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     """Coatoms q_1 .. q_d (d = dim K(p)) whose intersection is p.
 
     The q_i are the kernels of the first d linearly independent extreme
-    rays of K(p), in the order :func:`extreme_rays` returns them.  Any d
+    rays of K(p): the pivot columns of one integer elimination of the
+    exact rays, or the d rays that float :func:`extreme_rays` returns.  Any d
     independent rays span the linear hull of K(p), so the range of their
     sum holds the range of every element of K(p), and their kernels meet
     in the kernel of a witness, which is p.  Exact kernels are supports and
@@ -116,38 +116,18 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         raise PreconditionError("p is not a ground projection of U")
     if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
-    rays = integer_rays(desc) if u.is_exact else extreme_rays(desc, cfg, subspace=u)
-    # dim K(p) as the length of the span the rays were built from
-    chosen = _first_independent_rays(rays, len(desc.span_basis), u, cfg.tol_rank)
-    coatoms = [_kernel_of(v, u, cfg) for v in chosen]
     if u.is_exact:
+        rays = integer_rays(desc)
+        pivots = ela.integer_rref([list(col) for col in zip(*rays)])[1]
+        coatoms = [_kernel_of(rays[j], u, cfg) for j in pivots]
         ok = frozenset.intersection(*(q.classical_support for q in coatoms)) == p.classical_support
     else:
+        coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
         ok = reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank), coatoms).same_image(p)
     if not ok:
         raise IncompleteRaysError(
             "extreme-ray kernels failed to intersect back to p", partial=coatoms)
     return coatoms
-
-
-def _first_independent_rays(rays: list, d: int, u: OperatorSubspace, tol_rank: float) -> list:
-    """The first d linearly independent rays, in the order given.
-
-    Exact: the pivot columns of one integer elimination of the matrix whose
-    columns are the integer rays.  Float: each ray that raises the
-    numerical rank at ``tol_rank`` (the column count of ``range_cols``) of
-    those kept.
-    """
-    if u.is_exact:
-        return [rays[j] for j in ela.integer_rref([list(col) for col in zip(*rays)])[1][:d]]
-    chosen: list = []
-    for g in rays:
-        if len(chosen) == d:
-            break
-        if range_cols(np.stack([np.asarray(v).reshape(-1).view(float) for v in chosen + [g]]),
-                      tol_rank).shape[1] > len(chosen):
-            chosen.append(g)
-    return chosen
 
 
 def enumerate_coatoms(u: OperatorSubspace,
@@ -169,7 +149,7 @@ def enumerate_coatoms(u: OperatorSubspace,
     if u.is_exact:
         rays, flag = integer_rays(top), "exact"
     else:
-        rays, flag = descent_rays(top, u, cfg, cfg.samples, 3), "sampled"
+        rays, flag = descent_rays(top, cfg, cfg.samples, 3), "sampled"
     found = [_kernel_of(g, u, cfg) for g in rays]
     return sorted(found, key=lambda p: p.sort_key()), flag
 

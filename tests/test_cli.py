@@ -12,7 +12,7 @@ from groundlattice.cone import analyze_cone, extreme_rays
 from groundlattice.errors import InputError
 from groundlattice.fixtures import m3_p_bottom, m3_subspace, three_bit_two_local
 from groundlattice.config import RunConfig
-from groundlattice.lattice import build_lattice, enumerate_coatoms
+from groundlattice.lattice import build_lattice, enumerate_coatoms, q_max
 from groundlattice.linalg import Projection, hermitian_matrix
 from groundlattice.manybody import SiteSystem, marginal_map
 
@@ -91,7 +91,7 @@ class TestSchemas:
         u = m3_subspace()
         desc = analyze_cone(m3_p_bottom(), u)
         assert jsonio.cone_to_json(desc)["extreme_rays"] is None
-        obj = jsonio.cone_to_json(desc, extreme_rays(desc, subspace=u))
+        obj = jsonio.cone_to_json(desc, extreme_rays(desc))
         assert obj["dim_K"] == 2 and obj["is_ray"] is False
         assert obj["witness"]["n"] == 3
         assert len(obj["extreme_rays"]) == 2
@@ -259,6 +259,23 @@ class TestCommands:
         assert "margin" not in report["payload"]
         assert report["margin"] == analyze_cone(m3_p_bottom(), u).margin > 100
 
+    def test_qmax_of_the_m3_bottom(self, tmp_path, capsys):
+        proj_file = tmp_path / "p.json"
+        proj_file.write_text(json.dumps(jsonio.projection_to_json(m3_p_bottom())))
+        code, out, _ = run_cli(capsys, ["qmax", "m3-example", str(proj_file)])
+        assert code == EXIT_OK
+        payload = last_json(out)["payload"]
+        assert payload["rank"] == 1
+        assert jsonio.projection_from_json(payload["q_max"], 3).same_image(
+            q_max(m3_p_bottom(), m3_subspace()))
+
+    def test_qmax_exact_returns_a_support(self, tmp_path, capsys):
+        proj_file = tmp_path / "p.json"
+        proj_file.write_text(json.dumps({"support": [0, 3]}))
+        code, out, _ = run_cli(capsys, ["qmax", "bits:N=3:k=2", str(proj_file)])
+        assert code == EXIT_OK
+        assert last_json(out)["payload"] == {"q_max": {"support": [0, 3]}, "rank": 2}
+
     def test_determinism_identical_payloads(self, capsys):
         _, out1, _ = run_cli(capsys, ["coatoms", "m3-example", "--samples", "15",
                                       "--seed", "11"])
@@ -297,6 +314,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["marginal", missing, "--system", "bits:N=3:k=1"])
         assert code == EXIT_INPUT_ERROR
         assert f"cannot read matrix file {missing!r}" in err
+
+    def test_image_basis_projection_on_exact_subspace(self, tmp_path, capsys):
+        proj_file = tmp_path / "p.json"
+        proj_file.write_text(json.dumps({"image_basis": []}))
+        code, _, err = run_cli(capsys, ["membership", "bits:N=3:k=2", str(proj_file)])
+        assert code == EXIT_INPUT_ERROR
+        assert "support-based" in err
 
     def test_engine_validated(self, capsys):
         with pytest.raises(SystemExit) as exc:

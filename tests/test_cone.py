@@ -15,6 +15,7 @@ from groundlattice.cone import analyze_cone, extreme_rays, relative_interior_poi
 from groundlattice.lattice import is_coatom, is_ground_projection
 from groundlattice.errors import (
     GroundLatticeError,
+    InputError,
     NonConvergenceError,
     TrivialConeError,
 )
@@ -299,6 +300,13 @@ class TestPhaseOne:
 
 
 class TestAnalyzeConeExact:
+    def test_image_basis_projection_is_an_input_error(self):
+        # the exact engine reads supports only: an image basis is an input
+        # error, not a failure inside the LP loop
+        _, u = three_bit_two_local()
+        with pytest.raises(InputError, match="support-based"):
+            analyze_cone(Projection.zero(8), u)
+
     def test_rank_seven_support_has_trivial_cone(self):
         xs, u = three_bit_two_local()
         p = Projection.from_support(8, set(range(8)) - {3})
@@ -463,7 +471,7 @@ class TestExtremeRays:
     def test_m3_bottom_rays_are_u_plus_and_u_minus(self):
         u = m3_subspace()
         desc = analyze_cone(P_BOTTOM, u)
-        rays = extreme_rays(desc, subspace=u)
+        rays = extreme_rays(desc)
         assert len(rays) == 2
         targets = [U_PLUS / np.trace(U_PLUS).real, U_MINUS / np.trace(U_MINUS).real]
         for t in targets:
@@ -480,7 +488,7 @@ class TestExtremeRays:
         u = m3_subspace()
         p_plus = Projection.from_columns(3, P_PLUS_COLS)
         desc = analyze_cone(p_plus, u)
-        rays = extreme_rays(desc, subspace=u)
+        rays = extreme_rays(desc)
         assert len(rays) == 1
         assert frobenius(rays[0] - U_PLUS / np.trace(U_PLUS).real) <= 1e-7
 
@@ -492,7 +500,8 @@ class TestExtremeRays:
         u = from_spanning_set(exact.basis_as_matrices())
         desc = analyze_cone(Projection.zero(8), u)
         assert desc.dim_K == 7
-        rays = extreme_rays(desc, subspace=u)
+        rays = extreme_rays(desc)
+        assert len(rays) == 7
         assert np.linalg.matrix_rank(np.stack([r.reshape(-1) for r in rays]), tol=1e-8) == 7
         for r in rays:
             assert np.allclose(r, np.diag(np.diag(r)), atol=1e-9)
@@ -554,8 +563,8 @@ class TestExtremeRays:
         p = Projection.from_columns(8, cols)
         desc = analyze_cone(p, u_float)
         assert desc.dim_K == 3
-        rays = extreme_rays(desc, subspace=u_float)
-        assert len(rays) >= 3
+        rays = extreme_rays(desc)
+        assert len(rays) == 3
         expected = []
         for a in sorted(comp):
             for b in sorted(comp):

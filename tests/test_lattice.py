@@ -419,6 +419,21 @@ class TestEnumerateCoatoms:
         assert flag == "sampled"
         assert sorted(sorted(rotated_support(p, v)) for p in coatoms) == expected
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rotated_four_bit_float_coatoms_are_exact_coatoms(self, seed):
+        # a descent must end on a ray: every float coatom of a Haar-rotated
+        # bits:N=4:k=2 maps back to one of its 56 exact coatoms.  A kernel
+        # read off a tilted end point can stop the walk next to a 2-face,
+        # whose section then looks one-dimensional
+        exact = build_klocal(SiteSystem.bits(4), 2)
+        expected = {frozenset(p.classical_support) for p in enumerate_coatoms(exact)[0]}
+        assert len(expected) == 56
+        v = haar_unitary(np.random.default_rng(seed), 16)
+        coatoms, _ = enumerate_coatoms(rotated_space(exact, v), RunConfig(samples=200))
+        supports = [rotated_support(p, v) for p in coatoms]
+        assert all(s in expected for s in supports)
+        assert len(set(supports)) == len(supports) >= 40
+
     def test_qubit_pair_coatom_families(self):
         # the coatoms of qubits:N=2:k=1 are P (x) 1 and 1 (x) P with P of
         # rank one; the lattice they generate adds the products P (x) Q
@@ -570,6 +585,16 @@ class TestImageBasisClosure:
                    for p, q in zip(batched.nodes, reference.nodes))
         assert batched.hasse_edges == reference.hasse_edges
         assert batched.coatoms == reference.coatoms
+
+    def test_zero_goes_below_a_nonzero_meet_of_all_coatoms(self):
+        # two exact coatoms meet in a support of size 5, so the closure
+        # ends there and the zero projection is added below it
+        u = three_bit_two_local()
+        lat = close_to_lattice(u, enumerate_coatoms(u)[0][:2], "sampled")
+        assert [sorted(p.classical_support) for p in lat.nodes] == [
+            [], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 6], list(range(8))]
+        assert lat.hasse_edges == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
+        assert lat.coatoms == [2, 3]
 
     def test_meet_of_rank_zero_lies_below_every_coatom(self):
         # two lines in C^3 meet in rank 0: that meet's intent holds every coatom

@@ -451,21 +451,26 @@ def _unit_trace_float(v: np.ndarray) -> np.ndarray:
     return v / float(np.trace(v).real)
 
 
-def _exit(w: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """The largest t with w + t d >= 0, for d on the face of w, and an
-    orthonormal basis of ker(w + t d); (inf, None) when d never leaves the
-    cone.  On that face w + t d = w^{1/2} (1 + t m) w^{1/2} with
-    m = w^{-1/2} d w^{-1/2}, so t = -1 / m_min, and the kernel is ker w
-    plus w^{-1/2} v for the eigenvectors v of m with 1 + t m <= PSD_TOL."""
+def _exit_time(w: np.ndarray, d: np.ndarray) -> tuple[float, tuple]:
+    """The largest t with w + t d >= 0, for d on the face of w, or inf when
+    d never leaves the cone, with the eigenpairs it is read from.  On that
+    face w + t d = w^{1/2} (1 + t m) w^{1/2} with m = w^{-1/2} d w^{-1/2},
+    so t = -1 / m_min."""
     lam, vecs = eigh(w)
     on = lam > PSD_TOL
     face = vecs[:, on] / np.sqrt(lam[on])
     m, v = eigh(face.conj().T @ d @ face)
+    return (np.inf if m[0] >= 0.0 else -1.0 / float(m[0])), (vecs[:, ~on], face, m, v)
+
+
+def _exit(w: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """An orthonormal basis of ker(w + t d) at the :func:`_exit_time` t, or
+    None when d never leaves the cone: ker w plus w^{-1/2} v for the
+    eigenvectors v of m with 1 + t m <= PSD_TOL."""
+    t, (null, face, m, v) = _exit_time(w, d)
     if m[0] >= 0.0:
-        return np.inf, None
-    t = -1.0 / float(m[0])
-    kernel = np.concatenate([vecs[:, ~on], face @ v[:, 1.0 + t * m <= PSD_TOL]], axis=1)
-    return t, np.linalg.qr(kernel)[0]
+        return None
+    return np.linalg.qr(np.concatenate([null, face @ v[:, 1.0 + t * m <= PSD_TOL]], axis=1))[0]
 
 
 def _descend(desc: ConeDescriptor, cfg: RunConfig, found: np.ndarray,
@@ -493,8 +498,8 @@ def _descend(desc: ConeDescriptor, cfg: RunConfig, found: np.ndarray,
             return None if mean is not None else w
         g = np.tensordot(rng.normal(size=desc.dim_K), np.stack(desc.span_basis), axes=1)
         r = g - np.trace(g).real * w
-        w = w + 0.5 * _exit(w, r)[0] * r
-        kernel = _exit(w, w - mean if mean is not None else r)[1]
+        w = w + 0.5 * _exit_time(w, r)[0] * r
+        kernel = _exit(w, w - mean if mean is not None else r)
         if kernel is None:
             return None
         sub = analyze_cone(Projection(n=n, image_basis=kernel), desc.source[0], cfg)

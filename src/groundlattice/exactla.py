@@ -2,12 +2,12 @@
 
 Nothing here rounds.  Matrices are lists of rows.  Sizes stay small (a few
 dozen rows), so dense Gauss-Jordan elimination and a dense two-phase
-simplex are adequate.  Both run on integer rows (fraction-free), which
-gives the rational results without a gcd per entry.  The row echelon
-form, ``solve`` and the Gram-Schmidt helpers take and return lists of
-:class:`fractions.Fraction`; ``null_space`` takes rational or integer rows
-and returns primitive integer vectors, and the simplex (:class:`Tableau`)
-works on integers only (rational rows go in through :func:`integer_row`).
+simplex are adequate.  Everything runs on integer rows (fraction-free),
+which gives the rational results without a gcd per entry: rational rows
+go in through :func:`integer_row`; ``rank`` and ``null_space`` take
+rational or integer rows, and ``null_space`` and ``orthogonalize`` return
+primitive integer vectors; the simplex (:class:`Tableau`) works on
+integers only.
 """
 
 from __future__ import annotations
@@ -35,31 +35,8 @@ def zeros(n: int) -> Vec:
     return [Fraction(0)] * n
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def scale(v: Sequence[Fraction], c: Fraction) -> Vec:
-    return [c * x for x in v]
-
-
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x + y for x, y in zip(a, b)]
-
-
-def rref(m: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
-
-    Eliminates on integer rows (:func:`integer_rref` of each input row
-    times the lcm of its denominators) and divides by the pivots only at
-    the end; the reduced form is unique, so this is the rational
-    elimination's result without a gcd per entry.
-    """
-    if not m:
-        return [], []
-    rows, pivots = integer_rref([integer_row(row)[1] for row in m])
-    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-    return red + [zeros(len(m[0])) for _ in range(len(m) - len(pivots))], pivots
+def dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def integer_rref(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -134,50 +111,26 @@ def primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def solve(m: Mat, b: Vec) -> Vec | None:
-    """One solution of m @ x = b, or None if inconsistent."""
-    if not m:
-        return None
-    cols = len(m[0])
-    aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    red, pivots = rref(aug)
-    for r in range(len(red)):
-        if all(red[r][c] == 0 for c in range(cols)) and red[r][cols] != 0:
-            return None
-    x = zeros(cols)
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = red[r][cols]
-    return x
+def orthogonalize(vectors: list[list[int]]) -> list[list[int]]:
+    """Fraction-free Gram-Schmidt: a pairwise-orthogonal basis of the span
+    of integer vectors, each vector primitive and a positive multiple of
+    the rational Gram-Schmidt vector.
 
-
-def in_span(basis: Mat, v: Vec) -> bool:
-    """Whether v lies in the row span of ``basis``."""
-    if not basis:
-        return all(x == 0 for x in v)
-    return solve([list(col) for col in zip(*basis)], v) is not None
-
-
-def orthogonalize(vectors: Mat) -> tuple[Mat, list[Fraction]]:
-    """Gram-Schmidt without normalization (norms stay rational only as
-    squares): an exact pairwise-orthogonal basis and its squared norms.
-
-    Each coefficient <b, w> / <b, b> is computed once, and a zero one
-    leaves w as it is, so orthogonal inputs come back verbatim.  Dependent
-    inputs are dropped.
+    Against each basis vector b already found, w becomes
+    ``<b, b> w - <b, w> b``; each coefficient is computed once, and a zero
+    one leaves w as it is, so orthogonal primitive inputs come back
+    verbatim.  Dependent inputs are dropped.
     """
-    basis, norms_sq = [], []
-    for v in vectors:
-        w = list(v)
-        for b, nb in zip(basis, norms_sq):
-            c = dot(b, w) / nb
+    basis, norms = [], []
+    for w in vectors:
+        for b, nb in zip(basis, norms):
+            c = dot(b, w)
             if c:
-                w = [x - c * y for x, y in zip(w, b)]
+                w = primitive([nb * x - c * y for x, y in zip(w, b)])
         if any(w):
-            basis.append(w)
-            norms_sq.append(dot(w, w))
-    return basis, norms_sq
+            basis.append(primitive(w))
+            norms.append(dot(basis[-1], basis[-1]))
+    return basis
 
 
 class SimplexStatus:

@@ -3,8 +3,11 @@
 Matrix:      {"n": int, "entries": [[re, im], ...]} row-major, n*n pairs.
 Projection:  {"support": [ints]} (commutative) or
              {"image_basis": [column, ...]} with column = [[re, im], ...].
-Subspace:    {"engine": ..., "ambient_n": int, "basis": [matrix, ...]} or
-             {"engine": ..., "config_dims": [ints], "vectors": [["p/q", ...], ...]}.
+Subspace:    {"engine": "float-hermitian", "ambient_n": int, "basis": [matrix, ...]} or
+             {"engine": "exact-commutative", "config_dims": [ints],
+              "vectors": [["p/q", ...], ...]}; exact vectors are read as
+             rationals and written as the integers of the stored basis.
+             Without "engine", a file with "vectors" is exact.
 Cone:        {"dim_K": int, "is_ray": bool, "witness": matrix|null,
               "extreme_rays": [matrix, ...]|null}.
 Lattice:     {"completeness": ..., "nodes": [{"id", "rank", "projection"}],
@@ -19,12 +22,12 @@ replaced by an SVD basis of its span, which drops dependent elements.
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
 from .cone import ConeDescriptor
 from .errors import InputError
+from .exactla import frac
 from .lattice import GroundLattice
 from .linalg import Projection, hermitian_matrix
 from .manybody import MarginalTuple
@@ -95,11 +98,13 @@ def subspace_to_json(u: OperatorSubspace) -> dict:
 
 
 def subspace_from_json(obj) -> OperatorSubspace:
-    engine = obj.get("engine", ENGINE_FLOAT)
-    if engine == ENGINE_EXACT or "vectors" in obj or "config_dims" in obj:
+    engine = obj.get("engine", ENGINE_EXACT if "vectors" in obj else ENGINE_FLOAT)
+    if engine not in (ENGINE_FLOAT, ENGINE_EXACT):
+        raise InputError(f"unknown engine {engine!r}", field="engine")
+    if engine == ENGINE_EXACT:
         try:
             dims = tuple(int(d) for d in obj["config_dims"])
-            vectors = [[Fraction(x) for x in v] for v in obj["vectors"]]
+            vectors = [[frac(x) for x in v] for v in obj["vectors"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"bad exact subspace object: {exc}", field="vectors")
         return from_spanning_set(vectors, engine=ENGINE_EXACT, config_dims=dims)

@@ -12,7 +12,6 @@ hermitian matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import comb, prod
@@ -112,7 +111,8 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     identity matrix (float) or the all-ones function (exact).  With the
     identity, which comes first, these are pairwise orthogonal, so no
     Gram-Schmidt runs: the float engine normalizes them, and the exact
-    engine keeps the integer-valued vectors as built, as Fractions.
+    engine keeps the integer vectors as built, which are primitive, since
+    the single-site factors are.
     """
     if not 1 <= k <= sys.n_sites:
         raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
@@ -128,9 +128,7 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
                 terms.append(reduce(np.kron, [factors.get(i, f) for i, f in enumerate(pad)]))
     if exact:
         return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_EXACT,
-                                basis=[list(map(Fraction, t.tolist())) for t in terms],
-                                contains_identity=True,
-                                norms_sq=[Fraction(int(t @ t)) for t in terms],
+                                basis=[t.tolist() for t in terms], contains_identity=True,
                                 site_structure=(n_sites, tuple(sys.dims)))
     return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_FLOAT,
                             basis=[t / np.linalg.norm(t) for t in terms], contains_identity=True,
@@ -138,26 +136,16 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
 
 
 def embed_on_sites(sys: SiteSystem, b: np.ndarray, kept: tuple[int, ...]) -> np.ndarray:
-    """b acting on the kept sites, identity on the rest, in site order."""
-    n_sites = sys.n_sites
+    """b acting on the kept sites, identity on the rest, in site order:
+    b (x) 1 with the kept sites first, its row and column axes then put
+    back in site order.  With no kept site, b is a scalar and this is b 1."""
     kept = tuple(sorted(kept))
-    traced = tuple(i for i in range(n_sites) if i not in kept)
-    dims = sys.dims
-    d_kept = prod(dims[i] for i in kept) if kept else 1
+    order = kept + tuple(i for i in range(sys.n_sites) if i not in kept)
+    d_kept = prod(sys.dims[i] for i in kept)
     b = np.asarray(b, dtype=complex).reshape(d_kept, d_kept)
-    shape = [dims[i] for i in kept] * 2
-    b_t = b.reshape(shape) if kept else b
-    full_shape = list(dims) + list(dims)
-    out = np.zeros(full_shape, dtype=complex)
-    # place b on every diagonal configuration of the identity-padded sites
-    for conf in product(*(range(dims[i]) for i in traced)):
-        sel_row: list = [slice(None)] * n_sites
-        sel_col: list = [slice(None)] * n_sites
-        for site, val in zip(traced, conf):
-            sel_row[site] = val
-            sel_col[site] = val
-        out[tuple(sel_row + sel_col)] += b_t if kept else b
-    return out.reshape(sys.total_dim, sys.total_dim)
+    out = np.kron(b, np.eye(sys.total_dim // d_kept)).reshape([sys.dims[i] for i in order] * 2)
+    axes = np.argsort(order)
+    return out.transpose(*axes, *(axes + sys.n_sites)).reshape(sys.total_dim, sys.total_dim)
 
 
 def partial_trace(a, sys: SiteSystem, nu: tuple[int, ...]):

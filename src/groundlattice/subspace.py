@@ -6,8 +6,9 @@ Two engines share one interface:
   orthonormal under the trace inner product.
 * ``exact-commutative`` — the ambient algebra is the diagonal one, i.e.
   rational functions on a finite configuration space.  Bases are kept
-  exactly orthogonal (orthonormality would need irrational norms); every
-  formula divides by the stored squared norms, so results stay exact.
+  as pairwise-orthogonal primitive integer vectors (orthonormality would
+  need irrational norms); only the coordinates and projections handed
+  back are Fractions.
 
 Both engines give ``perp``, a basis of the orthogonal complement U⊥,
 computed on first use.  The section L(p) = U ∩ Herm(range(1 - p))
@@ -61,10 +62,9 @@ class OperatorSubspace:
 
     ambient_n: int
     engine: str
-    basis: list                      # ndarrays (float) or Fraction vectors (exact)
+    basis: list                      # ndarrays (float) or primitive int vectors (exact)
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
-    norms_sq: list[Fraction] | None = None  # exact engine: squared norms of the basis
     # float engine: the basis stacked in one (dim, n, n) ndarray, of which
     # the matrices in ``basis`` are views
     stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -111,9 +111,10 @@ class OperatorSubspace:
         return [np.diag([float(x) for x in v]).astype(np.complex128) for v in self.basis]
 
     def coefficients_of(self, a):
-        """Coordinates of the orthogonal projection of ``a`` onto U."""
+        """Coordinates of the orthogonal projection of ``a`` onto U
+        (Fractions on the exact engine)."""
         if self.is_exact:
-            return [ela.dot(b, a) / ns for b, ns in zip(self.basis, self.norms_sq)]
+            return [Fraction(ela.dot(b, a), ela.dot(b, b)) for b in self.basis]
         return np.array([trace_inner(b, a).real for b in self.basis])
 
     def element_from(self, coeffs):
@@ -121,7 +122,7 @@ class OperatorSubspace:
             out = ela.zeros(self.ambient_n)
             for c, b in zip(coeffs, self.basis):
                 if c != 0:
-                    out = ela.add(out, ela.scale(b, c))
+                    out = [o + c * x for o, x in zip(out, b)]
             return out
         return np.tensordot(np.asarray(coeffs, dtype=float), self.stacked, axes=1)
 
@@ -145,7 +146,9 @@ def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
     """Build an OperatorSubspace from a spanning set.
 
     ``matrices`` holds hermitian ndarrays (float engine) or rational
-    vectors over a configuration space (exact engine).
+    vectors over a configuration space (exact engine: ints, Fractions or
+    strings like '2/3', no floats), of which the exact engine keeps the
+    :func:`exactla.orthogonalize` basis of the rows scaled to integers.
     """
     items = list(matrices)
     if not items:
@@ -179,14 +182,12 @@ def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,
                 raise InputError(
                     f"config_dims {tuple(config_dims)} give {total} configurations, "
                     f"but vectors have length {n}", field="config_dims")
-        vectors = [ela.fvec(v) for v in items]
-        basis, norms_sq = ela.orthogonalize(vectors)
+        basis = ela.orthogonalize([ela.integer_row(ela.fvec(v))[1] for v in items])
         # Parseval: 1 is in the span exactly when its projection has norm² n
-        has_id = sum(sum(b) ** 2 / ns for b, ns in zip(basis, norms_sq)) == n
+        has_id = sum(Fraction(sum(b) ** 2, ela.dot(b, b)) for b in basis) == n
         site = (len(config_dims), tuple(config_dims)) if config_dims else None
         return OperatorSubspace(ambient_n=n, engine=engine, basis=basis,
-                                contains_identity=has_id, norms_sq=norms_sq,
-                                site_structure=site)
+                                contains_identity=has_id, site_structure=site)
     raise InputError(f"unknown engine {engine!r}", field="engine")
 
 

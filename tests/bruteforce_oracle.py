@@ -5,7 +5,10 @@ exactly, and taking the greatest element of each equal-cone class.  Cones
 are compared through complete extreme-ray enumeration over row subsets (a
 null space per subset), never through the production max-support LP /
 witness-kernel route or its double description, so this file is an
-independent check of both.
+independent check of both.  It also holds the textbook Fraction
+Gauss-Jordan elimination (``rational_rref``, ``rational_solve``,
+``in_span``) that the tests take as the reference for the library's
+fraction-free integer elimination.
 """
 
 from fractions import Fraction
@@ -13,6 +16,53 @@ from itertools import combinations
 
 from groundlattice import exactla as ela
 from groundlattice.subspace import ENGINE_EXACT, from_spanning_set
+
+
+def rational_rref(m):
+    """Textbook Gauss-Jordan on Fractions: (reduced rows, pivot columns),
+    with the zero rows kept at the bottom; an independent reference for
+    the fraction-free elimination of the library."""
+    m = [list(row) for row in m]
+    if not m:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rational_solve(m, b):
+    """One solution of m x = b off the reduced form of [m | b], or None
+    when the system is inconsistent."""
+    cols = len(m[0])
+    red, pivots = rational_rref([list(row) + [bi] for row, bi in zip(m, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[cols]
+    return x
+
+
+def in_span(basis, v):
+    """Whether v lies in the row span of ``basis``: adding it leaves the
+    rank unchanged."""
+    return len(rational_rref(list(basis) + [v])[1]) == len(rational_rref(basis)[1])
 
 
 def _combine(basis, coeffs, n):

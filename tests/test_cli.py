@@ -86,6 +86,10 @@ class TestSchemas:
         assert v.dim == 7
         assert v.is_exact and v.contains_identity
         assert jsonio.subspace_to_json(v) == obj
+        # a JSON float is not a rational: 0.1 would be read as its binary
+        # expansion 3602879701896397 / 2**55
+        with pytest.raises(InputError, match="floats"):
+            jsonio.subspace_from_json({**obj, "vectors": [[0.1] + v[1:] for v in obj["vectors"]]})
 
     def test_cone_json(self):
         u = m3_subspace()
@@ -327,6 +331,26 @@ class TestExitCodes:
             main(["klocal", "bits:N=3", "--k", "1", "--engine", "magic"])
         assert exc.value.code == EXIT_INPUT_ERROR
         assert "invalid choice: 'magic'" in capsys.readouterr().err
+
+    def test_subspace_file_engine_validated(self, tmp_path, capsys):
+        # "exact" is the flag's name, not an engine: the file must not fall
+        # through to the float engine
+        u = jsonio.subspace_to_json(m3_subspace())
+        sub_file = tmp_path / "u.json"
+        proj_file = tmp_path / "p.json"
+        proj_file.write_text(json.dumps(jsonio.projection_to_json(m3_p_bottom())))
+        for engine in ("exact", "float", "magic"):
+            sub_file.write_text(json.dumps({**u, "engine": engine}))
+            code, _, err = run_cli(capsys, ["membership", str(sub_file), str(proj_file)])
+            assert code == EXIT_INPUT_ERROR
+            assert f"unknown engine {engine!r}" in err
+        # nor may exact vectors run under the float engine's name
+        exact = jsonio.subspace_to_json(three_bit_two_local())
+        sub_file.write_text(json.dumps({**exact, "engine": "float-hermitian"}))
+        proj_file.write_text(json.dumps({"support": [0, 1]}))
+        code, _, err = run_cli(capsys, ["membership", str(sub_file), str(proj_file)])
+        assert code == EXIT_INPUT_ERROR
+        assert "needs 'basis'" in err
 
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from bruteforce_oracle import cone_rays, random_rational_subspace
+from bruteforce_oracle import cone_rays, random_rational_subspace, rational_rref
 
 from groundlattice import cone as cone_mod
 from groundlattice import exactla as ela
@@ -367,7 +367,7 @@ class TestAnalyzeConeExact:
             spaces = [random_rational_subspace(rng, int(rng.integers(4, 7)),
                                                int(rng.integers(1, 4))) for _ in range(8)]
             # row j of perp is positive at the j-th free column of the basis
-            free = [sorted(set(range(u.ambient_n)) - set(ela.rref(u.basis)[1])) for u in spaces]
+            free = [sorted(set(range(u.ambient_n)) - set(rational_rref(u.basis)[1])) for u in spaces]
             assert any(w[f] > 1 for u, fs in zip(spaces, free) for w, f in zip(u.perp, fs))
             cases = [(u, range(2 ** u.ambient_n)) for u in spaces]
         elif case == "four-bit":

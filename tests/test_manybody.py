@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+import math
 from math import comb
 
 import numpy as np
@@ -73,19 +74,20 @@ class TestBuildKlocal:
 
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2, 3), (2, 3)])
     def test_exact_basis_is_the_gram_schmidt_basis(self, dims):
-        # the product vectors are kept as built; Gram-Schmidt over the same
-        # vectors must hand them back unchanged, with the same norms and flags
+        # the product vectors are kept as built, as primitive ints;
+        # Gram-Schmidt over the same vectors must hand them back unchanged,
+        # with the same flags
         sys = SiteSystem(dims=dims, engine=ENGINE_EXACT)
         for k in range(1, len(dims) + 1):
             u = build_klocal(sys, k)
+            assert all(type(x) is int for v in u.basis for x in v)
+            assert all(math.gcd(*v) == 1 for v in u.basis)
             ref = from_spanning_set(u.basis, engine=ENGINE_EXACT, config_dims=dims)
             assert u.basis == ref.basis
-            assert u.norms_sq == ref.norms_sq
             assert u.contains_identity is ref.contains_identity is True
             assert u.site_structure == ref.site_structure == (len(dims), dims)
             copy = jsonio.subspace_from_json(jsonio.subspace_to_json(u))
-            assert (copy.basis, copy.norms_sq, copy.site_structure) == (
-                u.basis, u.norms_sq, u.site_structure)
+            assert (copy.basis, copy.site_structure) == (u.basis, u.site_structure)
 
     def test_k_out_of_range(self):
         with pytest.raises(InputError):
@@ -99,6 +101,19 @@ class TestBuildKlocal:
         # parity spans the complement of U_(2)
         assert project_onto(f, u) == ela.zeros(8)
         assert u.dim == 7
+
+
+def embed_reference(sys, b, kept):
+    """Entry (x, y) of b on the kept sites and the identity elsewhere: b at
+    the kept parts of x and y when x and y agree on every other site."""
+    confs, kept_confs = sys.configurations(), sys.configurations(kept)
+    at = [kept_confs.index(tuple(x[i] for i in kept)) for x in confs]
+    out = np.zeros((len(confs), len(confs)), complex)
+    for r, x in enumerate(confs):
+        for c, y in enumerate(confs):
+            if all(x[i] == y[i] for i in range(sys.n_sites) if i not in kept):
+                out[r, c] = b[at[r], at[c]]
+    return out
 
 
 class TestPartialTrace:
@@ -124,19 +139,23 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(a, sys, ()), a)
 
     def test_adjoint_identity_quantum_full_bases(self):
+        # nu of every size, up to the full trace, whose adjoint embeds a
+        # scalar b as b 1; the embedding is also checked entry for entry
         rng = np.random.default_rng(1)
         for dims in [(2, 2), (2, 3), (2, 2, 2)]:
             sys = SiteSystem(dims=dims)
             n = sys.total_dim
-            for nu_size in range(1, len(dims)):
+            for nu_size in range(1, len(dims) + 1):
                 for nu in combinations(range(len(dims)), nu_size):
                     kept = tuple(i for i in range(len(dims)) if i not in nu)
                     d_kept = int(np.prod([dims[i] for i in kept]))
                     for _ in range(6):
                         a = random_hermitian(rng, n)
                         b = random_hermitian(rng, d_kept)
+                        embedded = embed_on_sites(sys, b, kept)
+                        assert np.array_equal(embedded, embed_reference(sys, b, kept))
                         lhs = trace_inner(partial_trace(a, sys, nu), b)
-                        rhs = trace_inner(a, embed_on_sites(sys, b, kept))
+                        rhs = trace_inner(a, embedded)
                         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_adjoint_identity_classical(self):

@@ -13,9 +13,13 @@ request.
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
 ``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
-max-support LPs on one fraction-free integer tableau (one phase I per
-cone) finds the maximal support S.  dim K(p) is |S| - rank perp[:, S],
-from one elimination; the span of K(p) is the null space of ``perp`` on S
+max-support LPs on one integer tableau (:class:`exactla.Tableau`, which
+keeps each row primitive, rewrites only the rows a pivot touches and
+stores no artificial columns) finds the maximal support S.  Phase I runs
+once per cone, and the first LP is not run: its objective, the mass on
+all of the complement, is constant on the section, so the vertex phase I
+ends on is its optimizer.  dim K(p) is |S| - rank perp[:, S], from one
+elimination; the span of K(p) is the null space of ``perp`` on S
 (:func:`subspace.supported_on`, which also gives the exact section); and
 extreme rays come from incremental double description on integer vectors:
 start from the simplicial cone that this null-space basis spans, add the
@@ -161,17 +165,18 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """
     n = u.ambient_n
     complement = sorted(set(range(n)) - p.classical_support)
-    trivial = ConeDescriptor(base_projection=p, q_max_rank=n, engine=u.engine,
-                             witness_support=frozenset())
     rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
 
     tableau = ela.Tableau(rows + [[1] * len(complement)], [0] * len(rows) + [1])
     rest = set(range(len(complement)))
     optimizers = []
+    # the first objective, sum(y) over all of C, is 1 on the whole section:
+    # its optimizer is the vertex phase I ends on, read with a zero objective
+    objective = [0] * len(complement)
     while rest:
-        status, y, det = tableau.maximize([int(i in rest) for i in range(len(complement))])
+        status, y, det = tableau.maximize(objective)
         if status == ela.SimplexStatus.INFEASIBLE:
-            return trivial
+            break
         if status != ela.SimplexStatus.OPTIMAL:
             raise GroundLatticeError(
                 f"max-support LP on a compact section returned {status!r}")
@@ -180,8 +185,10 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
             break
         optimizers.append((y, det))
         rest -= hit
-    if not optimizers:
-        return trivial
+        objective = [int(i in rest) for i in range(len(complement))]
+    if not optimizers:      # K(p) = {0}
+        return ConeDescriptor(base_projection=p, q_max_rank=n, engine=u.engine,
+                              witness_support=frozenset())
 
     support = [x for i, x in enumerate(complement) if i not in rest]
     return ConeDescriptor(base_projection=p, q_max_rank=n - len(support), engine=u.engine,

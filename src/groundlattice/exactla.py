@@ -6,8 +6,9 @@ simplex are adequate.  Everything runs on integer rows (fraction-free),
 which gives the rational results without a gcd per entry: rational rows
 go in through :func:`integer_row`; ``rank`` and ``null_space`` take
 rational or integer rows, and ``null_space`` and ``orthogonalize`` return
-primitive integer vectors; the simplex (:class:`Tableau`) works on
-integers only.
+primitive integer vectors.  The simplex (:class:`Tableau`) works on
+integers only, with each row kept primitive: one gcd per rewritten row,
+and only the rows a pivot touches are rewritten.
 """
 
 from __future__ import annotations
@@ -144,28 +145,34 @@ class Tableau:
 
     The constructor runs phase I from the artificial basis and drives the
     artificials out; each :meth:`maximize` runs phase II from the feasible
-    basis the last one left, so Bland's rule still terminates.  The
-    fraction-free integer tableau is kept as ``M = det * T``, where ``T``
-    is the rational tableau of the current basis and ``det`` its basis
-    determinant.  A pivot on (r, s) replaces every other row by
-    ``(M[r][s] * M[i] - M[i][s] * M[r]) // det``, exact by Cramer's rule
-    (Bareiss; Edmonds' integer pivoting), and sets ``det = M[r][s]``.
-    ``det`` stays positive, so signs and ratios read off ``M`` are those
-    of ``T``, and the pivots are the rational tableau's.  Rational rows go
-    in scaled by :func:`integer_row`; scaling a row changes the phase-I
-    path, so the optimizer may change, but not the optimal value.
+    basis the last one left, so Bland's rule still terminates.  Each row of
+    ``tab``, and the reduced-cost row ``obj``, is the primitive positive
+    integer multiple of its row of the rational tableau ``T`` of the
+    current basis, so signs and ratios read off ``tab`` are those of ``T``
+    and the pivots are the rational tableau's.  A pivot on (r, s) rewrites
+    only the rows that are nonzero in column s, each to
+    ``piv * row - row[s] * tab[r]`` divided by the gcd of its entries
+    (Edmonds' integer pivoting; Bareiss keeps every row at ``det * T``
+    instead, so no entry here exceeds its Bareiss counterpart).
+    The artificial columns are not stored: phase I reads its reduced costs
+    off the column sums of the start, an artificial that leaves the basis
+    never re-enters, and a row whose artificial cannot be driven out is
+    zero and dropped.  The basic value of row i is
+    ``tab[i][-1] / tab[i][basis[i]]``.  Rational rows go in scaled by
+    :func:`integer_row`; scaling a row changes the phase-I path, so the
+    optimizer may change, but not the optimal value.
     """
 
     def __init__(self, a_eq: list[list[int]], b_eq: Sequence[int]):
         m = len(a_eq)
         n = len(a_eq[0]) if m else 0
-        self.det = 1
-        # M = T = [a_eq | I | b_eq], rows of negative b_eq negated
-        self.tab = [[x if r >= 0 else -x for x in row] + [int(j == i) for j in range(m)] + [abs(r)]
-                    for i, (row, r) in enumerate(zip(a_eq, b_eq))]
+        # T = [a_eq | I | b_eq], rows of negative b_eq negated; phase I
+        # maximizes -(sum of artificials), whose reduced costs are the
+        # column sums of T
+        tab = [[x if r >= 0 else -x for x in row] + [abs(r)] for row, r in zip(a_eq, b_eq)]
+        self.obj = primitive([sum(col) for col in zip(*tab)] or [0])
+        self.tab = [primitive(row) for row in tab]
         self.basis = [n + i for i in range(m)]
-        # phase I: maximize -(sum of artificials); obj is det * reduced costs
-        self.obj = self._reduced_costs([0] * n + [-1] * m)
         self.feasible = self._run() == SimplexStatus.OPTIMAL and not any(
             row[-1] for bv, row in zip(self.basis, self.tab) if bv >= n)
         if not self.feasible:
@@ -177,54 +184,58 @@ class Tableau:
                 if pc is not None:
                     self._pivot(i, pc)
         keep = [i for i in range(m) if self.basis[i] < n]
-        self.tab = [self.tab[i][:n] + [self.tab[i][-1]] for i in keep]
+        self.tab = [self.tab[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
 
     def maximize(self, c: Sequence[int]) -> tuple[str, list[int] | None, int | None]:
         """(status, x, det) of max c.x: the optimizer is ``x / det`` with
-        ``det > 0`` (x and det are None unless the status is optimal)."""
+        ``det > 0``, the lcm of the basic entries (x and det are None
+        unless the status is optimal)."""
         if not self.feasible:
             return SimplexStatus.INFEASIBLE, None, None
-        self.obj = self._reduced_costs(list(c))
+        self.obj = self._reduced_costs(c)
         if self._run() == SimplexStatus.UNBOUNDED:
             return SimplexStatus.UNBOUNDED, None, None
+        det = math.lcm(*(row[bv] for row, bv in zip(self.tab, self.basis)))
         x = [0] * len(c)
         for row, bv in zip(self.tab, self.basis):
-            x[bv] = row[-1]
-        return SimplexStatus.OPTIMAL, x, self.det
+            x[bv] = row[-1] * (det // row[bv])
+        return SimplexStatus.OPTIMAL, x, det
 
-    def _reduced_costs(self, cost: list[int]) -> list[int]:
-        # det * (cost - cost_B T) over the columns of the tableau, rhs included
-        out = [x * self.det for x in cost] + [0]
-        for bv, row in zip(self.basis, self.tab):
-            if cost[bv]:
-                out = [o - cost[bv] * y for o, y in zip(out, row)]
-        return out
+    def _reduced_costs(self, cost: Sequence[int]) -> list[int]:
+        # a positive multiple of cost - cost_B T over the columns, rhs included
+        basic = [(cost[bv], row[bv], row) for bv, row in zip(self.basis, self.tab) if cost[bv]]
+        lam = math.lcm(*(b for _, b, _ in basic))
+        out = [x * lam for x in cost] + [0]
+        for c, b, row in basic:
+            f = c * (lam // b)
+            out = [o - f * y for o, y in zip(out, row)]
+        return primitive(out)
 
     def _pivot(self, pr: int, pc: int) -> None:
-        det = self.det
-        prow = self.tab[pr]
+        tab = self.tab
+        prow = tab[pr]
         piv = prow[pc]
-        rows = self.tab + [self.obj]
-        for row in rows:
-            if row is prow:
-                continue
-            f = row[pc]
-            if f:
-                row[:] = [(piv * x - f * y) // det for x, y in zip(row, prow)]
-            else:
-                row[:] = [piv * x // det for x in row]
-        self.det = abs(piv)
-        self.basis[pr] = pc
         if piv < 0:  # only a drive-out pivot can be negative
-            for row in rows:
-                row[:] = [-x for x in row]
+            prow = tab[pr] = [-x for x in prow]
+            piv = -piv
+        for i, row in enumerate(tab):
+            f = row[pc]
+            if f and i != pr:
+                tab[i] = primitive([piv * x - f * y for x, y in zip(row, prow)])
+        f = self.obj[pc]
+        if f:
+            self.obj = primitive([piv * x - f * y for x, y in zip(self.obj, prow)])
+        self.basis[pr] = pc
 
     def _run(self) -> str:
-        tab, obj, basis = self.tab, self.obj, self.basis
+        tab, basis = self.tab, self.basis
         while True:
-            enter = next((j for j, rc in enumerate(obj[:-1]) if rc > 0), None)  # Bland
-            if enter is None:
+            obj = self.obj
+            for enter in range(len(obj) - 1):  # Bland: the first improving column
+                if obj[enter] > 0:
+                    break
+            else:
                 return SimplexStatus.OPTIMAL
             best = None
             for i, row in enumerate(tab):

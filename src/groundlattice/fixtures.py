@@ -10,7 +10,6 @@ acceptance suite both run them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -104,10 +103,6 @@ def parity_of(x: tuple[int, ...]) -> int:
     return (-1) ** sum(x)
 
 
-def parity_vector() -> list[Fraction]:
-    return [Fraction(parity_of(x)) for x in three_bit_configurations()]
-
-
 def parity_classes() -> tuple[frozenset[int], frozenset[int]]:
     """Index sets of even-parity (+1) and odd-parity (-1) configurations."""
     confs = three_bit_configurations()
@@ -121,17 +116,6 @@ def bipartite_edges() -> list[frozenset[int]]:
     two parity classes (16 edges)."""
     plus, minus = parity_classes()
     return [frozenset({a, b}) for a in sorted(plus) for b in sorted(minus)]
-
-
-def complement_pair_edges() -> list[frozenset[int]]:
-    """The edges joining a configuration to its bitwise complement."""
-    confs = three_bit_configurations()
-    out = []
-    for i, x in enumerate(confs):
-        j = confs.index(tuple(1 - b for b in x))
-        if i < j:
-            out.append(frozenset({i, j}))
-    return out
 
 
 # --------------------------------------------------------------------------

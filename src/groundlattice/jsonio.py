@@ -75,7 +75,11 @@ def projection_from_json(obj, n: int) -> Projection:
         cols = obj["image_basis"]
         if not cols:
             return Projection.zero(n)
-        mat = np.array([[complex(re, im) for re, im in col] for col in cols]).T
+        try:
+            mat = np.array([[complex(re, im) for re, im in col] for col in cols]).T
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"image basis columns must be lists of [re, im] pairs: {exc}",
+                             field="image_basis") from None
         if mat.shape[0] != n:
             raise InputError(f"image basis columns have length {mat.shape[0]}, expected {n}",
                              field="image_basis")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -215,7 +216,20 @@ class Projection:
 
     @classmethod
     def from_support(cls, n: int, support) -> "Projection":
-        support = frozenset(int(x) for x in support)
+        """The diagonal projection onto ``support``, a collection of
+        integers (``numbers.Integral``, not ``bool``) in ``range(n)``."""
+        try:
+            entries = list(support)
+        except TypeError:
+            raise InputError(f"support must be a list of integers, got {support!r}",
+                             field="support") from None
+        if not all(type(x) is int for x in entries):
+            bad = [x for x in entries if isinstance(x, bool) or not isinstance(x, Integral)]
+            if bad:
+                raise InputError(f"support entries must be integers, got {bad[0]!r}",
+                                 field="support")
+            entries = [int(x) for x in entries]
+        support = frozenset(entries)
         if support and (min(support) < 0 or max(support) >= n):
             raise InputError(f"support indices out of range for n={n}")
         return cls(n=n, classical_support=support)

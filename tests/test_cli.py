@@ -352,6 +352,17 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR
         assert "needs 'basis'" in err
 
+    def test_malformed_projection_files(self, tmp_path, capsys):
+        # int() would read 0.5 as configuration 0 and decide a support nobody gave
+        proj_file = tmp_path / "p.json"
+        for subspace, obj, field in (("bits:N=3:k=2", {"support": [0.5, 2]}, "support"),
+                                     ("bits:N=3:k=2", {"support": ["a"]}, "support"),
+                                     ("m3-example", {"image_basis": [[1, 0]]}, "image_basis")):
+            proj_file.write_text(json.dumps(obj))
+            code, out, err = run_cli(capsys, ["membership", subspace, str(proj_file)])
+            assert code == EXIT_INPUT_ERROR and not out
+            assert f"(field: {field})" in err
+
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR

@@ -392,6 +392,47 @@ class TestAnalyzeConeExact:
                     assert {x for x in range(n) if w[x] != 0} == desc.witness_support
                     assert all(v >= 0 for v in w) and project_onto(w, u) == w
 
+    def test_five_bit_cones_are_faces_of_the_bottom_cone(self):
+        # K(p) is the face of K(0) where g = 0 on p, so its rays are the rays
+        # of K(0) supported inside the complement C of p: q_max(p) is the
+        # complement of the union R of their supports, p is a member when
+        # R = C, and dim K(p) is their rank.  bits:N=5:k=2 has 16 rows in
+        # U-perp, a tableau no other test reaches.
+        u = build_klocal(SiteSystem.bits(5), 2)
+        n = u.ambient_n
+        rays = cone_mod.integer_rays(analyze_cone(Projection.zero(n, commutative=True), u))
+        assert len(rays) == 368 and len(u.perp) == 16
+        masks = [sum(1 << x for x in range(n) if g[x]) for g in rays]
+        full = (1 << n) - 1
+        rng = np.random.default_rng(61)
+        supports = [int(m) for m in rng.integers(0, 1 << n, 100)]
+        supports += [sum(1 << int(x) for x in rng.choice(n, int(rng.integers(1, 12)),
+                                                         replace=False)) for _ in range(60)]
+        for t in range(140):    # meets of 1-4 coatoms, every other one less a point
+            meet = full
+            for i in rng.choice(len(masks), int(rng.integers(1, 5)), replace=False):
+                meet &= full ^ masks[i]
+            if t % 2 and meet:
+                meet &= ~(1 << int(rng.choice([x for x in range(n) if meet >> x & 1])))
+            supports.append(meet)
+        mismatches, members, coatoms = [], 0, 0
+        for mask in supports:
+            complement = full ^ mask
+            inside = [(g, m) for g, m in zip(rays, masks) if m & complement == m]
+            reached = 0
+            for _, m in inside:
+                reached |= m
+            rank = np.linalg.matrix_rank(np.array([g for g, _ in inside], dtype=float)) \
+                if inside else 0
+            expected = (reached == complement, n - reached.bit_count(), int(rank))
+            desc = analyze_cone(support_of(mask, n), u)
+            if (desc.member, desc.q_max_rank, desc.dim_K) != expected:
+                mismatches.append(mask)
+            members += expected[0]
+            coatoms += expected[0] and rank == 1
+        assert mismatches == []
+        assert members >= 100 and coatoms >= 10 and len(supports) - members >= 100
+
     def test_lp_failure_raises_typed_error(self, monkeypatch):
         xs, u = three_bit_two_local()
         monkeypatch.setattr(ela.Tableau, "maximize",

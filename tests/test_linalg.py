@@ -198,6 +198,21 @@ class TestLoewnerOrder:
                         assert loewner_leq(p, r, tol=1e-7)
 
 
+class TestFromSupport:
+    def test_accepts_integers_only(self):
+        assert Projection.from_support(4, [np.int64(3), 0]).classical_support == {0, 3}
+        assert Projection.from_support(4, range(2)).classical_support == {0, 1}
+        # a float or a bool is no configuration index, even where int() takes it
+        for support in ([0.5, 2], [2.0], ["a"], [True, 2], [None], 5):
+            with pytest.raises(InputError) as exc:
+                Projection.from_support(4, support)
+            assert exc.value.field == "support"
+
+    def test_out_of_range(self):
+        with pytest.raises(InputError):
+            Projection.from_support(4, [4])
+
+
 class TestImageIntersection:
     def test_diagonal(self):
         p = Projection.from_columns(3, np.eye(3)[:, :2])

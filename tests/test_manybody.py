@@ -11,7 +11,13 @@ import pytest
 from groundlattice import exactla as ela
 from groundlattice import jsonio
 from groundlattice.errors import InputError, UnsupportedConfigurationError
-from groundlattice.fixtures import parity_classes, parity_vector, three_bit_two_local
+from groundlattice.fixtures import (
+    bipartite_edges,
+    parity_classes,
+    parity_of,
+    three_bit_configurations,
+    three_bit_two_local,
+)
 from groundlattice.lattice import build_lattice
 from groundlattice.linalg import frobenius, hermitian_matrix, trace_inner
 from groundlattice.manybody import (
@@ -29,6 +35,21 @@ from groundlattice.manybody import (
 from groundlattice.subspace import ENGINE_EXACT, from_spanning_set, project_onto
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def parity_vector() -> list[Fraction]:
+    return [Fraction(parity_of(x)) for x in three_bit_configurations()]
+
+
+def complement_pair_edges() -> list[frozenset[int]]:
+    """The edges joining a configuration to its bitwise complement."""
+    confs = three_bit_configurations()
+    out = []
+    for i, x in enumerate(confs):
+        j = confs.index(tuple(1 - b for b in x))
+        if i < j:
+            out.append(frozenset({i, j}))
+    return out
 
 
 def random_hermitian(rng, n):
@@ -294,7 +315,6 @@ class TestFrustrationFreeLattice:
                 assert frozenset(sub) in duals
 
     def test_dual_atoms_are_non_complement_edges(self):
-        from groundlattice.fixtures import bipartite_edges, complement_pair_edges
         lat = ff_lattice_3bit()
         # atoms of the dual = coatoms' complements ... dual order reverses:
         # atoms of Q* correspond to coatoms of Q; instead read them directly:

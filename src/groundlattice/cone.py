@@ -12,14 +12,22 @@ request.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
-``perp`` of U⊥.  Everything up to the output runs on integers: a loop of
-max-support LPs on one integer tableau (:class:`exactla.Tableau`, which
+``perp`` of U⊥.  Everything up to the output runs on integers.  The
+maximal support S comes from facial reduction.  Sign cuts drop the points
+where a vector of U⊥ that has one sign on the points still live is
+nonzero, until none cuts; many cones K(p) = {0} end there, with no LP.
+The vectors are ``OperatorSubspace.perp_signs``: on a k-local space the
+product vectors of :func:`subspace.local_circuit_signs`, which the site
+symmetries permute, so symmetric supports are cut alike; else the rows
+of ``perp``.
+One max-min LP then maximizes the least entry of a trace-one y on the
+live points, on one integer tableau (:class:`exactla.Tableau`, which
 keeps each row primitive, rewrites only the rows a pivot touches and
-stores no artificial columns) finds the maximal support S.  Phase I runs
-once per cone, and the first LP is not run: its objective, the mass on
-all of the complement, is constant on the section, so the vertex phase I
-ends on is its optimizer.  dim K(p) is |S| - rank perp[:, S], from one
-elimination; the span of K(p) is the null space of ``perp`` on S
+stores no artificial columns): a positive optimum certifies that S is all
+of them, and an optimum of 0 drops the points its dual row exposes (the
+negative reduced costs) and continues the max-support loop on the same
+tableau for the points not yet hit.  dim K(p) is |S| - rank perp[:, S],
+from one elimination; the span of K(p) is the null space of ``perp`` on S
 (:func:`subspace.supported_on`, which also gives the exact section); and
 extreme rays come from incremental double description on integer vectors:
 start from the simplicial cone that this null-space basis spans, add the
@@ -83,7 +91,8 @@ class ConeDescriptor:
     ``q_max_rank``, ``witness_support`` and ``margin`` come from the
     analysis.  ``dim_K``, ``span_basis`` and ``interior_witness`` are
     computed on first read, once, from ``source``, which starts with the
-    subspace: then the complement of p and the LP optimizers (exact), or
+    subspace: then the LP columns (the points the sign cuts leave) and the
+    optimizers y over them of the max-min LP and the loop after it (exact), or
     the phase-I coefficients x, the face section c, the face, the
     restriction coefficients and the section stack (float); None when
     K(p) = {0}.
@@ -131,9 +140,9 @@ class ConeDescriptor:
         if self.source is None:
             return None
         if self.engine == ENGINE_EXACT:
-            _, complement, optimizers = self.source
+            _, columns, optimizers = self.source
             witness = ela.zeros(self.base_projection.n)
-            for i, x in enumerate(complement):
+            for i, x in enumerate(columns):
                 witness[x] = sum(Fraction(y[i], det) for y, det in optimizers) / len(optimizers)
             return witness
         x, c, face = self.source[1:4]
@@ -154,46 +163,76 @@ class ConeDescriptor:
 # --------------------------------------------------------------------------
 
 def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDescriptor:
-    """Max-support LP loop over the section {y >= 0 on the complement C of
-    p, perp[:, C] @ y = 0, sum(y) = 1} of K(p).
+    """Maximal support S of K(p) = {y >= 0 on the complement C of p :
+    perp[:, C] @ y = 0}, by facial reduction.
 
-    Each LP maximizes the mass on the points R not yet in the support; the
-    positive points of its optimizer join the support.  An optimizer with
-    no positive entry on R has optimum 0, which certifies that every point
-    of R is zero on all of K(p).  The LPs share their feasible set, so one
-    tableau runs phase I once and each LP re-optimizes from the last basis.
+    Sign cuts come first: a vector w of U⊥ (``u.perp_signs``) with one
+    sign on the points still live forces y = 0 wherever it is nonzero
+    there, as w . y = 0 and y >= 0.  They repeat until none cuts; with no
+    point left, K(p) = {0} and no tableau is built.  On the live points L, one tableau over
+    (z, t), with y = z + t 1 and z, t >= 0, holds the rows
+    [perp[:, L] | row sums] = 0 and [1 ... 1 | |L|] = 1, and maximizes t,
+    the least entry of y.  An optimum t > 0 certifies S = L, and its y is
+    the witness.  At t = 0 the dual row pi of the optimal basis has
+    A^T pi >= 0 on the z columns and sum(A^T pi) >= 1 on t, so pi exposes
+    a face: each point whose z column has a negative reduced cost
+    (``Tableau.obj``) is zero on all of K(p), and there is at least one.
+    Those points drop, and the max-support loop goes on from the same
+    basis for the points R the max-min vertex has not hit: each LP
+    maximizes the mass on R, sum_R z + |R| t, the positive points of its
+    optimizer join the support, and an optimum of 0 certifies that every
+    point of R is zero on all of K(p).
     """
     n = u.ambient_n
-    complement = sorted(set(range(n)) - p.classical_support)
-    rows = [r for r in ([w[x] for x in complement] for w in u.perp) if any(r)]
-
-    tableau = ela.Tableau(rows + [[1] * len(complement)], [0] * len(rows) + [1])
-    rest = set(range(len(complement)))
-    optimizers = []
-    # the first objective, sum(y) over all of C, is 1 on the whole section:
-    # its optimizer is the vertex phase I ends on, read with a zero objective
-    objective = [0] * len(complement)
-    while rest:
-        status, y, det = tableau.maximize(objective)
-        if status == ela.SimplexStatus.INFEASIBLE:
+    live = (1 << n) - 1
+    for x in p.classical_support:
+        live ^= 1 << x
+    while live:
+        dead = 0
+        for pos, neg in u.perp_signs:
+            if not live & neg:
+                dead |= live & pos
+            elif not live & pos:
+                dead |= live & neg
+        if not dead:
             break
+        live ^= dead
+    if not live:
+        return _zero_cone(p, u)
+
+    columns = [x for x in range(n) if live >> x & 1]
+    m = len(columns)
+    rows = [r + [sum(r)] for r in ([w[x] for x in columns] for w in u.perp) if any(r)]
+    tableau = ela.Tableau(rows + [[1] * m + [m]], [0] * len(rows) + [1])
+    rest, support, optimizers = set(range(m)), set(), []
+    objective = [0] * m + [1]
+    while rest:
+        status, x, det = tableau.maximize(objective)
+        if status == ela.SimplexStatus.INFEASIBLE:
+            return _zero_cone(p, u)
         if status != ela.SimplexStatus.OPTIMAL:
             raise GroundLatticeError(
-                f"max-support LP on a compact section returned {status!r}")
+                f"cone LP on a compact section returned {status!r}")
+        y = [z + x[m] for z in x[:m]]
         hit = {i for i in rest if y[i] > 0}
         if not hit:
             break
+        if not optimizers and not x[m]:     # max-min optimum 0: the dual row cuts
+            rest -= {i for i in range(m) if tableau.obj[i] < 0}
         optimizers.append((y, det))
+        support |= hit
         rest -= hit
-        objective = [int(i in rest) for i in range(len(complement))]
-    if not optimizers:      # K(p) = {0}
-        return ConeDescriptor(base_projection=p, q_max_rank=n, engine=u.engine,
-                              witness_support=frozenset())
+        objective = [int(i in rest) for i in range(m)] + [len(rest)]
 
-    support = [x for i, x in enumerate(complement) if i not in rest]
     return ConeDescriptor(base_projection=p, q_max_rank=n - len(support), engine=u.engine,
-                          witness_support=frozenset(support),
-                          source=(u, complement, optimizers))
+                          witness_support=frozenset(columns[i] for i in support),
+                          source=(u, columns, optimizers))
+
+
+def _zero_cone(p: Projection, u: OperatorSubspace) -> ConeDescriptor:
+    """The descriptor of an exact K(p) = {0}."""
+    return ConeDescriptor(base_projection=p, q_max_rank=u.ambient_n, engine=u.engine,
+                          witness_support=frozenset())
 
 
 def integer_rays(desc: ConeDescriptor) -> list[list[int]]:

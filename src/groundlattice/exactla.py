@@ -161,6 +161,13 @@ class Tableau:
     ``tab[i][-1] / tab[i][basis[i]]``.  Rational rows go in scaled by
     :func:`integer_row`; scaling a row changes the phase-I path, so the
     optimizer may change, but not the optimal value.
+
+    ``obj`` is also the dual read.  After an optimal :meth:`maximize` of
+    c, it is a positive multiple of the reduced costs d = c - A^T pi, where
+    pi is the dual row of the optimal basis, and its last entry is minus
+    that multiple of the optimum pi . b.  Every feasible x has
+    c . x = pi . b + d . x with d <= 0, so each column with ``obj[j] < 0``
+    is zero in every optimizer.
     """
 
     def __init__(self, a_eq: list[list[int]], b_eq: Sequence[int]):

@@ -45,14 +45,23 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        n = int(obj["n"])
-        entries = obj["entries"]
+        n, entries = obj["n"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"matrix object needs 'n' and 'entries': {exc}", field="matrix")
-    if len(entries) != n * n:
-        raise InputError(f"expected {n * n} entries, got {len(entries)}", field="entries")
+    # int() would read 2.7 (or true) as a size nobody gave
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InputError(f"'n' must be a non-negative integer, got {n!r}", field="n")
+    if not isinstance(entries, list) or len(entries) != n * n:
+        raise InputError(f"expected a list of {n * n} entries", field="entries")
+    if not all(isinstance(e, list) and len(e) == 2 and all(_is_real(x) for x in e)
+               for e in entries):
+        raise InputError("each entry must be a [re, im] pair of real numbers", field="entries")
     flat = np.array([complex(re, im) for re, im in entries])
     return hermitian_matrix(flat.reshape(n, n))
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _orthonormal(cols: np.ndarray) -> bool:

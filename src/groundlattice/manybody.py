@@ -129,7 +129,7 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     if exact:
         return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_EXACT,
                                 basis=[t.tolist() for t in terms], contains_identity=True,
-                                site_structure=(n_sites, tuple(sys.dims)))
+                                site_structure=(n_sites, tuple(sys.dims)), locality=k)
     return OperatorSubspace(ambient_n=sys.total_dim, engine=ENGINE_FLOAT,
                             basis=[t / np.linalg.norm(t) for t in terms], contains_identity=True,
                             site_structure=(n_sites, tuple(sys.dims)))

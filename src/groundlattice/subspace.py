@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -65,6 +68,8 @@ class OperatorSubspace:
     basis: list                      # ndarrays (float) or primitive int vectors (exact)
     contains_identity: bool
     site_structure: tuple | None = None   # (N, dims) when built from a composite system
+    # k when U is the k-local space of site_structure (exact engine)
+    locality: int | None = field(default=None, compare=False)
     # float engine: the basis stacked in one (dim, n, n) ndarray, of which
     # the matrices in ``basis`` are views
     stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -89,6 +94,17 @@ class OperatorSubspace:
                 coords = nullspace_cols(herm_coords(self.stacked))
                 self._perp = herm_from_coords(coords.T, self.ambient_n)
         return self._perp
+
+    @cached_property
+    def perp_signs(self) -> list[tuple[int, int]]:
+        """The vectors of U⊥ (exact engine) that the exact cone analysis cuts
+        by, each as the bitmasks of the points where it is positive and
+        where it is negative: the :func:`local_circuit_signs` of a k-local
+        space, else the rows of ``perp``."""
+        if self.locality is not None:
+            return local_circuit_signs(self.site_structure[1], self.locality)
+        return [(sum(1 << x for x, v in enumerate(w) if v > 0),
+                 sum(1 << x for x, v in enumerate(w) if v < 0)) for w in self.perp]
 
     @property
     def dim(self) -> int:
@@ -138,6 +154,35 @@ class LinearSection:
     basis: list | np.ndarray
     dim: int
     face: np.ndarray | None = None
+
+
+def local_circuit_signs(dims: tuple[int, ...], k: int) -> list[tuple[int, int]]:
+    """Sign bitmasks of product vectors that span the complement of the
+    k-local functions on sites of sizes ``dims``.
+
+    Each is a product over the sites, in the order of the configuration
+    index (site 0 the most significant): on k + 1 sites e_b - e_c with
+    b < c, on every other site one point e_a.  Any function of at most k
+    sites sums to zero against it, and these vectors span U⊥.  A
+    permutation of equal-sized sites, or of the levels of one site, maps
+    the set onto itself up to sign, so cuts by them decide the same cones
+    on every image of a support under such a symmetry, which a basis of
+    U⊥ does not.
+    """
+    n_sites = len(dims)
+    strides = [prod(dims[i + 1:]) for i in range(n_sites)]
+    out = []
+    for nu in combinations(range(n_sites), k + 1):
+        rest = [i for i in range(n_sites) if i not in nu]
+        for pairs in product(*(combinations(range(dims[i]), 2) for i in nu)):
+            for point in product(*(range(dims[i]) for i in rest)):
+                base = sum(strides[i] * a for i, a in zip(rest, point))
+                signs = [0, 0]       # positive, negative: by the parity of the c's
+                for picks in product((0, 1), repeat=k + 1):
+                    x = base + sum(strides[i] * pair[c] for i, pair, c in zip(nu, pairs, picks))
+                    signs[sum(picks) % 2] |= 1 << x
+                out.append((signs[0], signs[1]))
+    return out
 
 
 def from_spanning_set(matrices, engine: str = ENGINE_FLOAT,

@@ -363,6 +363,31 @@ class TestExitCodes:
             assert code == EXIT_INPUT_ERROR and not out
             assert f"(field: {field})" in err
 
+    @pytest.mark.parametrize("obj, field", [
+        # int() read 2.7 as n = 2 and decided a matrix nobody gave
+        ({"n": 2.7, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}, "n"),
+        ({"n": True, "entries": [[1, 0]]}, "n"),
+        ({"n": -1, "entries": []}, "n"),
+        # bare numbers ended in a TypeError traceback
+        ({"n": 2, "entries": [1, 0, 0, 1]}, "entries"),
+        ({"n": 2, "entries": [[1, 0], [0, 0], [0, 0], ["1", 0]]}, "entries"),
+        ({"n": 1, "entries": [[1, 0, 0]]}, "entries"),
+    ])
+    def test_malformed_matrix_files(self, tmp_path, capsys, obj, field):
+        mat_file = tmp_path / "a.json"
+        mat_file.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, ["marginal", str(mat_file),
+                                          "--system", "qubits:N=1", "--k", "1"])
+        assert code == EXIT_INPUT_ERROR and not out
+        assert f"(field: {field})" in err
+        sub_file, proj_file = tmp_path / "u.json", tmp_path / "p.json"
+        sub_file.write_text(json.dumps({"engine": "float-hermitian", "ambient_n": 2,
+                                        "basis": [obj]}))
+        proj_file.write_text(json.dumps({"image_basis": [[[1, 0], [0, 0]]]}))
+        code, out, err = run_cli(capsys, ["membership", str(sub_file), str(proj_file)])
+        assert code == EXIT_INPUT_ERROR and not out
+        assert f"(field: {field})" in err
+
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR

@@ -430,6 +430,15 @@ class TestAnalyzeConeExact:
                 mismatches.append(mask)
             members += expected[0]
             coatoms += expected[0] and rank == 1
+            if desc.dim_K:
+                # a member's max-min LP ends at t > 0 (its support is all of
+                # the complement); the witness of a non-member here is mostly
+                # the mean of a max-min optimizer at t = 0 and the optimizers
+                # of the max-support loop after it
+                w = desc.interior_witness
+                assert {x for x in range(n) if w[x] != 0} == \
+                    {x for x in range(n) if w[x] > 0} == desc.witness_support
+                assert sum(w) == 1 and all(ela.dot(row, w) == 0 for row in u.perp)
         assert mismatches == []
         assert members >= 100 and coatoms >= 10 and len(supports) - members >= 100
 
@@ -474,6 +483,55 @@ class TestLazyDescriptor:
         monkeypatch.setattr(ela, "null_space", refuse)
         assert [[(is_ground_projection(p, u), is_coatom(p, u)) for p in ps]
                 for u, ps in cases] == expected
+
+    def test_cones_run_one_max_min_lp(self, monkeypatch):
+        # sign cuts by vectors of U-perp decide every K(p) = {0} of
+        # bits:N=3:k=2 with no tableau, and one max-min LP every other cone;
+        # on bits:N=4:k=2 some max-min optimum is 0, and the points of
+        # negative reduced cost in its dual row drop: the max-support loop
+        # after it leaves them out of its objective, and does not run when
+        # they and the points hit are all of the columns
+        built, runs, drops = [], [], []
+        settled = {}    # tableau -> columns hit or dropped by a max-min optimum of 0
+        init, maximize = ela.Tableau.__init__, ela.Tableau.maximize
+
+        def counted_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def counted_maximize(self, c):
+            if self in settled:
+                known = settled.pop(self)
+                assert [j for j in range(len(c) - 1) if c[j]] == \
+                    [j for j in range(len(c) - 1) if j not in known]
+            out = maximize(self, c)
+            if self not in runs and out[0] == ela.SimplexStatus.OPTIMAL and out[1][-1] == 0:
+                dropped = {j for j, d in enumerate(self.obj[:len(c) - 1]) if d < 0}
+                hit = {j for j, v in enumerate(out[1][:-1]) if v > 0}
+                assert dropped and not dropped & hit
+                drops.append(len(dropped))
+                settled[self] = dropped | hit
+            runs.append(self)
+            return out
+
+        monkeypatch.setattr(ela.Tableau, "__init__", counted_init)
+        monkeypatch.setattr(ela.Tableau, "maximize", counted_maximize)
+        (u3, masks3), (u4, masks4) = bit_spaces_and_supports()
+        trivial = 0
+        for mask in masks3:
+            built.clear()
+            runs.clear()
+            desc = analyze_cone(support_of(mask, 8), u3)
+            assert (len(built), len(runs)) == ((1, 1) if desc.dim_K else (0, 0))
+            trivial += not desc.dim_K
+        assert trivial >= 30 and not drops
+        for mask in masks4:
+            runs.clear()
+            analyze_cone(support_of(mask, 16), u4)
+            # a loop that did not run had nothing left to find
+            assert all(len(known) == len(t.obj) - 2 for t, known in settled.items())
+            settled.clear()
+        assert len(drops) >= 1
 
     def test_exact_dim_k_span_and_witness(self):
         for u, masks in bit_spaces_and_supports():

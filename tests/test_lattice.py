@@ -429,10 +429,20 @@ class TestEnumerateCoatoms:
         expected = {frozenset(p.classical_support) for p in enumerate_coatoms(exact)[0]}
         assert len(expected) == 56
         v = haar_unitary(np.random.default_rng(seed), 16)
-        coatoms, _ = enumerate_coatoms(rotated_space(exact, v), RunConfig(samples=200))
+        u = rotated_space(exact, v)
+        coatoms, _ = enumerate_coatoms(u, RunConfig(samples=200))
         supports = [rotated_support(p, v) for p in coatoms]
         assert all(s in expected for s in supports)
         assert len(set(supports)) == len(supports) >= 40
+        # the face-lattice identity dim K(p) + dim(p U p) = dim U of a
+        # rotated polytope, read on the float engine alone: dim(p U p) is
+        # the rank of the compressions b* u_k b to the image b of p (a
+        # 2-face read as a ray gives one less)
+        for p in coatoms:
+            b = p.image_basis
+            compressed = np.stack([b.conj().T @ m @ b for m in u.basis])
+            dim_pup = np.linalg.matrix_rank(compressed.reshape(u.dim, -1).view(float), tol=1e-6)
+            assert analyze_cone(p, u).dim_K + dim_pup == u.dim == 11
 
     def test_qubit_pair_coatom_families(self):
         # the coatoms of qubits:N=2:k=1 are P (x) 1 and 1 (x) P with P of

@@ -232,6 +232,40 @@ class TestFromSpanningSet:
             assert all(ela.dot(w, b) == 0 for w in v.perp for b in v.basis)
         assert in_span(traceless.perp, [1] * 8)
 
+    @pytest.mark.parametrize("dims, k", [((2, 2, 2, 2), 2), ((2, 3, 2), 1), ((3, 3, 3), 2)])
+    def test_klocal_sign_cuts_span_perp_and_follow_the_site_symmetries(self, dims, k):
+        # the exact cone analysis cuts a k-local space by product vectors of
+        # U-perp, not by the rows of perp: they span U-perp, and a permutation
+        # of equal sites or of the levels of a site maps them onto themselves
+        # up to sign, so a support and its image are cut alike
+        u = build_klocal(SiteSystem(dims=dims, engine=ENGINE_EXACT), k)
+        n = u.ambient_n
+        vecs = [[(pos >> x & 1) - (neg >> x & 1) for x in range(n)] for pos, neg in u.perp_signs]
+        assert all(ela.dot(w, b) == 0 for w in vecs for b in u.basis)
+        assert ela.rank(vecs) == len(u.perp)
+        cuts = {frozenset(signs) for signs in u.perp_signs}
+        configs = list(product(*(range(d) for d in dims)))
+        index = {c: x for x, c in enumerate(configs)}
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            sites = list(range(len(dims)))
+            for d in set(dims):
+                same = [i for i in sites if dims[i] == d]
+                for i, j in zip(same, rng.permutation(same)):
+                    sites[i] = int(j)
+            levels = [rng.permutation(d) for d in dims]
+            move = [index[tuple(int(levels[i][c[sites[i]]]) for i in range(len(dims)))]
+                    for c in configs]
+            assert sorted(move) == list(range(n))
+            moved = {frozenset(sum(1 << move[x] for x in range(n) if mask >> x & 1)
+                               for mask in signs) for signs in cuts}
+            assert moved == cuts
+        # a subspace that is not known to be k-local cuts by the rows of perp
+        plain = from_spanning_set(u.basis, engine=ENGINE_EXACT)
+        assert plain.perp_signs == [
+            (sum(1 << x for x, v in enumerate(w) if v > 0),
+             sum(1 << x for x, v in enumerate(w) if v < 0)) for w in plain.perp]
+
 
 class TestProjectOnto:
     def test_idempotence_on_members(self):

@@ -10,7 +10,13 @@ with identical inputs reproduces the payload byte-identically (timing is
 reported outside the payload).  The membership and cone reports also
 carry, outside the payload, the cone's ``margin``: the closest call of
 the float facial reduction as a ratio to its threshold, null where no
-threshold was tested (exact engine, or a section {0}).
+threshold was tested (exact engine, or a section {0}).  The coatoms and
+lattice reports carry, outside the payload, the two residuals of the
+``reading`` that sends a commuting float U to the exact engine (its
+largest off-diagonal norm in the joint eigenbasis, and its distance to
+the rational functions), each accepted at most tol_rank; null when there
+is no reading (exact engine, or a U that does not commute or is not
+rational), and the flag then is "exact" or "sampled", not "complete".
 """
 
 from __future__ import annotations
@@ -116,7 +122,8 @@ def emit(report: dict, stream=None) -> None:
 
 
 # --------------------------------------------------------------------------
-# commands: each returns (payload, what it ran on, cone or None, exit code)
+# commands: each returns (payload, what it ran on, the report's fields
+# outside the payload, exit code)
 # --------------------------------------------------------------------------
 
 def cmd_membership(args, cfg: RunConfig):
@@ -129,20 +136,31 @@ def cmd_membership(args, cfg: RunConfig):
         "q_max": jsonio.projection_to_json(q_max_from_descriptor(desc, u, cfg)),
         "dim_K": desc.dim_K,
     }
-    return payload, u, desc, EXIT_OK
+    return payload, u, _margin(desc), EXIT_OK
 
 
 def cmd_qmax(args, cfg: RunConfig):
     u = load_subspace(args.subspace, args.engine, args.k)
     qm = q_max(load_projection(args.projection, u.ambient_n), u, cfg)
-    return {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}, u, None, EXIT_OK
+    return {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}, u, {}, EXIT_OK
 
 
 def cmd_cone(args, cfg: RunConfig):
     u = load_subspace(args.subspace, args.engine, args.k)
     desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
     rays = extreme_rays(desc, cfg) if args.rays and desc.dim_K >= 1 else None
-    return jsonio.cone_to_json(desc, rays), u, desc, EXIT_OK
+    return jsonio.cone_to_json(desc, rays), u, _margin(desc), EXIT_OK
+
+
+def _margin(desc) -> dict:
+    finite = desc.margin is not None and math.isfinite(desc.margin)
+    return {"margin": desc.margin if finite else None}
+
+
+def _reading(u: OperatorSubspace, cfg: RunConfig) -> dict:
+    reading = u.exact_reading(cfg.tol_rank)
+    return {"reading": None if reading is None else
+            {"off_diagonal": reading.off_diagonal, "rational": reading.rational}}
 
 
 def cmd_coatoms(args, cfg: RunConfig):
@@ -153,7 +171,7 @@ def cmd_coatoms(args, cfg: RunConfig):
         "count": len(coatoms),
         "coatoms": [jsonio.projection_to_json(p) for p in coatoms],
     }
-    return payload, u, None, EXIT_OK
+    return payload, u, _reading(u, cfg), EXIT_OK
 
 
 def cmd_lattice(args, cfg: RunConfig):
@@ -164,11 +182,11 @@ def cmd_lattice(args, cfg: RunConfig):
         lat, code = exc.partial, EXIT_BUDGET
     if args.out == "dot":
         sys.stdout.write(jsonio.lattice_to_dot(lat) + "\n")
-        return None, u, None, code
+        return None, u, {}, code
     payload = jsonio.lattice_to_json(lat)
     payload["coatom_count"] = len(lat.coatoms)
     payload["partial"] = code == EXIT_BUDGET
-    return payload, u, None, code
+    return payload, u, _reading(u, cfg), code
 
 
 def cmd_klocal(args, cfg: RunConfig):
@@ -184,7 +202,7 @@ def cmd_klocal(args, cfg: RunConfig):
         payload["closed_form_dim"] = klocal_dimension(sys_, k)
     except InputError:
         pass  # non-uniform sites have no closed form
-    return payload, u, None, EXIT_OK
+    return payload, u, {}, EXIT_OK
 
 
 def cmd_marginal(args, cfg: RunConfig):
@@ -195,7 +213,7 @@ def cmd_marginal(args, cfg: RunConfig):
             raise InputError("exact engine expects a diagonal matrix", field="matrix")
         a = [Fraction(float(x.real)).limit_denominator(10 ** 9) for x in np.diag(a)]
     payload = {"marginals": jsonio.marginal_tuple_to_json(marginal_map(a, sys_, k))}
-    return payload, sys_, None, EXIT_OK
+    return payload, sys_, {}, EXIT_OK
 
 
 def cmd_verify(args, cfg: RunConfig):
@@ -211,17 +229,17 @@ def cmd_verify(args, cfg: RunConfig):
     payload = {"fixture": args.fixture,
                "checks": [{"name": n, "ok": ok} for n, ok, _ in checks],
                "all_ok": all_ok}
-    return payload, None, None, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return payload, None, {}, EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
 def run(args) -> int:
     """Run one command and emit its report: the command, the configuration
-    with the engine of what ran, the payload, the wall time and, where a
-    cone was analysed, its margin (the last two outside the payload)."""
+    with the engine of what ran, the payload, and outside it the wall time
+    and the command's own fields (a cone's margin, a reading's residuals)."""
     started = time.perf_counter()
     cfg = RunConfig(seed=args.seed, tol_rank=args.tol,
                     samples=args.samples, max_nodes=args.max_nodes)
-    payload, ran, cone, code = args.func(args, cfg)
+    payload, ran, extras, code = args.func(args, cfg)
     if payload is None:
         return code
     report = {
@@ -231,10 +249,8 @@ def run(args) -> int:
                    "engine": None if ran is None else "exact" if ran.is_exact else "float"},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),
+        **extras,
     }
-    if cone is not None:
-        finite = cone.margin is not None and math.isfinite(cone.margin)
-        report["margin"] = cone.margin if finite else None
     emit(report)
     return code
 
@@ -279,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cone)
 
-    p = sub.add_parser("coatoms", help="enumerate (exact) or sample (float) coatoms")
+    p = sub.add_parser("coatoms",
+                       help="enumerate (exact or commuting float) or sample (float) coatoms")
     p.add_argument("subspace")
     common(p)
     p.set_defaults(func=cmd_coatoms)

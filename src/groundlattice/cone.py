@@ -50,7 +50,12 @@ trace-one section to a boundary point x and replace the face by K(ker x),
 the smallest face holding x, until the face is a ray; ker x is read off
 the whitened eigenproblem that finds x.  :func:`extreme_rays` keeps the
 first dim K(p) linearly independent rays.  The same descents from K(0)
-give the float coatoms.
+give the float coatoms.  A U whose elements commute skips the descents
+when it has an exact reading (:meth:`OperatorSubspace.exact_reading`):
+for p diagonal in its frame, :func:`extreme_rays` runs the exact cone of
+p's support on the exact subspace, and, when that cone has the float
+dim K(p), returns its :func:`pivot_rays` as frame diag(g) frame*.
+Decisions stay on the float cone.
 """
 
 from __future__ import annotations
@@ -283,6 +288,13 @@ def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
     return sorted(rays, key=lambda g: [v * (lam // sum(g)) for v in g])
 
 
+def pivot_rays(desc: ConeDescriptor) -> list[list[int]]:
+    """The first dim K(p) linearly independent rays of :func:`integer_rays`:
+    the pivot columns of one integer elimination."""
+    rays = integer_rays(desc)
+    return [rays[j] for j in ela.integer_rref([list(col) for col in zip(*rays)])[1]]
+
+
 def _adjacent(common: int, zero_sets: list[int]) -> bool:
     """Whether only the two rays of a pair vanish on all of ``common``."""
     count = 0
@@ -480,16 +492,28 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
 
     Exact engine: the complete list, sorted, by incremental double
     description with the combinatorial adjacency test.  Float engine:
-    dim K(p) linearly independent rays, in the order the face descents
-    from the witness reach them (see :func:`descent_rays`): each ray that
-    raises the rank of those kept is kept, over at most 12 dim K(p)
-    descents, else :class:`IncompleteRaysError` with every ray found.
+    dim K(p) linearly independent rays.  When U has an exact reading, p
+    is diagonal in its frame and the exact cone of p's support has the
+    same dim K(p), they are the :func:`pivot_rays` of that cone, as frame
+    diag(g) frame* / tr g.  Otherwise they come in the order the face
+    descents from the witness reach them (see :func:`descent_rays`): each
+    ray that raises the rank of those kept is kept, over at most
+    12 dim K(p) descents, else :class:`IncompleteRaysError` with every
+    ray found.
     """
     cfg = cfg or RunConfig()
     if desc.dim_K < 1:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == ENGINE_EXACT:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
+    reading = desc.source[0].exact_reading(cfg.tol_rank)
+    support = None if reading is None else reading.support_of(desc.base_projection)
+    if support is not None:
+        # the private analysis: the traced analyze_cone counts float cones only
+        exact = _analyze_exact(Projection.from_support(desc.base_projection.n, support),
+                               reading.exact, cfg)
+        if exact.dim_K == desc.dim_K:
+            return [reading.matrix(g) for g in pivot_rays(exact)]
     return _extreme_rays_float(desc, cfg)
 
 

@@ -11,8 +11,12 @@ ray, so a decision reads only ``q_max_rank`` and ``dim_K``; the span and
 the witness, which the descriptor computes on first read, are built only
 for decompositions, q_max and coatom enumeration.  Coatoms are read off
 as the kernels of the extreme rays of K(0) = U ∩ PSD, all of them in the
-exact engine and those that face descents reach in the float engine.  The
-lattice is built from the top down: every node is the intersection of the
+exact engine and those that face descents reach in the float engine.  A
+float U with an exact reading (:meth:`OperatorSubspace.exact_reading`:
+its elements commute and are rational functions on the columns of a joint
+eigenbasis) gets the complete exact coatoms and closure of the reading,
+with each support mapped back to its frame columns, flagged "complete".
+The lattice is built from the top down: every node is the intersection of the
 coatoms above it, keyed by their bitmask (its intent), and Lindig's
 neighbour test picks its lower covers among its meets with one more
 coatom.  Exact nodes are supports; float nodes are image bases B, whose
@@ -24,17 +28,24 @@ from one product with the stacked complements 1 - Q of all coatoms.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, reduce
 
 import numpy as np
 
-from . import exactla as ela
-from .cone import ConeDescriptor, analyze_cone, descent_rays, extreme_rays, integer_rays
+from .cone import (
+    ConeDescriptor,
+    _analyze_exact,
+    analyze_cone,
+    descent_rays,
+    extreme_rays,
+    integer_rays,
+    pivot_rays,
+)
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import CANON_TOL, Projection, image_intersection, kernel_projection, meet_bases
-from .subspace import OperatorSubspace
+from .subspace import ExactReading, OperatorSubspace
 
 
 def _require_identity(u: OperatorSubspace):
@@ -117,9 +128,7 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
     if u.is_exact:
-        rays = integer_rays(desc)
-        pivots = ela.integer_rref([list(col) for col in zip(*rays)])[1]
-        coatoms = [_kernel_of(rays[j], u, cfg) for j in pivots]
+        coatoms = [_kernel_of(g, u, cfg) for g in pivot_rays(desc)]
         ok = frozenset.intersection(*(q.classical_support for q in coatoms)) == p.classical_support
     else:
         coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
@@ -132,19 +141,26 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
 
 def enumerate_coatoms(u: OperatorSubspace,
                       cfg: RunConfig | None = None) -> tuple[list[Projection], str]:
-    """All coatoms (exact engine) or a sampled subset (float).
+    """All coatoms (exact engine, or a float U with an exact reading) or a
+    sampled subset (float).
 
     Exact: the kernels of the extreme rays of K(0) = U ∩ PSD, whose rays
-    are exactly the ray cones K(q) of the coatoms q; the list is complete.
-    Float: the kernels of the rays that cfg.samples face descents from the
+    are exactly the ray cones K(q) of the coatoms q; the list is complete,
+    flagged "exact".  A float U with an exact reading: the exact coatoms of
+    the reading on the columns of its frame, flagged "complete".  Other
+    float U: the kernels of the rays that cfg.samples face descents from the
     witness of K(0) end on (see :func:`cone.descent_rays`), each a coatom.
     A descent that ends on a ray found before returns none, so the coatoms
-    are distinct; the list may miss coatoms, hence the flag.  Both lists
-    are sorted by :meth:`Projection.sort_key`.
+    are distinct; the list may miss coatoms, hence the flag "sampled".
+    The lists are sorted by :meth:`Projection.sort_key`.
     Returns (coatoms, completeness flag).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
+    reading = u.exact_reading(cfg.tol_rank)
+    if reading is not None:
+        lifted = [reading.lift(s) for s in _reading_coatoms(reading, cfg)]
+        return sorted(lifted, key=lambda p: p.sort_key()), "complete"
     top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
         rays, flag = integer_rays(top), "exact"
@@ -152,6 +168,15 @@ def enumerate_coatoms(u: OperatorSubspace,
         rays, flag = descent_rays(top, cfg, cfg.samples, 3), "sampled"
     found = [_kernel_of(g, u, cfg) for g in rays]
     return sorted(found, key=lambda p: p.sort_key()), flag
+
+
+def _reading_coatoms(reading: ExactReading, cfg: RunConfig) -> list[frozenset[int]]:
+    """The coatom supports of an exact reading: the zero sets of the rays
+    of its K(0), from the private analysis, so that the traced
+    analyze_cone counts float cones alone."""
+    exact = reading.exact
+    top = _analyze_exact(exact.zero_projection(), exact, cfg)
+    return [frozenset(x for x, v in enumerate(g) if v == 0) for g in integer_rays(top)]
 
 
 @dataclass
@@ -197,14 +222,27 @@ def lattice_from_nodes(nodes: dict[object, Projection], covers: list[tuple[objec
 def build_lattice(u: OperatorSubspace, cfg: RunConfig | None = None) -> GroundLattice:
     """The lattice generated by the coatoms of U, built from the top down.
 
-    Inherits the completeness flag of the coatom enumeration.  Raises
-    :class:`NodeBudgetError` carrying the partial lattice if the closure
-    exceeds cfg.max_nodes.
+    Inherits the completeness flag of the coatom enumeration.  A float U
+    with an exact reading gets the exact closure of the reading, its nodes
+    mapped to frame columns in the order of their exact supports, flagged
+    "complete".  Raises :class:`NodeBudgetError` carrying the partial
+    lattice if the closure exceeds cfg.max_nodes.
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
-    coatoms, flag = enumerate_coatoms(u, cfg)
-    return close_to_lattice(u, coatoms, flag, cfg)
+    reading = u.exact_reading(cfg.tol_rank)
+    if reading is None:
+        coatoms, flag = enumerate_coatoms(u, cfg)
+        return close_to_lattice(u, coatoms, flag, cfg)
+    coatoms = [Projection.from_support(u.ambient_n, s) for s in _reading_coatoms(reading, cfg)]
+
+    def lift(lat: GroundLattice) -> GroundLattice:
+        return replace(lat, nodes=[reading.lift(p.classical_support) for p in lat.nodes])
+
+    try:
+        return lift(close_to_lattice(reading.exact, coatoms, "complete", cfg))
+    except NodeBudgetError as err:
+        raise NodeBudgetError(str(err), partial=lift(err.partial)) from None
 
 
 def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,

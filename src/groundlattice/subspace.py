@@ -13,6 +13,12 @@ Two engines share one interface:
 Both engines give ``perp``, a basis of the orthogonal complement U⊥,
 computed on first use.  The section L(p) = U ∩ Herm(range(1 - p))
 is read off U or off U⊥, whichever side costs less.
+
+A float U whose elements commute is a polytope in disguise:
+:meth:`OperatorSubspace.exact_reading` reads it, on first request, as
+rational functions on the columns of a joint eigenbasis, an exact-engine
+subspace on which the ray enumerations of the float engine run (see
+:func:`read_exact`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from . import exactla as ela
 from .config import DEFAULT_TOL
 from .errors import InputError
 from .linalg import (
+    CANON_TOL,
     Projection,
+    eigh,
     herm_coords,
     herm_from_coords,
     hermitian_matrix,
@@ -48,13 +56,16 @@ def orthonormalize_hermitian(mats, tol_rank: float = DEFAULT_TOL) -> list[np.nda
 
     Runs :func:`range_cols` on the matrices read as real vectors, whose
     dot product is the trace inner product; its real basis vectors are
-    real combinations of the inputs, so they stay hermitian.  Dependent
-    inputs are dropped.
+    real combinations of the inputs, so they stay hermitian.  Each input
+    is first scaled to unit norm, so that the rank does not depend on how
+    the inputs are scaled; zero and dependent inputs are dropped.
     """
     if not mats:
         return []
     stack = np.stack([np.asarray(m, dtype=np.complex128) for m in mats])
-    q = range_cols(stack.reshape(len(stack), -1).view(float).T, tol_rank)
+    flat = stack.reshape(len(stack), -1).view(float)
+    norms = np.linalg.norm(flat, axis=1)
+    q = range_cols((flat[norms > 0] / norms[norms > 0, None]).T, tol_rank)
     out = np.ascontiguousarray(q.T).view(complex).reshape(-1, *stack.shape[1:])
     return list(0.5 * (out + out.conj().transpose(0, 2, 1)))
 
@@ -74,6 +85,7 @@ class OperatorSubspace:
     # the matrices in ``basis`` are views
     stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _perp: list | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _readings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.is_exact:
@@ -105,6 +117,17 @@ class OperatorSubspace:
             return local_circuit_signs(self.site_structure[1], self.locality)
         return [(sum(1 << x for x, v in enumerate(w) if v > 0),
                  sum(1 << x for x, v in enumerate(w) if v < 0)) for w in self.perp]
+
+    def exact_reading(self, tol_rank: float = DEFAULT_TOL) -> ExactReading | None:
+        """This float U read as an exact-engine subspace (:func:`read_exact`),
+        or None when it does not commute or is not rational within
+        ``tol_rank``, and on the exact engine.  Computed on first request
+        for each tolerance and kept."""
+        if self.is_exact:
+            return None
+        if tol_rank not in self._readings:
+            self._readings[tol_rank] = read_exact(self, tol_rank)
+        return self._readings[tol_rank]
 
     @property
     def dim(self) -> int:
@@ -141,6 +164,87 @@ class OperatorSubspace:
                     out = [o + c * x for o, x in zip(out, b)]
             return out
         return np.tensordot(np.asarray(coeffs, dtype=float), self.stacked, axes=1)
+
+
+@dataclass
+class ExactReading:
+    """A commuting float U as rational functions on the n columns of a joint
+    eigenbasis ``frame``: ``exact`` is the exact-engine subspace they span.
+    Its functions are constant on each joint eigenspace of U, so every
+    support of a ray's kernel is a union of them, and its span of columns
+    does not depend on the basis chosen inside them.  ``off_diagonal`` is
+    the largest off-diagonal norm of an orthonormal basis element of U in
+    the frame, and ``rational`` the sine of the largest principal angle
+    between the diagonals and ``exact``; both were at most tol_rank."""
+
+    frame: np.ndarray
+    exact: OperatorSubspace
+    off_diagonal: float
+    rational: float
+
+    def support_of(self, p: Projection) -> frozenset[int] | None:
+        """The points S with p = frame[:, S] frame[:, S]*, read off the
+        diagonal of p in the frame (0 or 1 within CANON_TOL), or None when
+        p is not diagonal there."""
+        d = self.frame.conj().T @ p.matrix() @ self.frame
+        diag = np.diag(d).real
+        if np.max(np.abs(d - np.diag(diag))) > CANON_TOL or \
+                np.max(np.minimum(np.abs(diag), np.abs(1.0 - diag))) > CANON_TOL:
+            return None
+        return frozenset(np.flatnonzero(diag > 0.5).tolist())
+
+    def lift(self, support) -> Projection:
+        """The projection onto the frame columns of an exact support."""
+        return Projection(n=len(self.frame), image_basis=self.frame[:, sorted(support)])
+
+    def matrix(self, g: list[int]) -> np.ndarray:
+        """The unit-trace frame diag(g) frame* of an exact function g >= 0."""
+        return (self.frame * (np.array(g, dtype=float) / sum(g))) @ self.frame.conj().T
+
+
+def read_exact(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> ExactReading | None:
+    """Read a float U as rational functions on a joint eigenbasis, or None.
+
+    The frame W holds the eigenvectors of one fixed combination of the
+    basis, with weights that depend on nothing but dim U (simultaneous
+    diagonalisation, Bunse-Gerstner, Byers & Mehrmann 1993).  Every basis
+    element must be diagonal in W within tol_rank; that fails when U does
+    not commute, or when an eigenvalue of the combination mixes joint
+    eigenspaces.  The diagonals (dim U x n) are row-reduced, and each
+    entry is rounded to the nearest fraction with denominator at most
+    tol_rank^(-1/3), so that an irrational entry lands well outside
+    tol_rank; the fractions must span dim U functions within tol_rank of
+    the diagonals, which fails on a U such as span{1, diag(0, 1, sqrt 2)}.
+    """
+    weights = np.random.default_rng(0).normal(size=u.dim)
+    frame = eigh(np.tensordot(weights, u.stacked, axes=1))[1]
+    d = frame.conj().T @ u.stacked @ frame
+    diag = np.einsum("kii->ki", d).real
+    off_diagonal = float(np.max(np.linalg.norm(d - diag[:, :, None] * np.eye(u.ambient_n),
+                                               axis=(1, 2)), initial=0.0))
+    if off_diagonal > tol_rank:
+        return None
+    rows, r = diag.copy(), 0
+    for c in range(u.ambient_n):        # Gauss-Jordan with partial pivoting
+        if r == len(rows):
+            break
+        i = r + int(np.argmax(np.abs(rows[r:, c])))
+        if abs(rows[i, c]) <= tol_rank:
+            continue
+        rows[[r, i]] = rows[[i, r]]
+        rows[r] /= rows[r, c]
+        rows[np.arange(len(rows)) != r] -= np.outer(np.delete(rows[:, c], r), rows[r])
+        r += 1
+    if not r or r != u.dim:
+        return None
+    bound = round(tol_rank ** (-1 / 3))
+    fractions = [[Fraction(x).limit_denominator(bound) for x in row] for row in rows]
+    span = range_cols(np.array(fractions, dtype=float).T, tol_rank)
+    rational = float(np.linalg.norm(diag - (diag @ span) @ span.T, 2))
+    if span.shape[1] != r or rational > tol_rank:
+        return None
+    return ExactReading(frame=frame, exact=from_spanning_set(fractions, ENGINE_EXACT),
+                        off_diagonal=off_diagonal, rational=rational)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from groundlattice.config import RunConfig
 from groundlattice.lattice import build_lattice, enumerate_coatoms, q_max
 from groundlattice.linalg import Projection, hermitian_matrix
 from groundlattice.manybody import SiteSystem, marginal_map
+from groundlattice.subspace import from_spanning_set
 
 
 def run_cli(capsys, argv):
@@ -224,6 +225,30 @@ class TestCommands:
         expected.update(coatom_count=len(lat.coatoms), partial=False)
         assert json.dumps(last_json(out)["payload"], sort_keys=True) == \
             json.dumps(expected, sort_keys=True)
+
+    def test_coatoms_and_lattice_report_the_reading(self, tmp_path, capsys):
+        # a rotated bits:N=3:k=2 commutes and is rational: its reports carry
+        # the reading's two residuals outside the byte-identical payload;
+        # the exact engine and m3 have no reading
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        v = np.linalg.qr(z)[0]
+        u = from_spanning_set([v @ m @ v.conj().T
+                               for m in three_bit_two_local().basis_as_matrices()])
+        sub_file = tmp_path / "u.json"
+        sub_file.write_text(json.dumps(jsonio.subspace_to_json(u)))
+        for command, count in (("coatoms", "count"), ("lattice", "coatom_count")):
+            reports = [last_json(run_cli(capsys, [command, str(sub_file)])[1]) for _ in range(2)]
+            assert json.dumps(reports[0]["payload"]) == json.dumps(reports[1]["payload"])
+            assert reports[0]["payload"]["completeness"] == "complete"
+            assert reports[0]["payload"][count] == 16
+            reading = reports[0]["reading"]
+            assert set(reading) == {"off_diagonal", "rational"}
+            assert 0 <= reading["off_diagonal"] <= 1e-9 and 0 <= reading["rational"] <= 1e-9
+            assert "reading" not in reports[0]["payload"]
+        for argv in (["coatoms", "bits:N=3", "--k", "2"], ["lattice", "m3-example",
+                                                           "--samples", "5"]):
+            assert last_json(run_cli(capsys, argv)[1])["reading"] is None
 
     def test_lattice_dot_output(self, capsys):
         code, out, _ = run_cli(capsys, ["lattice", "span{id}:n=2", "--samples", "5",

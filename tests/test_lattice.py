@@ -10,8 +10,8 @@ from bruteforce_oracle import brute_force_members
 from groundlattice import exactla as ela
 from groundlattice import lattice as lattice_mod
 from groundlattice.config import RunConfig
-from groundlattice.cone import analyze_cone, extreme_rays
-from groundlattice.errors import PreconditionError
+from groundlattice.cone import _extreme_rays_float, analyze_cone, descent_rays, extreme_rays
+from groundlattice.errors import NodeBudgetError, PreconditionError
 from groundlattice.fixtures import (
     U_MINUS,
     U_PLUS,
@@ -41,6 +41,7 @@ from groundlattice.linalg import (
     ground_projection,
     hermitian_matrix,
     image_intersection,
+    kernel_projection,
     loewner_leq,
     nullspace_cols,
 )
@@ -81,6 +82,15 @@ def rotated_support(p, v, tol=1e-6):
             np.max(np.minimum(np.abs(diag), np.abs(diag - 1.0))) > tol:
         return None
     return frozenset(int(x) for x in np.flatnonzero(diag > 0.5))
+
+
+def descent_coatoms(u, cfg):
+    """The float coatoms that cfg.samples face descents from K(0) reach, as
+    :func:`enumerate_coatoms` finds them on a U with no exact reading: the
+    kernels of :func:`descent_rays` on stream 3, sorted."""
+    top = analyze_cone(u.zero_projection(), u, cfg)
+    return sorted((kernel_projection(g, cfg.tol_rank)
+                   for g in descent_rays(top, cfg, cfg.samples, 3)), key=lambda p: p.sort_key())
 
 
 def inclusion_covers(supports):
@@ -264,19 +274,23 @@ class TestCoatomDecomposition:
 
     def test_rotated_cube_vertices_decompose_into_three_facets(self):
         # bits:N=3:k=1 conjugated by a Haar unitary: each vertex has
-        # dim K = 3 and is the meet of the three facets through it
+        # dim K = 3 and is the meet of the three facets through it, by the
+        # exact reading and by the face descents alike
         v = haar_unitary(np.random.default_rng(0), 8)
         cube = build_klocal(three_bit_system(), 1)
         u = from_spanning_set([v @ np.diag([float(x) for x in f]) @ v.conj().T
                                for f in cube.basis])
+        cfg = RunConfig()
         for x in range(8):
             p = Projection.from_columns(8, v[:, [x]])
-            parts = coatom_decomposition(p, u)
-            assert len(parts) == 3
-            meet = parts[0]
-            for q in parts[1:]:
-                meet = image_intersection(meet, q)
-            assert meet.same_image(p, tol=1e-7)
+            descended = [kernel_projection(g, cfg.tol_rank)
+                         for g in _extreme_rays_float(analyze_cone(p, u, cfg), cfg)]
+            for parts in (coatom_decomposition(p, u), descended):
+                assert len(parts) == 3
+                meet = parts[0]
+                for q in parts[1:]:
+                    meet = image_intersection(meet, q)
+                assert meet.same_image(p, tol=1e-7)
 
     def test_every_three_bit_member_decomposes(self):
         # each member with dim K >= 2 is the meet of dim K coatoms, whose
@@ -372,11 +386,15 @@ class TestEnumerateCoatoms:
         assert len({p.classical_support for p in coatoms}) == facets
 
     def test_identity_span_float_engine(self):
+        # span{1} commutes: its exact reading gives the one coatom, 0, and
+        # so do the descents
         u = from_spanning_set([np.eye(3, dtype=complex)])
-        coatoms, flag = enumerate_coatoms(u, RunConfig(samples=50))
-        assert flag == "sampled"
-        assert len(coatoms) == 1
-        assert coatoms[0].rank == 0
+        cfg = RunConfig(samples=50)
+        coatoms, flag = enumerate_coatoms(u, cfg)
+        assert flag == "complete"
+        for found in (coatoms, descent_coatoms(u, cfg)):
+            assert len(found) == 1
+            assert found[0].rank == 0
 
     def test_m3_sampled_family(self):
         # descents end on the rank-one family in the upper 2x2 block and on
@@ -396,7 +414,9 @@ class TestEnumerateCoatoms:
         ("m3", 300, 0), ("m3", 300, 1), ("qubits:N=2:k=1", 200, 0), ("rotated cube", 300, 0)])
     def test_float_coatoms_are_pairwise_distinct(self, space, samples, seed):
         # a descent that ends on a ray found before returns none, so no two
-        # coatoms share an image: a pairwise scan at CANON_TOL finds no pair
+        # coatoms share an image: a pairwise scan at CANON_TOL finds no pair.
+        # The rotated cube has an exact reading, so its descents run directly
+        cfg = RunConfig(samples=samples, seed=seed)
         if space == "m3":
             u = m3_subspace()
         elif space == "qubits:N=2:k=1":
@@ -404,20 +424,26 @@ class TestEnumerateCoatoms:
         else:
             u = rotated_space(build_klocal(three_bit_system(), 1),
                               haar_unitary(np.random.default_rng(seed), 8))
-        coatoms, flag = enumerate_coatoms(u, RunConfig(samples=samples, seed=seed))
-        assert flag == "sampled"
+        if space == "rotated cube":
+            coatoms = descent_coatoms(u, cfg)
+        else:
+            coatoms, flag = enumerate_coatoms(u, cfg)
+            assert flag == "sampled"
         assert (len(coatoms) == 6) if space == "rotated cube" else (len(coatoms) > 100)
         assert not any(p.same_image(q, tol=CANON_TOL)
                        for i, p in enumerate(coatoms) for q in coatoms[:i])
 
     @pytest.mark.parametrize("k, seed", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_rotated_float_coatoms_match_exact(self, k, seed):
+        # the face descents and the exact reading both find every coatom
         exact = build_klocal(three_bit_system(), k)
         expected = sorted(sorted(p.classical_support) for p in enumerate_coatoms(exact)[0])
         v = haar_unitary(np.random.default_rng(seed), 8)
-        coatoms, flag = enumerate_coatoms(rotated_space(exact, v), RunConfig(samples=60))
-        assert flag == "sampled"
-        assert sorted(sorted(rotated_support(p, v)) for p in coatoms) == expected
+        u, cfg = rotated_space(exact, v), RunConfig(samples=60)
+        coatoms, flag = enumerate_coatoms(u, cfg)
+        assert flag == "complete"
+        for found in (coatoms, descent_coatoms(u, cfg)):
+            assert sorted(sorted(rotated_support(p, v)) for p in found) == expected
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_rotated_four_bit_float_coatoms_are_exact_coatoms(self, seed):
@@ -430,7 +456,7 @@ class TestEnumerateCoatoms:
         assert len(expected) == 56
         v = haar_unitary(np.random.default_rng(seed), 16)
         u = rotated_space(exact, v)
-        coatoms, _ = enumerate_coatoms(u, RunConfig(samples=200))
+        coatoms = descent_coatoms(u, RunConfig(samples=200))
         supports = [rotated_support(p, v) for p in coatoms]
         assert all(s in expected for s in supports)
         assert len(set(supports)) == len(supports) >= 40
@@ -567,9 +593,10 @@ class TestImageBasisClosure:
             assert above == {nodes[i] for i in lat.coatoms if face <= nodes[i]}
 
     def test_seeded_m3_lattice_counts(self):
-        # the principal-angle closure gave the same counts
+        # the closure by one SVD per meet gives the same counts; they follow
+        # the orthonormal basis of m3, as the descents draw in its sections
         u = m3_subspace()
-        for seed, counts in ((0, (36, 67, 33)), (3, (44, 83, 41))):
+        for seed, counts in ((0, (37, 69, 34)), (3, (41, 77, 38))):
             lat = build_lattice(u, RunConfig(samples=50, seed=seed))
             assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == counts
 
@@ -625,6 +652,15 @@ class TestBuildLattice:
         assert lat.node_count == 2
         assert lat.hasse_edges == [(0, 1)]
         assert lat.coatoms == [0]
+
+    def test_large_identity_keeps_a_small_generator(self):
+        # span{1e10 1, diag(1, -1, 1/2)}: the segment [-1, 1] of values has
+        # two coatoms, the kernels {0} and {1} of its ends, meeting in 0
+        u = from_spanning_set([1e10 * np.eye(3), np.diag([1.0, -1.0, 0.5])])
+        lat = build_lattice(u, RunConfig(samples=20))
+        assert lat.node_count == 4
+        assert {rotated_support(p, np.eye(3)) for p in lat.nodes} == \
+            {frozenset(), frozenset({0}), frozenset({1}), frozenset(range(3))}
 
     def test_three_bit_lattice_contents(self):
         u = three_bit_two_local()
@@ -704,16 +740,18 @@ class TestBuildLattice:
 
     def test_rotated_three_bit_closure_matches_exact_lattice(self):
         # float closure of the 16 Haar-rotated coatoms of bits:N=3:k=2,
-        # rotated from the exact ones and found by face descents, mapped
-        # back to supports, against the exact lattice
+        # rotated from the exact ones or found by face descents, and the
+        # lattice of the exact reading, mapped back to supports, against
+        # the exact lattice
         exact = three_bit_two_local()
         reference = build_lattice(exact)
         v = haar_unitary(np.random.default_rng(11), 8)
-        u = rotated_space(exact, v)
+        u, cfg = rotated_space(exact, v), RunConfig(samples=60)
         coatoms = [Projection.from_columns(8, v[:, sorted(reference.nodes[i].classical_support)])
                    for i in reference.coatoms]
         for lat in (close_to_lattice(u, coatoms, "complete"),
-                    build_lattice(u, RunConfig(samples=60))):
+                    close_to_lattice(u, descent_coatoms(u, cfg), "sampled", cfg),
+                    build_lattice(u, cfg)):
             nodes = [rotated_support(p, v) for p in lat.nodes]
             assert None not in nodes
             assert len(nodes) == 226
@@ -770,6 +808,91 @@ class TestBuildLattice:
             for c in above:
                 meet = meet & c
             assert meet == s, f"node {sorted(s)} is not the meet of coatoms above it"
+
+
+class TestExactReadingRoute:
+    """A commuting float U enumerates its rays on its exact reading: the
+    complete exact coatoms and lattice, mapped back to the frame."""
+
+    def test_rotated_five_bit_coatoms_are_complete(self):
+        exact = build_klocal(SiteSystem.bits(5), 2)
+        expected = {p.classical_support for p in enumerate_coatoms(exact)[0]}
+        v = haar_unitary(np.random.default_rng(0), 32)
+        coatoms, flag = enumerate_coatoms(rotated_space(exact, v))
+        assert flag == "complete"
+        assert len(coatoms) == len(expected) == 368
+        assert {rotated_support(p, v) for p in coatoms} == expected
+
+    def test_rotated_four_bit_lattice(self):
+        exact = build_klocal(SiteSystem.bits(4), 2)
+        v = haar_unitary(np.random.default_rng(1), 16)
+        lat = build_lattice(rotated_space(exact, v))
+        assert lat.completeness_flag == "complete"
+        assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == (20298, 129064, 56)
+        ranks = [p.rank for p in lat.nodes]
+        assert ranks == sorted(ranks) and ranks[-1] == 16
+        # the nodes and covers rotate back to those of the exact lattice
+        reference = build_lattice(exact)
+        assert lattice_covers(lat, lambda p: rotated_support(p, v)) == \
+            lattice_covers(reference, lambda p: p.classical_support)
+
+    def test_two_dimensional_blocks(self):
+        # span{1, Z (x) 1} on two qubits, rotated: the coatoms are the two
+        # rotated eigenspaces of Z (x) 1, of rank two, meeting in 0
+        v = haar_unitary(np.random.default_rng(2), 4)
+        z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        u = from_spanning_set([np.eye(4), v @ z1 @ v.conj().T])
+        lat = build_lattice(u)
+        assert lat.completeness_flag == "complete"
+        assert [p.rank for p in lat.nodes] == [0, 2, 2, 4]
+        spectral = [v @ np.diag(d) @ v.conj().T for d in ([0, 0, 1, 1], [1, 1, 0, 0])]
+        for i in lat.coatoms:
+            assert any(np.allclose(lat.nodes[i].matrix(), q, atol=1e-9) for q in spectral)
+
+    def test_node_budget_keeps_the_lifted_partial_lattice(self):
+        u = rotated_space(three_bit_two_local(), haar_unitary(np.random.default_rng(3), 8))
+        with pytest.raises(NodeBudgetError) as err:
+            build_lattice(u, RunConfig(max_nodes=20))
+        partial = err.value.partial
+        assert partial.completeness_flag == "complete" and partial.node_count == 20
+        assert all(not p.is_commutative for p in partial.nodes)
+
+    def test_irrational_and_noncommuting_spaces_keep_the_descents(self):
+        spaces = [from_spanning_set([np.eye(3), np.diag([0.0, 1.0, np.sqrt(2.0)])]),
+                  m3_subspace(), build_klocal(SiteSystem.qubits(3), 2)]
+        for u, samples in zip(spaces, (20, 20, 1)):
+            assert u.exact_reading() is None
+            assert enumerate_coatoms(u, RunConfig(samples=samples))[1] == "sampled"
+        # span{1, diag(0, 1, sqrt 2)}: its two coatoms, the ends of the segment
+        coatoms = enumerate_coatoms(spaces[0], RunConfig(samples=20))[0]
+        assert {rotated_support(p, np.eye(3)) for p in coatoms} == {frozenset({0}), frozenset({2})}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_decompositions_rotate_back_to_exact_ones(self, k):
+        # every member of a rotated bits:N=3 decomposes on the exact route:
+        # dim K exact coatoms above it that meet in it, the ones the exact
+        # engine picks wherever K(p) has no more rays than its dimension
+        exact = build_klocal(three_bit_system(), k)
+        v = haar_unitary(np.random.default_rng(k), 8)
+        u = rotated_space(exact, v)
+        coatoms = {p.classical_support for p in enumerate_coatoms(exact)[0]}
+        count = 0
+        for mask in range(1, 256):
+            sub = [x for x in range(8) if mask >> x & 1]
+            p_exact = Projection.from_support(8, sub)
+            desc = analyze_cone(p_exact, exact)
+            if not desc.member or desc.dim_K == 0:
+                continue
+            count += 1
+            parts = [rotated_support(q, v) for q in coatom_decomposition(
+                Projection.from_columns(8, v[:, sub]), u)]
+            assert len(set(parts)) == desc.dim_K, sub
+            assert all(s in coatoms for s in parts), sub
+            assert frozenset.intersection(*parts) == frozenset(sub)
+            if len(extreme_rays(desc)) == desc.dim_K:
+                assert set(parts) == {q.classical_support
+                                      for q in coatom_decomposition(p_exact, exact)}, sub
+        assert count == (26 if k == 1 else 224)
 
 
 class TestEngineAgreement:

@@ -25,6 +25,7 @@ from groundlattice.subspace import (
     from_spanning_set,
     linear_section,
     project_onto,
+    read_exact,
     rows_over_h,
     rows_over_u,
 )
@@ -153,6 +154,15 @@ class TestFromSpanningSet:
         assert u.dim == 1
         assert u.contains_identity
 
+    def test_small_generators_are_kept(self):
+        # each generator is scaled to unit norm before the rank cutoff, so
+        # one 1e9 times larger does not swamp the identity
+        z = np.diag([1.0, -1.0]).astype(complex)
+        u = from_spanning_set([np.eye(2, dtype=complex), 1e9 * z])
+        assert u.dim == 2
+        assert u.contains_identity
+        assert from_spanning_set([1e-12 * np.eye(2, dtype=complex), z]).dim == 2
+
     def test_collinear_inputs_collapse(self):
         u = from_spanning_set([SX, 2 * SX])
         assert u.dim == 1
@@ -265,6 +275,69 @@ class TestFromSpanningSet:
         assert plain.perp_signs == [
             (sum(1 << x for x, v in enumerate(w) if v > 0),
              sum(1 << x for x, v in enumerate(w) if v < 0)) for w in plain.perp]
+
+
+class TestExactReading:
+    """A commuting float U read as rational functions on a joint eigenbasis."""
+
+    @pytest.mark.parametrize("n_bits, k", [(3, 1), (3, 2), (4, 2)])
+    def test_rotated_bits_read_as_the_exact_space(self, n_bits, k):
+        exact = build_klocal(SiteSystem.bits(n_bits), k)
+        n = 2 ** n_bits
+        v = haar_unitary(np.random.default_rng(n_bits + k), n)
+        u = from_spanning_set([v @ m @ v.conj().T for m in exact.basis_as_matrices()])
+        reading = u.exact_reading()
+        assert reading is u.exact_reading()         # computed once
+        assert reading.off_diagonal <= 1e-9 and reading.rational <= 1e-9
+        assert reading.exact.dim == exact.dim and reading.exact.contains_identity
+        # the frame is v up to phases and an order of its columns, and the
+        # exact space is bits in that order
+        overlap = np.abs(v.conj().T @ reading.frame)
+        order = np.argmax(overlap, axis=0)
+        assert np.allclose(overlap[order, range(n)], 1.0, atol=1e-9)
+        assert sorted(order) == list(range(n))
+        permuted = [[x[order[i]] for i in range(n)] for x in exact.basis]
+        assert all(in_span(reading.exact.basis, x) for x in permuted)
+        p = Projection.from_columns(n, v[:, [0, 3]])
+        assert reading.support_of(p) == frozenset(np.flatnonzero(np.isin(order, [0, 3])))
+        assert reading.lift(reading.support_of(p)).same_image(p)
+
+    def test_two_dimensional_blocks(self):
+        # span{1, Z (x) 1}, rotated: each eigenvalue of Z (x) 1 is a joint
+        # eigenspace of dimension two, on which the exact functions are
+        # constant
+        v = haar_unitary(np.random.default_rng(5), 4)
+        z1 = np.kron(np.diag([1.0, -1.0]), np.eye(2))
+        reading = from_spanning_set([np.eye(4), v @ z1 @ v.conj().T]).exact_reading()
+        assert reading.exact.dim == 2
+        values = np.diag(reading.frame.conj().T @ v @ z1 @ v.conj().T @ reading.frame).real
+        for g in reading.exact.basis:
+            assert len({(round(float(x), 6), g[i]) for i, x in enumerate(values)}) == 2
+
+    @pytest.mark.parametrize("space", ["sqrt2", "m3", "qubits:N=3:k=2"])
+    def test_no_reading(self, space):
+        # an irrational diagonal, and two spaces that do not commute
+        if space == "sqrt2":
+            u = from_spanning_set([np.eye(3), np.diag([0.0, 1.0, np.sqrt(2.0)])])
+        elif space == "m3":
+            u = m3_subspace()
+        else:
+            u = build_klocal(SiteSystem.qubits(3), 2)
+        assert read_exact(u) is None
+        assert u.exact_reading() is None
+
+    def test_rational_diagonal_with_small_denominators(self):
+        u = from_spanning_set([np.eye(3), np.diag([0.0, 1.0, 2.0 / 7.0])])
+        reading = u.exact_reading()
+        assert reading is not None and reading.exact.dim == 2
+        # at tol 1e-6 a fixed bound of 1000 would take sqrt 2 for 1393/985,
+        # 4e-7 off; the bound tol^(-1/3) = 100 leaves it 7e-5 off
+        irrational = from_spanning_set([np.eye(3), np.diag([0.0, 1.0, np.sqrt(2.0)])],
+                                       tol_rank=1e-6)
+        assert irrational.exact_reading(1e-6) is None
+
+    def test_exact_engine_has_no_reading(self):
+        assert three_bit_two_local()[1].exact_reading() is None
 
 
 class TestProjectOnto:

@@ -159,7 +159,7 @@ def enumerate_coatoms(u: OperatorSubspace,
     _require_identity(u)
     reading = u.exact_reading(cfg.tol_rank)
     if reading is not None:
-        lifted = [reading.lift(s) for s in _reading_coatoms(reading, cfg)]
+        lifted = [reading.lift(q.classical_support) for q in _reading_coatoms(reading, cfg)]
         return sorted(lifted, key=lambda p: p.sort_key()), "complete"
     top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
@@ -170,13 +170,13 @@ def enumerate_coatoms(u: OperatorSubspace,
     return sorted(found, key=lambda p: p.sort_key()), flag
 
 
-def _reading_coatoms(reading: ExactReading, cfg: RunConfig) -> list[frozenset[int]]:
-    """The coatom supports of an exact reading: the zero sets of the rays
-    of its K(0), from the private analysis, so that the traced
-    analyze_cone counts float cones alone."""
+def _reading_coatoms(reading: ExactReading, cfg: RunConfig) -> list[Projection]:
+    """The exact coatoms of a reading: the kernels of the rays of its K(0),
+    from the private analysis, so that the traced analyze_cone counts
+    float cones alone."""
     exact = reading.exact
     top = _analyze_exact(exact.zero_projection(), exact, cfg)
-    return [frozenset(x for x, v in enumerate(g) if v == 0) for g in integer_rays(top)]
+    return [_kernel_of(g, exact, cfg) for g in integer_rays(top)]
 
 
 @dataclass
@@ -234,7 +234,7 @@ def build_lattice(u: OperatorSubspace, cfg: RunConfig | None = None) -> GroundLa
     if reading is None:
         coatoms, flag = enumerate_coatoms(u, cfg)
         return close_to_lattice(u, coatoms, flag, cfg)
-    coatoms = [Projection.from_support(u.ambient_n, s) for s in _reading_coatoms(reading, cfg)]
+    coatoms = _reading_coatoms(reading, cfg)
 
     def lift(lat: GroundLattice) -> GroundLattice:
         return replace(lat, nodes=[reading.lift(p.classical_support) for p in lat.nodes])

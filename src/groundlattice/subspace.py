@@ -210,11 +210,15 @@ def read_exact(u: OperatorSubspace, tol_rank: float = DEFAULT_TOL) -> ExactReadi
     diagonalisation, Bunse-Gerstner, Byers & Mehrmann 1993).  Every basis
     element must be diagonal in W within tol_rank; that fails when U does
     not commute, or when an eigenvalue of the combination mixes joint
-    eigenspaces.  The diagonals (dim U x n) are row-reduced, and each
-    entry is rounded to the nearest fraction with denominator at most
+    eigenspaces.  The diagonals (dim U x n, columns in the eigenvalue
+    order of the combination) are brought to reduced row-echelon form by
+    Gauss-Jordan with partial pivoting, and each entry of that form is
+    rounded to the nearest fraction with denominator at most
     tol_rank^(-1/3), so that an irrational entry lands well outside
     tol_rank; the fractions must span dim U functions within tol_rank of
     the diagonals, which fails on a U such as span{1, diag(0, 1, sqrt 2)}.
+    The bound applies to the reduced form, so a rational U whose reduction
+    needs larger denominators also reads as None.
     """
     weights = np.random.default_rng(0).normal(size=u.dim)
     frame = eigh(np.tensordot(weights, u.stacked, axes=1))[1]

@@ -593,19 +593,19 @@ class TestExtremeRays:
 
     def test_float_rays_of_seven_dimensional_cone(self):
         # the diagonal embedding of bits:N=3:k=2 at p = 0 has dim K = 7;
-        # face descents give rays that span it, each the generator of an
-        # exact coatom's ray cone
+        # the exact reading (extreme_rays) and the face descents each give
+        # rays that span it, each the generator of an exact coatom's ray cone
         _, exact = three_bit_two_local()
         u = from_spanning_set(exact.basis_as_matrices())
         desc = analyze_cone(Projection.zero(8), u)
         assert desc.dim_K == 7
-        rays = extreme_rays(desc)
-        assert len(rays) == 7
-        assert np.linalg.matrix_rank(np.stack([r.reshape(-1) for r in rays]), tol=1e-8) == 7
-        for r in rays:
-            assert np.allclose(r, np.diag(np.diag(r)), atol=1e-9)
-            support = {x for x in range(8) if r[x, x].real <= 1e-9}
-            assert is_coatom(Projection.from_support(8, support), exact), sorted(support)
+        for rays in (extreme_rays(desc), cone_mod._extreme_rays_float(desc, RunConfig())):
+            assert len(rays) == 7
+            assert np.linalg.matrix_rank(np.stack([r.reshape(-1) for r in rays]), tol=1e-8) == 7
+            for r in rays:
+                assert np.allclose(r, np.diag(np.diag(r)), atol=1e-9)
+                support = {x for x in range(8) if r[x, x].real <= 1e-9}
+                assert is_coatom(Projection.from_support(8, support), exact), sorted(support)
 
     def test_three_bit_two_edge_cone_rays_match_bipartite_edges(self):
         xs, u = three_bit_two_local()
@@ -653,7 +653,8 @@ class TestExtremeRays:
                 assert (extreme_rays(desc) if desc.dim_K else []) == expected, sorted(support)
 
     def test_float_dim_three_cone_via_diagonal_embedding(self):
-        # same instance as above, pushed through the float engine
+        # same instance as above, pushed through the float engine: by the
+        # exact reading (extreme_rays) and by the face descents alike
         xs, u = three_bit_two_local()
         u_float = from_spanning_set(
             [np.diag([float(v) for v in b]).astype(complex) for b in u.basis])
@@ -662,8 +663,6 @@ class TestExtremeRays:
         p = Projection.from_columns(8, cols)
         desc = analyze_cone(p, u_float)
         assert desc.dim_K == 3
-        rays = extreme_rays(desc)
-        assert len(rays) == 3
         expected = []
         for a in sorted(comp):
             for b in sorted(comp):
@@ -671,5 +670,7 @@ class TestExtremeRays:
                     g = np.zeros(8)
                     g[a] = g[b] = 0.5
                     expected.append(np.diag(g).astype(complex))
-        for r in rays:
-            assert min(frobenius(r - e) for e in expected) <= 1e-6
+        for rays in (extreme_rays(desc), cone_mod._extreme_rays_float(desc, RunConfig())):
+            assert len(rays) == 3
+            for r in rays:
+                assert min(frobenius(r - e) for e in expected) <= 1e-6

@@ -913,9 +913,11 @@ class TestEngineAgreement:
 
     def test_high_dimensional_decompositions_match_exact_engine(self):
         # every member with dim K > 4 of the diagonal embedding of
-        # bits:N=3:k=2 decomposes into dim K exact coatoms meeting in it
+        # bits:N=3:k=2 decomposes into dim K exact coatoms meeting in it,
+        # by the exact reading and by the face descents alike
         exact = three_bit_two_local()
         embedded = from_spanning_set(exact.basis_as_matrices())
+        cfg = RunConfig()
         count = 0
         for mask in range(1, 256):
             sub = [x for x in range(8) if mask >> x & 1]
@@ -924,11 +926,18 @@ class TestEngineAgreement:
             if dim_k <= 4 or not is_ground_projection(p_exact, exact):
                 continue
             count += 1
-            parts = coatom_decomposition(Projection.from_columns(8, np.eye(8)[:, sub]), embedded)
-            supports = {frozenset(rotated_support(q, np.eye(8))) for q in parts}
-            assert len(supports) == dim_k, sub
-            assert all(is_coatom(Projection.from_support(8, s), exact) for s in supports), sub
-            assert frozenset.intersection(*supports) == frozenset(sub)
+            p = Projection.from_columns(8, np.eye(8)[:, sub])
+            descended = [kernel_projection(g, cfg.tol_rank)
+                         for g in _extreme_rays_float(analyze_cone(p, embedded, cfg), cfg)]
+            meet = descended[0]
+            for q in descended[1:]:
+                meet = image_intersection(meet, q)
+            assert meet.same_image(p, tol=1e-7), sub
+            for parts in (coatom_decomposition(p, embedded), descended):
+                supports = {frozenset(rotated_support(q, np.eye(8))) for q in parts}
+                assert len(supports) == dim_k, sub
+                assert all(is_coatom(Projection.from_support(8, s), exact) for s in supports), sub
+                assert frozenset.intersection(*supports) == frozenset(sub)
         assert count == 36
 
     @pytest.mark.parametrize("k, seed", [(1, 100), (1, 101), (2, 100)])

@@ -280,7 +280,7 @@ class TestFromSpanningSet:
 class TestExactReading:
     """A commuting float U read as rational functions on a joint eigenbasis."""
 
-    @pytest.mark.parametrize("n_bits, k", [(3, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("n_bits, k", [(3, 1), (3, 2), (4, 2), (6, 2)])
     def test_rotated_bits_read_as_the_exact_space(self, n_bits, k):
         exact = build_klocal(SiteSystem.bits(n_bits), k)
         n = 2 ** n_bits

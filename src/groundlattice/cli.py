@@ -1,10 +1,14 @@
 """Command-line surface: membership, cones, coatoms, lattices, fixtures.
 
 Subcommands: membership, qmax, cone, coatoms, lattice, klocal, marginal,
-verify.  Exit codes: 0 success, 1 verification failure, 2 input error,
-3 budget or incompleteness.  Each command is one library call whose result
-:func:`run` reports as it is, with the command and configuration: coatoms
-and lattice report exactly what :func:`enumerate_coatoms` and
+verify.  Each command takes only the options it reads (:data:`COMMANDS`
+lists them; any other option is a usage error, exit 2), and --tol,
+--seed, --samples and --max-nodes default to :class:`RunConfig`'s values.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget or
+incompleteness.  Each command is one library call whose result :func:`run`
+reports as it is, as one line of JSON, with the command and its
+configuration: the RunConfig fields it reads and the engine that ran.
+coatoms and lattice report exactly what :func:`enumerate_coatoms` and
 :func:`build_lattice` return, under their completeness flag.  Re-running
 with identical inputs reproduces the payload byte-identically (timing is
 reported outside the payload).  The membership and cone reports also
@@ -26,6 +30,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -117,8 +122,7 @@ def load_projection(token: str, n: int) -> Projection:
 
 
 def emit(report: dict, stream=None) -> None:
-    json.dump(report, stream or sys.stdout, indent=2, sort_keys=True)
-    (stream or sys.stdout).write("\n")
+    (stream or sys.stdout).write(json.dumps(report, sort_keys=True) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -234,18 +238,17 @@ def cmd_verify(args, cfg: RunConfig):
 
 def run(args) -> int:
     """Run one command and emit its report: the command, the configuration
-    with the engine of what ran, the payload, and outside it the wall time
-    and the command's own fields (a cone's margin, a reading's residuals)."""
+    (the RunConfig fields the command reads, and the engine of what ran),
+    the payload, and outside it the wall time and the command's own fields
+    (a cone's margin, a reading's residuals)."""
     started = time.perf_counter()
-    cfg = RunConfig(seed=args.seed, tol_rank=args.tol,
-                    samples=args.samples, max_nodes=args.max_nodes)
-    payload, ran, extras, code = args.func(args, cfg)
+    config = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    payload, ran, extras, code = args.func(args, RunConfig(**config))
     if payload is None:
         return code
     report = {
         "command": args.command,
-        "config": {"seed": cfg.seed, "tol_rank": cfg.tol_rank, "samples": cfg.samples,
-                   "max_nodes": cfg.max_nodes,
+        "config": {**config,
                    "engine": None if ran is None else "exact" if ran.is_exact else "float"},
         "payload": payload,
         "timing_s": round(time.perf_counter() - started, 6),
@@ -256,73 +259,60 @@ def run(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing: every option once, and each command with the ones it reads
 # --------------------------------------------------------------------------
+
+_DEFAULTS = RunConfig()
+
+#: the options of all commands; --tol, --seed, --samples and --max-nodes
+#: set the RunConfig field of their destination and take its default
+OPTIONS = {
+    "--engine": dict(choices=["exact", "float"], default="float",
+                     help="engine of sites: specs (bits: is exact, qubits: float; "
+                          "JSON files and fixtures carry their own)"),
+    "--k": dict(type=int, help="locality for k-local system specs"),
+    "--tol": dict(type=float, dest="tol_rank", metavar="TOL", default=_DEFAULTS.tol_rank),
+    "--seed": dict(type=int, default=_DEFAULTS.seed),
+    "--samples": dict(type=int, default=_DEFAULTS.samples),
+    "--max-nodes": dict(type=int, default=_DEFAULTS.max_nodes),
+    "--rays": dict(action="store_true", help="also compute extreme rays"),
+    "--out": dict(choices=["json", "dot"], default="json"),
+    "--system": dict(required=True),
+}
+
+#: command: (function, help, positionals, the options it reads)
+COMMANDS = {
+    "membership": (cmd_membership, "is the projection a ground projection?",
+                   "subspace projection", "--engine --k --tol"),
+    "qmax": (cmd_qmax, "greatest projection with the same cone",
+             "subspace projection", "--engine --k --tol"),
+    "cone": (cmd_cone, "analyze the operator cone K(p)",
+             "subspace projection", "--engine --k --tol --seed --rays"),
+    "coatoms": (cmd_coatoms, "enumerate (exact or commuting float) or sample (float) coatoms",
+                "subspace", "--engine --k --tol --seed --samples"),
+    "lattice": (cmd_lattice, "build the ground-projection lattice",
+                "subspace", "--engine --k --tol --seed --samples --max-nodes --out"),
+    "klocal": (cmd_klocal, "build a k-local subspace and report dimensions",
+               "system", "--engine --k"),
+    "marginal": (cmd_marginal, "k-body marginals of a matrix",
+                 "matrix", "--engine --k --system"),
+    "verify": (cmd_verify, "run a named fixture's documented checks",
+               "fixture", "--tol --seed --max-nodes"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groundlattice",
         description="Ground-projection lattices of hermitian-matrix subspaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--engine", choices=["exact", "float"], default="float",
-                       help="engine of sites: specs (bits: is exact, qubits: float; "
-                            "JSON files and fixtures carry their own)")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10_000)
-        p.add_argument("--max-nodes", type=int, default=100_000, dest="max_nodes")
-        p.add_argument("--k", type=int, default=None,
-                       help="locality for k-local system specs")
-
-    p = sub.add_parser("membership", help="is the projection a ground projection?")
-    p.add_argument("subspace")
-    p.add_argument("projection")
-    common(p)
-    p.set_defaults(func=cmd_membership)
-
-    p = sub.add_parser("qmax", help="greatest projection with the same cone")
-    p.add_argument("subspace")
-    p.add_argument("projection")
-    common(p)
-    p.set_defaults(func=cmd_qmax)
-
-    p = sub.add_parser("cone", help="analyze the operator cone K(p)")
-    p.add_argument("subspace")
-    p.add_argument("projection")
-    p.add_argument("--rays", action="store_true", help="also compute extreme rays")
-    common(p)
-    p.set_defaults(func=cmd_cone)
-
-    p = sub.add_parser("coatoms",
-                       help="enumerate (exact or commuting float) or sample (float) coatoms")
-    p.add_argument("subspace")
-    common(p)
-    p.set_defaults(func=cmd_coatoms)
-
-    p = sub.add_parser("lattice", help="build the ground-projection lattice")
-    p.add_argument("subspace")
-    p.add_argument("--out", choices=["json", "dot"], default="json")
-    common(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("klocal", help="build a k-local subspace and report dimensions")
-    p.add_argument("system")
-    common(p)
-    p.set_defaults(func=cmd_klocal)
-
-    p = sub.add_parser("marginal", help="k-body marginals of a matrix")
-    p.add_argument("matrix")
-    p.add_argument("--system", required=True)
-    common(p)
-    p.set_defaults(func=cmd_marginal)
-
-    p = sub.add_parser("verify", help="run a named fixture's documented checks")
-    p.add_argument("fixture")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in positionals.split():
+            p.add_argument(arg)
+        for option in options.split():
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

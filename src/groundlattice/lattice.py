@@ -35,7 +35,6 @@ import numpy as np
 
 from .cone import (
     ConeDescriptor,
-    _analyze_exact,
     analyze_cone,
     descent_rays,
     extreme_rays,
@@ -45,7 +44,7 @@ from .cone import (
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
 from .linalg import CANON_TOL, Projection, image_intersection, kernel_projection, meet_bases
-from .subspace import ExactReading, OperatorSubspace
+from .subspace import OperatorSubspace
 
 
 def _require_identity(u: OperatorSubspace):
@@ -159,7 +158,8 @@ def enumerate_coatoms(u: OperatorSubspace,
     _require_identity(u)
     reading = u.exact_reading(cfg.tol_rank)
     if reading is not None:
-        lifted = [reading.lift(q.classical_support) for q in _reading_coatoms(reading, cfg)]
+        exact, _ = enumerate_coatoms(reading.exact, cfg)
+        lifted = [reading.lift(q.classical_support) for q in exact]
         return sorted(lifted, key=lambda p: p.sort_key()), "complete"
     top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
@@ -168,15 +168,6 @@ def enumerate_coatoms(u: OperatorSubspace,
         rays, flag = descent_rays(top, cfg, cfg.samples, 3), "sampled"
     found = [_kernel_of(g, u, cfg) for g in rays]
     return sorted(found, key=lambda p: p.sort_key()), flag
-
-
-def _reading_coatoms(reading: ExactReading, cfg: RunConfig) -> list[Projection]:
-    """The exact coatoms of a reading: the kernels of the rays of its K(0),
-    from the private analysis, so that the traced analyze_cone counts
-    float cones alone."""
-    exact = reading.exact
-    top = _analyze_exact(exact.zero_projection(), exact, cfg)
-    return [_kernel_of(g, exact, cfg) for g in integer_rays(top)]
 
 
 @dataclass
@@ -234,13 +225,13 @@ def build_lattice(u: OperatorSubspace, cfg: RunConfig | None = None) -> GroundLa
     if reading is None:
         coatoms, flag = enumerate_coatoms(u, cfg)
         return close_to_lattice(u, coatoms, flag, cfg)
-    coatoms = _reading_coatoms(reading, cfg)
 
     def lift(lat: GroundLattice) -> GroundLattice:
-        return replace(lat, nodes=[reading.lift(p.classical_support) for p in lat.nodes])
+        return replace(lat, nodes=[reading.lift(p.classical_support) for p in lat.nodes],
+                       completeness_flag="complete")
 
     try:
-        return lift(close_to_lattice(reading.exact, coatoms, "complete", cfg))
+        return lift(build_lattice(reading.exact, cfg))
     except NodeBudgetError as err:
         raise NodeBudgetError(str(err), partial=lift(err.partial)) from None
 

@@ -413,6 +413,48 @@ class TestExitCodes:
         assert code == EXIT_INPUT_ERROR and not out
         assert f"(field: {field})" in err
 
+    def test_each_command_takes_only_the_options_it_reads(self, tmp_path, capsys):
+        # the shared options, each with a value off RunConfig's default and
+        # the RunConfig field it sets, if any
+        shared = {"--engine": ("float", None), "--k": ("2", None),
+                  "--tol": ("1e-8", "tol_rank"), "--seed": ("1", "seed"),
+                  "--samples": ("5", "samples"), "--max-nodes": ("100001", "max_nodes")}
+        reads = {"membership": "--engine --k --tol", "qmax": "--engine --k --tol",
+                 "cone": "--engine --k --tol --seed",
+                 "coatoms": "--engine --k --tol --seed --samples",
+                 "lattice": "--engine --k --tol --seed --samples --max-nodes",
+                 "klocal": "--engine --k", "marginal": "--engine --k",
+                 "verify": "--tol --seed --max-nodes"}
+        proj_file, mat_file = tmp_path / "p.json", tmp_path / "m.json"
+        proj_file.write_text(json.dumps({"support": [0, 3]}))
+        mat_file.write_text(json.dumps(jsonio.matrix_to_json(np.eye(4, dtype=complex) / 4)))
+        inputs = {"membership": ["bits:N=3:k=2", str(proj_file)],
+                  "qmax": ["bits:N=3:k=2", str(proj_file)],
+                  "cone": ["bits:N=3:k=2", str(proj_file)], "coatoms": ["bits:N=3:k=2"],
+                  "lattice": ["bits:N=3:k=2"], "klocal": ["bits:N=3:k=2"],
+                  "marginal": [str(mat_file), "--system", "bits:N=2:k=1"],
+                  "verify": ["3bit-ff"]}
+        defaults = RunConfig()
+        assert set(reads) == set(inputs) and len(reads) == 8
+        for command, options in reads.items():
+            options = options.split()
+            config = {shared[o][1]: getattr(defaults, shared[o][1])
+                      for o in options if shared[o][1]}
+            config["engine"] = None if command == "verify" else "exact"
+            code, out, _ = run_cli(capsys, [command, *inputs[command]])
+            assert code == EXIT_OK and last_json(out)["config"] == config, command
+            for option, (value, field) in shared.items():
+                argv = [command, *inputs[command], option, value]
+                if option in options:
+                    code, out, _ = run_cli(capsys, argv)
+                    expected = {**config, field: type(config[field])(value)} if field else config
+                    assert code == EXIT_OK and last_json(out)["config"] == expected, argv
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        main(argv)
+                    assert exc.value.code == EXIT_INPUT_ERROR, argv
+                    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR

@@ -237,6 +237,19 @@ class TestCoatomDecomposition:
     def test_identity_decomposes_into_nothing(self):
         u = m3_subspace()
         assert coatom_decomposition(Projection.identity(3), u) == []
+        top = Projection.identity(8, commutative=True)
+        assert top.classical_support == frozenset(range(8))
+        assert coatom_decomposition(top, three_bit_two_local()) == []
+
+    def test_non_member_rejected(self):
+        # {0, ..., 6} on bits:N=3:k=2 has q_max = id; e0 is not a ground
+        # projection of m3
+        e0 = Projection.from_columns(3, np.eye(3, dtype=complex)[:, [0]])
+        for p, u in ((Projection.from_support(8, range(7)), three_bit_two_local()),
+                     (e0, m3_subspace())):
+            assert not is_ground_projection(p, u)
+            with pytest.raises(PreconditionError, match="not a ground projection"):
+                coatom_decomposition(p, u)
 
     def test_three_bit_two_disjoint_edges(self):
         u = three_bit_two_local()
@@ -851,11 +864,21 @@ class TestExactReadingRoute:
 
     def test_node_budget_keeps_the_lifted_partial_lattice(self):
         u = rotated_space(three_bit_two_local(), haar_unitary(np.random.default_rng(3), 8))
-        with pytest.raises(NodeBudgetError) as err:
-            build_lattice(u, RunConfig(max_nodes=20))
-        partial = err.value.partial
-        assert partial.completeness_flag == "complete" and partial.node_count == 20
-        assert all(not p.is_commutative for p in partial.nodes)
+        reading = u.exact_reading()
+        for budget in (17, 20, 40, 100):
+            cfg = RunConfig(max_nodes=budget)
+            with pytest.raises(NodeBudgetError) as err:
+                build_lattice(u, cfg)
+            partial = err.value.partial
+            assert partial.completeness_flag == "complete" and partial.node_count == budget
+            assert all(not p.is_commutative for p in partial.nodes)
+            # the partial lattice of the reading, mapped to the frame
+            with pytest.raises(NodeBudgetError) as err:
+                build_lattice(reading.exact, cfg)
+            exact = err.value.partial
+            assert np.allclose([reading.lift(p.classical_support).matrix() for p in exact.nodes],
+                               [p.matrix() for p in partial.nodes], atol=1e-12)
+            assert (exact.hasse_edges, exact.coatoms) == (partial.hasse_edges, partial.coatoms)
 
     def test_irrational_and_noncommuting_spaces_keep_the_descents(self):
         spaces = [from_spanning_set([np.eye(3), np.diag([0.0, 1.0, np.sqrt(2.0)])]),

@@ -1,7 +1,9 @@
 """Command-line surface: membership, cones, coatoms, lattices, fixtures.
 
 Subcommands: membership, qmax, cone, coatoms, lattice, klocal, marginal,
-verify.  Each command takes only the options it reads (:data:`COMMANDS`
+verify.  SUBSPACE or SYSTEM names the whole space: a spec such as
+bits:N=3:k=2 (:data:`SPEC_FORMS`), m3-example, or a JSON file read at
+--tol.  Each command takes only the options it reads (:data:`COMMANDS`
 lists them; any other option is a usage error, exit 2), and --tol,
 --seed, --samples and --max-nodes default to :class:`RunConfig`'s values.
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget or
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import fields
@@ -61,36 +64,37 @@ EXIT_BUDGET = 3
 # input resolution
 # --------------------------------------------------------------------------
 
-def _parse_kv(text: str) -> dict[str, str]:
-    out = {}
-    for part in text.split(":")[1:] if ":" in text else []:
-        if "=" in part:
-            key, val = part.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
+#: the spec strings that name a space, by kind (bits: is exact, qubits:
+#: float, sites: float unless :engine=exact); each key once, all but engine
+SYSTEM_FORMS = {"bits": "bits:N=<int>:k=<int>", "qubits": "qubits:N=<int>:k=<int>",
+                "sites": "sites:dims=[<int>,...]:k=<int>[:engine=exact|float]"}
+SPEC_FORMS = {**SYSTEM_FORMS, "span{id}": "span{id}:n=<int>"}
+_READ = {"dims": lambda text: tuple(int(d) for d in text.strip("[]").split(",")),
+         "engine": {"exact": ENGINE_EXACT, "float": ENGINE_FLOAT}.__getitem__}
 
 
-def parse_system_spec(spec: str, engine_flag: str, k: int | None) -> tuple[SiteSystem, int]:
-    """Parse system strings: bits:N=3, qubits:N=3, sites:dims=[2,3,2].
+def parse_spec(spec: str, field: str, forms: dict = SPEC_FORMS) -> tuple[str, dict]:
+    """The kind and values of a spec ``kind:key=value:...`` with the keys
+    of one of ``forms``; any other string is an InputError on ``field``."""
+    kind, *parts = spec.split(":")
+    given = dict(part.partition("=")[::2] for part in parts)
+    kv = {"engine": "float", **given} if kind == "sites" else given
+    keys = re.findall(r"(\w+)=", forms.get(kind, ""))
+    try:
+        if keys and len(given) == len(parts) and sorted(kv) == sorted(keys):
+            return kind, {key: _READ.get(key, int)(text) for key, text in kv.items()}
+    except (KeyError, ValueError):
+        pass
+    expected = forms.get(kind) or " or ".join(forms.values())
+    raise InputError(f"cannot read {spec!r} as {expected}", field=field)
 
-    Returns the system and k: ``k`` (the --k flag) when given, else the
-    inline one (e.g. bits:N=3:k=2), else InputError with field "k".
-    ``engine_flag`` selects the engine of sites: specs only.
-    """
-    kv = _parse_kv(spec)
-    if spec.startswith("bits:"):
-        system = SiteSystem.bits(int(kv["N"]))
-    elif spec.startswith("qubits:"):
-        system = SiteSystem.qubits(int(kv["N"]))
-    elif spec.startswith("sites:"):
-        dims = tuple(int(x) for x in kv["dims"].strip("[]").split(","))
-        engine = ENGINE_EXACT if engine_flag == "exact" else ENGINE_FLOAT
-        system = SiteSystem(dims=dims, engine=engine)
-    else:
-        raise InputError(f"unknown system spec {spec!r}", field="system")
-    if k is None and "k" not in kv:
-        raise InputError("k-local system specs need k (flag --k or spec :k=)", field="k")
-    return system, int(kv["k"]) if k is None else k
+
+def parse_system_spec(spec: str) -> tuple[SiteSystem, int]:
+    """The system and k of a spec of :data:`SYSTEM_FORMS`."""
+    kind, kv = parse_spec(spec, "system", SYSTEM_FORMS)
+    if kind == "sites":
+        return SiteSystem(dims=kv["dims"], engine=kv["engine"]), kv["k"]
+    return (SiteSystem.bits if kind == "bits" else SiteSystem.qubits)(kv["N"]), kv["k"]
 
 
 def read_json(path: str, field: str):
@@ -105,24 +109,24 @@ def read_json(path: str, field: str):
         raise InputError(f"bad JSON in {path!r} at line {exc.lineno}: {exc.msg}", field=field)
 
 
-def load_subspace(token: str, engine: str, k: int | None = None) -> OperatorSubspace:
-    """Resolve a subspace argument: file path, fixture name, or spec string."""
+def load_subspace(token: str, tol_rank: float) -> OperatorSubspace:
+    """Resolve a subspace argument: a spec string, the fixture m3-example,
+    or a JSON file, whose spanning set is read at ``tol_rank``."""
     if token == "m3-example":
         return fixtures.m3_subspace()
-    if token.startswith("span{id}"):
-        n = int(_parse_kv(token).get("n", 2))
-        return from_spanning_set([np.eye(n, dtype=complex)])
-    if token.startswith(("bits:", "qubits:", "sites:")):
-        return build_klocal(*parse_system_spec(token, engine, k))
-    return jsonio.subspace_from_json(read_json(token, "subspace"))
+    kind = token.split(":")[0]
+    if kind not in SPEC_FORMS:
+        return jsonio.subspace_from_json(read_json(token, "subspace"), tol_rank)
+    if kind in SYSTEM_FORMS:
+        return build_klocal(*parse_system_spec(token))
+    n = parse_spec(token, "subspace")[1]["n"]
+    if n < 1:
+        raise InputError(f"span{{id}} needs n >= 1, got {n}", field="subspace")
+    return from_spanning_set([np.eye(n, dtype=complex)])
 
 
-def load_projection(token: str, n: int) -> Projection:
-    return jsonio.projection_from_json(read_json(token, "projection"), n)
-
-
-def emit(report: dict, stream=None) -> None:
-    (stream or sys.stdout).write(json.dumps(report, sort_keys=True) + "\n")
+def load_projection(token: str, n: int, tol_rank: float) -> Projection:
+    return jsonio.projection_from_json(read_json(token, "projection"), n, tol_rank)
 
 
 # --------------------------------------------------------------------------
@@ -131,10 +135,10 @@ def emit(report: dict, stream=None) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_membership(args, cfg: RunConfig):
-    u = load_subspace(args.subspace, args.engine, args.k)
+    u = load_subspace(args.subspace, cfg.tol_rank)
     if not u.contains_identity:
         raise PreconditionError("membership needs the identity inside the subspace")
-    desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
+    desc = analyze_cone(load_projection(args.projection, u.ambient_n, cfg.tol_rank), u, cfg)
     payload = {
         "member": desc.member,
         "q_max": jsonio.projection_to_json(q_max_from_descriptor(desc, u, cfg)),
@@ -144,14 +148,14 @@ def cmd_membership(args, cfg: RunConfig):
 
 
 def cmd_qmax(args, cfg: RunConfig):
-    u = load_subspace(args.subspace, args.engine, args.k)
-    qm = q_max(load_projection(args.projection, u.ambient_n), u, cfg)
+    u = load_subspace(args.subspace, cfg.tol_rank)
+    qm = q_max(load_projection(args.projection, u.ambient_n, cfg.tol_rank), u, cfg)
     return {"q_max": jsonio.projection_to_json(qm), "rank": qm.rank}, u, {}, EXIT_OK
 
 
 def cmd_cone(args, cfg: RunConfig):
-    u = load_subspace(args.subspace, args.engine, args.k)
-    desc = analyze_cone(load_projection(args.projection, u.ambient_n), u, cfg)
+    u = load_subspace(args.subspace, cfg.tol_rank)
+    desc = analyze_cone(load_projection(args.projection, u.ambient_n, cfg.tol_rank), u, cfg)
     rays = extreme_rays(desc, cfg) if args.rays and desc.dim_K >= 1 else None
     return jsonio.cone_to_json(desc, rays), u, _margin(desc), EXIT_OK
 
@@ -168,7 +172,7 @@ def _reading(u: OperatorSubspace, cfg: RunConfig) -> dict:
 
 
 def cmd_coatoms(args, cfg: RunConfig):
-    u = load_subspace(args.subspace, args.engine, args.k)
+    u = load_subspace(args.subspace, cfg.tol_rank)
     coatoms, flag = enumerate_coatoms(u, cfg)
     payload = {
         "completeness": flag,
@@ -179,7 +183,7 @@ def cmd_coatoms(args, cfg: RunConfig):
 
 
 def cmd_lattice(args, cfg: RunConfig):
-    u = load_subspace(args.subspace, args.engine, args.k)
+    u = load_subspace(args.subspace, cfg.tol_rank)
     try:
         lat, code = build_lattice(u, cfg), EXIT_OK
     except NodeBudgetError as exc:
@@ -194,7 +198,7 @@ def cmd_lattice(args, cfg: RunConfig):
 
 
 def cmd_klocal(args, cfg: RunConfig):
-    sys_, k = parse_system_spec(args.system, args.engine, args.k)
+    sys_, k = parse_system_spec(args.system)
     u = build_klocal(sys_, k)
     payload = {
         "dim_U": u.dim,
@@ -210,7 +214,7 @@ def cmd_klocal(args, cfg: RunConfig):
 
 
 def cmd_marginal(args, cfg: RunConfig):
-    sys_, k = parse_system_spec(args.system, args.engine, args.k)
+    sys_, k = parse_system_spec(args.system)
     a = jsonio.matrix_from_json(read_json(args.matrix, "matrix"))
     if sys_.is_exact:
         if not np.allclose(a, np.diag(np.diag(a))):
@@ -254,7 +258,7 @@ def run(args) -> int:
         "timing_s": round(time.perf_counter() - started, 6),
         **extras,
     }
-    emit(report)
+    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return code
 
 
@@ -267,35 +271,27 @@ _DEFAULTS = RunConfig()
 #: the options of all commands; --tol, --seed, --samples and --max-nodes
 #: set the RunConfig field of their destination and take its default
 OPTIONS = {
-    "--engine": dict(choices=["exact", "float"], default="float",
-                     help="engine of sites: specs (bits: is exact, qubits: float; "
-                          "JSON files and fixtures carry their own)"),
-    "--k": dict(type=int, help="locality for k-local system specs"),
     "--tol": dict(type=float, dest="tol_rank", metavar="TOL", default=_DEFAULTS.tol_rank),
     "--seed": dict(type=int, default=_DEFAULTS.seed),
     "--samples": dict(type=int, default=_DEFAULTS.samples),
     "--max-nodes": dict(type=int, default=_DEFAULTS.max_nodes),
     "--rays": dict(action="store_true", help="also compute extreme rays"),
     "--out": dict(choices=["json", "dot"], default="json"),
-    "--system": dict(required=True),
 }
 
 #: command: (function, help, positionals, the options it reads)
 COMMANDS = {
     "membership": (cmd_membership, "is the projection a ground projection?",
-                   "subspace projection", "--engine --k --tol"),
-    "qmax": (cmd_qmax, "greatest projection with the same cone",
-             "subspace projection", "--engine --k --tol"),
+                   "subspace projection", "--tol"),
+    "qmax": (cmd_qmax, "greatest projection with the same cone", "subspace projection", "--tol"),
     "cone": (cmd_cone, "analyze the operator cone K(p)",
-             "subspace projection", "--engine --k --tol --seed --rays"),
+             "subspace projection", "--tol --seed --rays"),
     "coatoms": (cmd_coatoms, "enumerate (exact or commuting float) or sample (float) coatoms",
-                "subspace", "--engine --k --tol --seed --samples"),
+                "subspace", "--tol --seed --samples"),
     "lattice": (cmd_lattice, "build the ground-projection lattice",
-                "subspace", "--engine --k --tol --seed --samples --max-nodes --out"),
-    "klocal": (cmd_klocal, "build a k-local subspace and report dimensions",
-               "system", "--engine --k"),
-    "marginal": (cmd_marginal, "k-body marginals of a matrix",
-                 "matrix", "--engine --k --system"),
+                "subspace", "--tol --seed --samples --max-nodes --out"),
+    "klocal": (cmd_klocal, "build a k-local subspace and report dimensions", "system", ""),
+    "marginal": (cmd_marginal, "k-body marginals of a matrix", "matrix system", ""),
     "verify": (cmd_verify, "run a named fixture's documented checks",
                "fixture", "--tol --seed --max-nodes"),
 }

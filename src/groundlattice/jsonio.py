@@ -1,6 +1,6 @@
 """Documented JSON schemas and DOT export.
 
-Matrix:      {"n": int, "entries": [[re, im], ...]} row-major, n*n pairs.
+Matrix:      {"n": int, "entries": [[re, im], ...]} row-major, n*n pairs, hermitian.
 Projection:  {"support": [ints]} (commutative) or
              {"image_basis": [column, ...]} with column = [[re, im], ...].
 Subspace:    {"engine": "float-hermitian", "ambient_n": int, "basis": [matrix, ...]} or
@@ -26,10 +26,11 @@ from dataclasses import replace
 import numpy as np
 
 from .cone import ConeDescriptor
+from .config import DEFAULT_TOL
 from .errors import InputError
 from .exactla import frac
 from .lattice import GroundLattice
-from .linalg import Projection, hermitian_matrix
+from .linalg import Projection, hermitian_matrix, is_hermitian
 from .manybody import MarginalTuple
 from .subspace import ENGINE_EXACT, ENGINE_FLOAT, OperatorSubspace, from_spanning_set
 
@@ -56,8 +57,10 @@ def matrix_from_json(obj) -> np.ndarray:
     if not all(isinstance(e, list) and len(e) == 2 and all(_is_real(x) for x in e)
                for e in entries):
         raise InputError("each entry must be a [re, im] pair of real numbers", field="entries")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return hermitian_matrix(flat.reshape(n, n))
+    a = np.array([complex(re, im) for re, im in entries]).reshape(n, n)
+    if not is_hermitian(a, tol=1e-9):
+        raise InputError("the matrix must be hermitian", field="entries")
+    return hermitian_matrix(a)
 
 
 def _is_real(x) -> bool:
@@ -77,7 +80,7 @@ def projection_to_json(p: Projection) -> dict:
     return {"image_basis": cols}
 
 
-def projection_from_json(obj, n: int) -> Projection:
+def projection_from_json(obj, n: int, tol_rank: float = DEFAULT_TOL) -> Projection:
     if "support" in obj:
         return Projection.from_support(n, obj["support"])
     if "image_basis" in obj:
@@ -94,7 +97,7 @@ def projection_from_json(obj, n: int) -> Projection:
                              field="image_basis")
         if _orthonormal(mat):
             return Projection(n=n, image_basis=mat)
-        return Projection.from_columns(n, mat)
+        return Projection.from_columns(n, mat, tol_rank)
     raise InputError("projection object needs 'support' or 'image_basis'",
                      field="projection")
 
@@ -110,7 +113,7 @@ def subspace_to_json(u: OperatorSubspace) -> dict:
             "basis": [matrix_to_json(b) for b in u.basis]}
 
 
-def subspace_from_json(obj) -> OperatorSubspace:
+def subspace_from_json(obj, tol_rank: float = DEFAULT_TOL) -> OperatorSubspace:
     engine = obj.get("engine", ENGINE_EXACT if "vectors" in obj else ENGINE_FLOAT)
     if engine not in (ENGINE_FLOAT, ENGINE_EXACT):
         raise InputError(f"unknown engine {engine!r}", field="engine")
@@ -125,7 +128,7 @@ def subspace_from_json(obj) -> OperatorSubspace:
         mats = [matrix_from_json(m) for m in obj["basis"]]
     except KeyError as exc:
         raise InputError(f"float subspace object needs 'basis': {exc}", field="basis")
-    u = from_spanning_set(mats, engine=ENGINE_FLOAT)
+    u = from_spanning_set(mats, engine=ENGINE_FLOAT, tol_rank=tol_rank)
     if _orthonormal(np.stack([m.reshape(-1) for m in mats], axis=1)):
         return replace(u, basis=mats)
     return u

@@ -1,7 +1,7 @@
 """Hermitian matrix arithmetic: eigendecomposition, projections, image order.
 
 Hermitian matrices are plain complex ``numpy`` arrays; :func:`hermitian_matrix`
-is the validating constructor (symmetrizes exactly, checks the real trace).
+is the constructor (checks the shape is square, symmetrizes exactly).
 Projections carry either an orthonormal image basis (float engine) or a
 configuration subset (commutative engine).
 

@@ -157,21 +157,20 @@ class TestCommands:
         assert report["margin"] is None       # the exact engine tests no threshold
 
     def test_lattice_three_bits_spec_string(self, capsys):
-        code, out, _ = run_cli(capsys, ["lattice", "bits:N=3", "--k", "2"])
+        code, out, _ = run_cli(capsys, ["lattice", "bits:N=3:k=2"])
         assert code == EXIT_OK
         report = last_json(out)
         assert report["payload"]["coatom_count"] == 16
         assert "margin" not in report      # only the membership and cone reports carry it
 
     def test_report_echoes_the_engine_that_ran(self, capsys):
-        # --engine selects the engine of sites: specs only: bits: is exact,
-        # qubits: float, and fixtures carry their own
+        # :engine= selects the engine of sites: specs only, float by default;
+        # bits: is exact, qubits: float, and fixtures carry their own
         for argv, engine in [(["lattice", "bits:N=3:k=2"], "exact"),
-                             (["klocal", "qubits:N=2", "--k", "1", "--engine", "exact"], "float"),
-                             (["klocal", "sites:dims=2,3", "--k", "1", "--engine", "exact"],
-                              "exact"),
-                             (["coatoms", "m3-example", "--samples", "5", "--engine", "exact"],
-                              "float")]:
+                             (["klocal", "qubits:N=2:k=1"], "float"),
+                             (["klocal", "sites:dims=2,3:k=1:engine=exact"], "exact"),
+                             (["klocal", "sites:dims=[2,3]:k=1"], "float"),
+                             (["coatoms", "m3-example", "--samples", "5"], "float")]:
             code, out, _ = run_cli(capsys, argv)
             assert code == EXIT_OK
             assert last_json(out)["config"]["engine"] == engine
@@ -246,8 +245,7 @@ class TestCommands:
             assert set(reading) == {"off_diagonal", "rational"}
             assert 0 <= reading["off_diagonal"] <= 1e-9 and 0 <= reading["rational"] <= 1e-9
             assert "reading" not in reports[0]["payload"]
-        for argv in (["coatoms", "bits:N=3", "--k", "2"], ["lattice", "m3-example",
-                                                           "--samples", "5"]):
+        for argv in (["coatoms", "bits:N=3:k=2"], ["lattice", "m3-example", "--samples", "5"]):
             assert last_json(run_cli(capsys, argv)[1])["reading"] is None
 
     def test_lattice_dot_output(self, capsys):
@@ -257,7 +255,7 @@ class TestCommands:
         assert out.startswith("digraph")
 
     def test_klocal_dimensions(self, capsys):
-        code, out, _ = run_cli(capsys, ["klocal", "qubits:N=3", "--k", "2"])
+        code, out, _ = run_cli(capsys, ["klocal", "qubits:N=3:k=2"])
         assert code == EXIT_OK
         report = last_json(out)
         assert report["payload"]["dim_U"] == 37
@@ -267,8 +265,7 @@ class TestCommands:
         rho = np.eye(4) / 4
         mat_file = tmp_path / "rho.json"
         mat_file.write_text(json.dumps(jsonio.matrix_to_json(rho.astype(complex))))
-        code, out, _ = run_cli(capsys, ["marginal", str(mat_file),
-                                        "--system", "qubits:N=2", "--k", "1"])
+        code, out, _ = run_cli(capsys, ["marginal", str(mat_file), "qubits:N=2:k=1"])
         assert code == EXIT_OK
         report = last_json(out)
         assert len(report["payload"]["marginals"]) == 2
@@ -340,7 +337,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["membership", "bits:N=3:k=1", missing])
         assert code == EXIT_INPUT_ERROR
         assert f"cannot read projection file {missing!r}" in err
-        code, _, err = run_cli(capsys, ["marginal", missing, "--system", "bits:N=3:k=1"])
+        code, _, err = run_cli(capsys, ["marginal", missing, "bits:N=3:k=1"])
         assert code == EXIT_INPUT_ERROR
         assert f"cannot read matrix file {missing!r}" in err
 
@@ -352,10 +349,48 @@ class TestExitCodes:
         assert "support-based" in err
 
     def test_engine_validated(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["klocal", "bits:N=3", "--k", "1", "--engine", "magic"])
-        assert exc.value.code == EXIT_INPUT_ERROR
-        assert "invalid choice: 'magic'" in capsys.readouterr().err
+        # a sites: spec names exact or float; bits: and qubits: carry their own
+        for spec in ("sites:dims=[2,3]:k=1:engine=magic", "sites:dims=[2,3]:k=1:engine=",
+                     "bits:N=3:k=1:engine=float", "qubits:N=2:k=1:engine=exact"):
+            code, out, err = run_cli(capsys, ["klocal", spec])
+            assert code == EXIT_INPUT_ERROR and not out, spec
+            assert f"cannot read {spec!r}" in err and "(field: system)" in err, spec
+
+    @pytest.mark.parametrize("argv, field", [
+        # a missing, unknown or malformed key ended in a KeyError or
+        # ValueError traceback with exit 1, or was dropped without a word
+        (["klocal", "bits:N=3"], "system"),
+        (["klocal", "bits:N=x:k=2"], "system"),
+        (["klocal", "bits:N=3:K=2"], "system"),
+        (["coatoms", "bits:N=3:k=2:k=1"], "system"),
+        (["klocal", "sites:dims=[2,x]:k=1"], "system"),
+        (["klocal", "sites:dims=[2,3]:k=1:engine=magic"], "system"),
+        (["klocal", "span{id}:n=2"], "system"),
+        (["lattice", "span{id}:n=x"], "subspace"),
+        (["lattice", "span{id}:n=0"], "subspace"),
+        (["lattice", "span{id}"], "subspace"),
+    ])
+    def test_malformed_specs(self, capsys, argv, field):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_INPUT_ERROR and not out
+        assert f"(field: {field})" in err and "Traceback" not in err
+
+    def test_tol_reaches_the_json_parsers(self, tmp_path, capsys):
+        # U = span{1, Z, Z + 1e-7 X} is span{1, Z} at a rank cutoff of 1e-5,
+        # and so is the image of the columns e0, e0 + 1e-7 e1: at the default
+        # cutoff the coatoms of the 3-dimensional U were sampled
+        z, x = np.diag([1, -1]), np.array([[0, 1], [1, 0]])
+        sub_file, proj_file = tmp_path / "u.json", tmp_path / "p.json"
+        sub_file.write_text(json.dumps({"engine": "float-hermitian", "ambient_n": 2,
+                                        "basis": [jsonio.matrix_to_json(m) for m in
+                                                  (np.eye(2), z, z + 1e-7 * x)]}))
+        proj_file.write_text(json.dumps({"image_basis": [[[1, 0], [0, 0]], [[1, 0], [1e-7, 0]]]}))
+        code, out, _ = run_cli(capsys, ["coatoms", str(sub_file), "--tol", "1e-5"])
+        payload = last_json(out)["payload"]
+        assert code == EXIT_OK and (payload["completeness"], payload["count"]) == ("complete", 2)
+        for tol, rank in (("1e-5", 1), ("1e-9", 2)):
+            code, out, _ = run_cli(capsys, ["qmax", str(sub_file), str(proj_file), "--tol", tol])
+            assert code == EXIT_OK and last_json(out)["payload"]["rank"] == rank, tol
 
     def test_subspace_file_engine_validated(self, tmp_path, capsys):
         # "exact" is the flag's name, not an engine: the file must not fall
@@ -397,12 +432,13 @@ class TestExitCodes:
         ({"n": 2, "entries": [1, 0, 0, 1]}, "entries"),
         ({"n": 2, "entries": [[1, 0], [0, 0], [0, 0], ["1", 0]]}, "entries"),
         ({"n": 1, "entries": [[1, 0, 0]]}, "entries"),
+        # a matrix that is not hermitian was read as its hermitian part
+        ({"n": 2, "entries": [[0, 0], [1, 0], [0, 0], [0, 0]]}, "entries"),
     ])
     def test_malformed_matrix_files(self, tmp_path, capsys, obj, field):
         mat_file = tmp_path / "a.json"
         mat_file.write_text(json.dumps(obj))
-        code, out, err = run_cli(capsys, ["marginal", str(mat_file),
-                                          "--system", "qubits:N=1", "--k", "1"])
+        code, out, err = run_cli(capsys, ["marginal", str(mat_file), "qubits:N=1:k=1"])
         assert code == EXIT_INPUT_ERROR and not out
         assert f"(field: {field})" in err
         sub_file, proj_file = tmp_path / "u.json", tmp_path / "p.json"
@@ -415,16 +451,16 @@ class TestExitCodes:
 
     def test_each_command_takes_only_the_options_it_reads(self, tmp_path, capsys):
         # the shared options, each with a value off RunConfig's default and
-        # the RunConfig field it sets, if any
-        shared = {"--engine": ("float", None), "--k": ("2", None),
-                  "--tol": ("1e-8", "tol_rank"), "--seed": ("1", "seed"),
-                  "--samples": ("5", "samples"), "--max-nodes": ("100001", "max_nodes")}
-        reads = {"membership": "--engine --k --tol", "qmax": "--engine --k --tol",
-                 "cone": "--engine --k --tol --seed",
-                 "coatoms": "--engine --k --tol --seed --samples",
-                 "lattice": "--engine --k --tol --seed --samples --max-nodes",
-                 "klocal": "--engine --k", "marginal": "--engine --k",
-                 "verify": "--tol --seed --max-nodes"}
+        # the RunConfig field it sets, and the options that the positional
+        # spec replaced, which no command takes
+        shared = {"--tol": ("1e-8", "tol_rank"), "--seed": ("1", "seed"),
+                  "--samples": ("5", "samples"), "--max-nodes": ("100001", "max_nodes"),
+                  "--k": ("2", None), "--engine": ("float", None),
+                  "--system": ("bits:N=2:k=1", None)}
+        reads = {"membership": "--tol", "qmax": "--tol", "cone": "--tol --seed",
+                 "coatoms": "--tol --seed --samples",
+                 "lattice": "--tol --seed --samples --max-nodes",
+                 "klocal": "", "marginal": "", "verify": "--tol --seed --max-nodes"}
         proj_file, mat_file = tmp_path / "p.json", tmp_path / "m.json"
         proj_file.write_text(json.dumps({"support": [0, 3]}))
         mat_file.write_text(json.dumps(jsonio.matrix_to_json(np.eye(4, dtype=complex) / 4)))
@@ -432,7 +468,7 @@ class TestExitCodes:
                   "qmax": ["bits:N=3:k=2", str(proj_file)],
                   "cone": ["bits:N=3:k=2", str(proj_file)], "coatoms": ["bits:N=3:k=2"],
                   "lattice": ["bits:N=3:k=2"], "klocal": ["bits:N=3:k=2"],
-                  "marginal": [str(mat_file), "--system", "bits:N=2:k=1"],
+                  "marginal": [str(mat_file), "bits:N=2:k=1"],
                   "verify": ["3bit-ff"]}
         defaults = RunConfig()
         assert set(reads) == set(inputs) and len(reads) == 8
@@ -458,7 +494,7 @@ class TestExitCodes:
     def test_klocal_missing_k(self, capsys):
         code, _, err = run_cli(capsys, ["klocal", "bits:N=3"])
         assert code == EXIT_INPUT_ERROR
-        assert "k" in err
+        assert "as bits:N=<int>:k=<int> (field: system)" in err
 
     def test_verify_failure(self, monkeypatch, capsys):
         def checks(cfg):
@@ -517,8 +553,7 @@ class TestVerifyCommand:
         diag = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
         mat_file = tmp_path / "f.json"
         mat_file.write_text(json.dumps(jsonio.matrix_to_json(diag)))
-        code, out, _ = run_cli(capsys, ["marginal", str(mat_file),
-                                        "--system", "bits:N=2", "--k", "1"])
+        code, out, _ = run_cli(capsys, ["marginal", str(mat_file), "bits:N=2:k=1"])
         assert code == EXIT_OK
         report = last_json(out)
         entries = report["payload"]["marginals"]
@@ -532,7 +567,6 @@ class TestVerifyCommand:
         mat = np.full((4, 4), 0.25, dtype=complex)
         mat_file = tmp_path / "f.json"
         mat_file.write_text(json.dumps(jsonio.matrix_to_json(mat)))
-        code, _, err = run_cli(capsys, ["marginal", str(mat_file),
-                                        "--system", "bits:N=2", "--k", "1"])
+        code, _, err = run_cli(capsys, ["marginal", str(mat_file), "bits:N=2:k=1"])
         assert code == EXIT_INPUT_ERROR
         assert "diagonal" in err

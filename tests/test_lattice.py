@@ -18,6 +18,7 @@ from groundlattice.fixtures import (
     bipartite_edges,
     m3_known_coatoms,
     m3_p_bottom,
+    m3_p_minus,
     m3_p_plus,
     m3_subspace,
     parity_classes,
@@ -606,12 +607,20 @@ class TestImageBasisClosure:
             assert above == {nodes[i] for i in lat.coatoms if face <= nodes[i]}
 
     def test_seeded_m3_lattice_counts(self):
-        # the closure by one SVD per meet gives the same counts; they follow
-        # the orthonormal basis of m3, as the descents draw in its sections
+        # the counts follow the last bits of m3's orthonormal basis, as the
+        # descents draw in its sections, but not the shape: the sampled
+        # coatoms, the top, 0 ⊕ 1 (the meet of p_plus and p_minus) and zero;
+        # each coatom covered by the top and covering zero or 0 ⊕ 1
         u = m3_subspace()
-        for seed, counts in ((0, (37, 69, 34)), (3, (41, 77, 38))):
+        for seed in (0, 3):
             lat = build_lattice(u, RunConfig(samples=50, seed=seed))
-            assert (lat.node_count, len(lat.hasse_edges), len(lat.coatoms)) == counts
+            coatoms = [lat.nodes[i] for i in lat.coatoms]
+            assert lat.node_count == len(coatoms) + 3
+            assert len(lat.hasse_edges) == 2 * len(coatoms) + 1
+            rank_two = [p for p in coatoms if p.rank == 2]
+            assert len(rank_two) == 2 and len(coatoms) - 2 == sum(p.rank == 1 for p in coatoms)
+            assert {(p.same_image(m3_p_plus()), p.same_image(m3_p_minus()))
+                    for p in rank_two} == {(True, False), (False, True)}
 
     @pytest.mark.parametrize("case", ["rotated-cube", "m3"])
     def test_batched_meets_match_one_svd_per_meet(self, case, monkeypatch):

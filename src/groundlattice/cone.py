@@ -54,8 +54,9 @@ give the float coatoms.  A U whose elements commute skips the descents
 when it has an exact reading (:meth:`OperatorSubspace.exact_reading`):
 for p diagonal in its frame, :func:`extreme_rays` runs the exact cone of
 p's support on the exact subspace, and, when that cone has the float
-dim K(p), returns its :func:`pivot_rays` as frame diag(g) frame*.
-Decisions stay on the float cone.
+dim K(p), returns its :func:`pivot_rays` as frame diag(g) frame*;
+:func:`lattice.coatom_decomposition` reads its parts off the zero sets of
+the same rays.  Decisions stay on the float cone.
 """
 
 from __future__ import annotations
@@ -506,15 +507,26 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
         raise PreconditionError("extreme rays need dim K(p) >= 1")
     if desc.engine == ENGINE_EXACT:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
+    found = _reading_rays(desc, cfg)
+    if found is not None:
+        reading, rays = found
+        return [reading.matrix(g) for g in rays]
+    return _extreme_rays_float(desc, cfg)
+
+
+def _reading_rays(desc: ConeDescriptor, cfg: RunConfig) -> tuple | None:
+    """For a float K(p) with dim K(p) >= 1: the exact reading of U and the
+    :func:`pivot_rays` of the exact cone of p's support, when U has a
+    reading, p is diagonal in its frame and that cone has the float
+    dim K(p); else None."""
     reading = desc.source[0].exact_reading(cfg.tol_rank)
     support = None if reading is None else reading.support_of(desc.base_projection)
-    if support is not None:
-        # the private analysis: the traced analyze_cone counts float cones only
-        exact = _analyze_exact(Projection.from_support(desc.base_projection.n, support),
-                               reading.exact, cfg)
-        if exact.dim_K == desc.dim_K:
-            return [reading.matrix(g) for g in pivot_rays(exact)]
-    return _extreme_rays_float(desc, cfg)
+    if support is None:
+        return None
+    # the private analysis: the traced analyze_cone counts float cones only
+    exact = _analyze_exact(Projection.from_support(desc.base_projection.n, support),
+                           reading.exact, cfg)
+    return (reading, pivot_rays(exact)) if exact.dim_K == desc.dim_K else None
 
 
 def _unit_trace_float(v: np.ndarray) -> np.ndarray:

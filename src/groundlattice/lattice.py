@@ -16,10 +16,14 @@ float U with an exact reading (:meth:`OperatorSubspace.exact_reading`:
 its elements commute and are rational functions on the columns of a joint
 eigenbasis) gets the complete exact coatoms and closure of the reading,
 with each support mapped back to its frame columns, flagged "complete".
+Its decompositions of members diagonal in the frame, and its closures of
+coatoms diagonal there, are read off supports the same way; membership
+and dim K(p) stay on the float cone.
 The lattice is built from the top down: every node is the intersection of the
 coatoms above it, keyed by their bitmask (its intent), and Lindig's
 neighbour test picks its lower covers among its meets with one more
-coatom.  Exact nodes are supports; float nodes are image bases B, whose
+coatom.  Exact nodes are supports, and so are the nodes of coatoms
+diagonal in the frame of a reading; other float nodes are image bases B, whose
 meets with all coatoms Q outside the intent come from one batched SVD of
 the stacked (1 - Q) B (:func:`linalg.meet_bases`), and whose intents come
 from one product with the stacked complements 1 - Q of all coatoms.
@@ -29,15 +33,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .cone import (
     ConeDescriptor,
+    _extreme_rays_float,
+    _reading_rays,
     analyze_cone,
     descent_rays,
-    extreme_rays,
     integer_rays,
     pivot_rays,
 )
@@ -114,7 +119,11 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     independent rays span the linear hull of K(p), so the range of their
     sum holds the range of every element of K(p), and their kernels meet
     in the kernel of a witness, which is p.  Exact kernels are supports and
-    meet as sets; float ones meet by :func:`linalg.image_intersection`.
+    meet as sets.  So do those of a float U with an exact reading when p is
+    diagonal in its frame and the exact cone of p's support has the float
+    dim K(p): the zero sets of that cone's :func:`cone.pivot_rays`, mapped
+    to frame columns, must meet in p's support.  Other float kernels are
+    read off the descent rays and meet by :func:`linalg.image_intersection`.
     Returns [] for p = id (the empty infimum).
     """
     cfg = cfg or RunConfig()
@@ -126,12 +135,16 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         raise PreconditionError("p is not a ground projection of U")
     if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
-    if u.is_exact:
-        coatoms = [_kernel_of(g, u, cfg) for g in pivot_rays(desc)]
-        ok = frozenset.intersection(*(q.classical_support for q in coatoms)) == p.classical_support
-    else:
-        coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
+    found = (None, pivot_rays(desc)) if u.is_exact else _reading_rays(desc, cfg)
+    if found is None:
+        coatoms = [_kernel_of(v, u, cfg) for v in _extreme_rays_float(desc, cfg)]
         ok = reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank), coatoms).same_image(p)
+    else:
+        reading, rays = found
+        zeros = [frozenset(x for x, v in enumerate(g) if v == 0) for g in rays]
+        coatoms = [reading.lift(s) if reading else Projection.from_support(p.n, s) for s in zeros]
+        ok = frozenset.intersection(*zeros) == \
+            (reading.support_of(p) if reading else p.classical_support)
     if not ok:
         raise IncompleteRaysError(
             "extreme-ray kernels failed to intersect back to p", partial=coatoms)
@@ -246,8 +259,12 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     is a lower cover when B - A - c misses ``mins`` (at first the complement
     of A), else c leaves ``mins``.  Exact nodes are support bitmasks, and an
     intent is the AND of ``cont[x]`` (the coatoms holding x) over the points
-    x.  Float nodes are image bases, met with every coatom outside A by
-    one :func:`linalg.meet_bases`, and the intents of all those meets test
+    x.  So are those of a float U with an exact reading when every coatom
+    is diagonal in its frame; they are mapped to frame columns
+    (:meth:`ExactReading.lift`) before they are sorted, so they come in the
+    order of the float closure, in a partial lattice too.  Other float
+    nodes are image bases, met with every coatom outside A by one
+    :func:`linalg.meet_bases`, and the intents of all those meets test
     every coatom in one product with the stacked 1 - Q.  Zero goes below a
     nonzero meet of all coatoms.  Duplicates give one node.
 
@@ -257,9 +274,14 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     between them.
     """
     cfg = cfg or RunConfig()
-    exact, n, full = u.is_exact, u.ambient_n, (1 << len(coatoms)) - 1
+    n, full = u.ambient_n, (1 << len(coatoms)) - 1
+    reading = u.exact_reading(cfg.tol_rank)     # None on the exact engine
+    supports = [q.classical_support if reading is None else reading.support_of(q)
+                for q in coatoms]    # support_of is None for a coatom off the frame
+    exact = u.is_exact or reading is not None and None not in supports
     if exact:
-        masks = [sum(1 << x for x in q.classical_support) for q in coatoms]
+        lift = partial(Projection.from_support, n) if reading is None else reading.lift
+        masks = [sum(1 << x for x in s) for s in supports]
         cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
         intent = cache(lambda s: reduce(int.__and__,
                                         [cont[x] for x in range(n) if s >> x & 1], full))
@@ -311,7 +333,7 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
             if b not in nodes:
                 nodes[b] = lower[b]
                 queue.append(b)
-    nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1)) if exact
+    nodes = {key: lift([x for x in range(n) if s >> x & 1]) if exact
              else Projection(n=n, image_basis=s) for key, s in nodes.items()}
     if not queue and nodes[full].rank > 0:
         nodes[None] = u.zero_projection()
@@ -319,6 +341,6 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     if len(nodes) <= cfg.max_nodes:
         return lattice_from_nodes(nodes, covers, flag)
     kept = dict(list(nodes.items())[: cfg.max_nodes])
-    partial = [(a, b) for a, b in covers if a in kept and b in kept]
+    kept_covers = [(a, b) for a, b in covers if a in kept and b in kept]
     raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes",
-                          partial=lattice_from_nodes(kept, partial, flag))
+                          partial=lattice_from_nodes(kept, kept_covers, flag))

@@ -35,7 +35,7 @@ class SiteSystem:
 
     def __post_init__(self):
         if len(self.dims) < 1 or any(d < 2 for d in self.dims):
-            raise InputError("need N >= 1 sites with local dimension >= 2")
+            raise InputError("need N >= 1 sites with local dimension >= 2", field="system")
         if self.engine not in (ENGINE_FLOAT, ENGINE_EXACT):
             raise InputError(f"unknown engine {self.engine!r}", field="engine")
 
@@ -115,7 +115,7 @@ def build_klocal(sys: SiteSystem, k: int) -> OperatorSubspace:
     the single-site factors are.
     """
     if not 1 <= k <= sys.n_sites:
-        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
+        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}", field="system")
     n_sites, exact = sys.n_sites, sys.is_exact
     site_basis = [_site_sumzero_integer(d) if exact else _site_traceless_hermitian(d)
                   for d in sys.dims]
@@ -189,7 +189,7 @@ class MarginalTuple:
 def marginal_map(a, sys: SiteSystem, k: int) -> MarginalTuple:
     """All k-body marginals of ``a``: entry nu is the trace over nu'."""
     if not 1 <= k <= sys.n_sites:
-        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
+        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}", field="system")
     entries = {}
     for nu in combinations(range(sys.n_sites), k):
         traced_out = tuple(i for i in range(sys.n_sites) if i not in nu)
@@ -215,7 +215,7 @@ def marginal_polytope_vertices(sys: SiteSystem, k: int) -> list[list[int]]:
         raise UnsupportedConfigurationError(
             "marginal polytope vertices are exact-engine only")
     if not 1 <= k <= sys.n_sites:
-        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}")
+        raise InputError(f"k must lie in 1..{sys.n_sites}, got {k}", field="system")
     rows = truncation_rows(sys, k)
     return [[int(tuple(x[i] for i in nu) == y) for nu, y in rows] for x in sys.configurations()]
 

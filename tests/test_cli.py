@@ -369,6 +369,10 @@ class TestExitCodes:
         (["lattice", "span{id}:n=x"], "subspace"),
         (["lattice", "span{id}:n=0"], "subspace"),
         (["lattice", "span{id}"], "subspace"),
+        # a value out of range (N = 0, k > N, a site of dimension 1) carried no field
+        (["klocal", "bits:N=0:k=1"], "system"),
+        (["klocal", "bits:N=3:k=9"], "system"),
+        (["klocal", "sites:dims=[2,1]:k=1"], "system"),
     ])
     def test_malformed_specs(self, capsys, argv, field):
         code, out, err = run_cli(capsys, argv)

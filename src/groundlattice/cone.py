@@ -509,16 +509,16 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
     found = _reading_rays(desc, cfg)
     if found is not None:
-        reading, rays = found
+        reading, _, rays = found
         return [reading.matrix(g) for g in rays]
     return _extreme_rays_float(desc, cfg)
 
 
 def _reading_rays(desc: ConeDescriptor, cfg: RunConfig) -> tuple | None:
-    """For a float K(p) with dim K(p) >= 1: the exact reading of U and the
-    :func:`pivot_rays` of the exact cone of p's support, when U has a
-    reading, p is diagonal in its frame and that cone has the float
-    dim K(p); else None."""
+    """For a float K(p) with dim K(p) >= 1: the exact reading of U, p's
+    support in its frame and the :func:`pivot_rays` of the exact cone of
+    that support, when U has a reading, p is diagonal in its frame and that
+    cone has the float dim K(p); else None."""
     reading = desc.source[0].exact_reading(cfg.tol_rank)
     support = None if reading is None else reading.support_of(desc.base_projection)
     if support is None:
@@ -526,7 +526,7 @@ def _reading_rays(desc: ConeDescriptor, cfg: RunConfig) -> tuple | None:
     # the private analysis: the traced analyze_cone counts float cones only
     exact = _analyze_exact(Projection.from_support(desc.base_projection.n, support),
                            reading.exact, cfg)
-    return (reading, pivot_rays(exact)) if exact.dim_K == desc.dim_K else None
+    return (reading, support, pivot_rays(exact)) if exact.dim_K == desc.dim_K else None
 
 
 def _unit_trace_float(v: np.ndarray) -> np.ndarray:

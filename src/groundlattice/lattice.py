@@ -16,14 +16,12 @@ float U with an exact reading (:meth:`OperatorSubspace.exact_reading`:
 its elements commute and are rational functions on the columns of a joint
 eigenbasis) gets the complete exact coatoms and closure of the reading,
 with each support mapped back to its frame columns, flagged "complete".
-Its decompositions of members diagonal in the frame, and its closures of
-coatoms diagonal there, are read off supports the same way; membership
-and dim K(p) stay on the float cone.
+Its decompositions of members diagonal in the frame are read off supports
+the same way; membership and dim K(p) stay on the float cone.
 The lattice is built from the top down: every node is the intersection of the
 coatoms above it, keyed by their bitmask (its intent), and Lindig's
 neighbour test picks its lower covers among its meets with one more
-coatom.  Exact nodes are supports, and so are the nodes of coatoms
-diagonal in the frame of a reading; other float nodes are image bases B, whose
+coatom.  Exact nodes are supports; float nodes are image bases B, whose
 meets with all coatoms Q outside the intent come from one batched SVD of
 the stacked (1 - Q) B (:func:`linalg.meet_bases`), and whose intents come
 from one product with the stacked complements 1 - Q of all coatoms.
@@ -39,10 +37,10 @@ import numpy as np
 
 from .cone import (
     ConeDescriptor,
-    _extreme_rays_float,
     _reading_rays,
     analyze_cone,
     descent_rays,
+    extreme_rays,
     integer_rays,
     pivot_rays,
 )
@@ -135,16 +133,17 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
         raise PreconditionError("p is not a ground projection of U")
     if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
-    found = (None, pivot_rays(desc)) if u.is_exact else _reading_rays(desc, cfg)
+    found = (None, p.classical_support, pivot_rays(desc)) if u.is_exact \
+        else _reading_rays(desc, cfg)
     if found is None:
-        coatoms = [_kernel_of(v, u, cfg) for v in _extreme_rays_float(desc, cfg)]
+        coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
         ok = reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank), coatoms).same_image(p)
     else:
-        reading, rays = found
+        reading, support, rays = found
+        lift = partial(Projection.from_support, p.n) if reading is None else reading.lift
         zeros = [frozenset(x for x, v in enumerate(g) if v == 0) for g in rays]
-        coatoms = [reading.lift(s) if reading else Projection.from_support(p.n, s) for s in zeros]
-        ok = frozenset.intersection(*zeros) == \
-            (reading.support_of(p) if reading else p.classical_support)
+        coatoms = [lift(s) for s in zeros]
+        ok = frozenset.intersection(*zeros) == support
     if not ok:
         raise IncompleteRaysError(
             "extreme-ray kernels failed to intersect back to p", partial=coatoms)
@@ -259,12 +258,8 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     is a lower cover when B - A - c misses ``mins`` (at first the complement
     of A), else c leaves ``mins``.  Exact nodes are support bitmasks, and an
     intent is the AND of ``cont[x]`` (the coatoms holding x) over the points
-    x.  So are those of a float U with an exact reading when every coatom
-    is diagonal in its frame; they are mapped to frame columns
-    (:meth:`ExactReading.lift`) before they are sorted, so they come in the
-    order of the float closure, in a partial lattice too.  Other float
-    nodes are image bases, met with every coatom outside A by one
-    :func:`linalg.meet_bases`, and the intents of all those meets test
+    x.  Float nodes are image bases, met with every coatom outside A by
+    one :func:`linalg.meet_bases`, and the intents of all those meets test
     every coatom in one product with the stacked 1 - Q.  Zero goes below a
     nonzero meet of all coatoms.  Duplicates give one node.
 
@@ -274,14 +269,9 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     between them.
     """
     cfg = cfg or RunConfig()
-    n, full = u.ambient_n, (1 << len(coatoms)) - 1
-    reading = u.exact_reading(cfg.tol_rank)     # None on the exact engine
-    supports = [q.classical_support if reading is None else reading.support_of(q)
-                for q in coatoms]    # support_of is None for a coatom off the frame
-    exact = u.is_exact or reading is not None and None not in supports
+    exact, n, full = u.is_exact, u.ambient_n, (1 << len(coatoms)) - 1
     if exact:
-        lift = partial(Projection.from_support, n) if reading is None else reading.lift
-        masks = [sum(1 << x for x in s) for s in supports]
+        masks = [sum(1 << x for x in q.classical_support) for q in coatoms]
         cont = [sum(1 << c for c, m in enumerate(masks) if m >> x & 1) for x in range(n)]
         intent = cache(lambda s: reduce(int.__and__,
                                         [cont[x] for x in range(n) if s >> x & 1], full))
@@ -333,7 +323,7 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
             if b not in nodes:
                 nodes[b] = lower[b]
                 queue.append(b)
-    nodes = {key: lift([x for x in range(n) if s >> x & 1]) if exact
+    nodes = {key: Projection.from_support(n, (x for x in range(n) if s >> x & 1)) if exact
              else Projection(n=n, image_basis=s) for key, s in nodes.items()}
     if not queue and nodes[full].rank > 0:
         nodes[None] = u.zero_projection()
@@ -341,6 +331,6 @@ def close_to_lattice(u: OperatorSubspace, coatoms: list[Projection], flag: str,
     if len(nodes) <= cfg.max_nodes:
         return lattice_from_nodes(nodes, covers, flag)
     kept = dict(list(nodes.items())[: cfg.max_nodes])
-    kept_covers = [(a, b) for a, b in covers if a in kept and b in kept]
+    partial = [(a, b) for a, b in covers if a in kept and b in kept]
     raise NodeBudgetError(f"intersection closure exceeded {cfg.max_nodes} nodes",
-                          partial=lattice_from_nodes(kept, kept_covers, flag))
+                          partial=lattice_from_nodes(kept, partial, flag))

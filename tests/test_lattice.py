@@ -52,7 +52,7 @@ from groundlattice.manybody import (
     build_klocal,
     marginal_polytope_vertices,
 )
-from groundlattice.subspace import OperatorSubspace, from_spanning_set
+from groundlattice.subspace import from_spanning_set
 
 
 def random_member_subspace(rng, n, dim):
@@ -92,21 +92,6 @@ def descent_coatoms(u, cfg):
     top = analyze_cone(u.zero_projection(), u, cfg)
     return sorted((kernel_projection(g, cfg.tol_rank)
                    for g in descent_rays(top, cfg, cfg.samples, 3)), key=lambda p: p.sort_key())
-
-
-def drop_readings(monkeypatch):
-    """Read every float U as having no exact reading, so the float closure
-    and decompositions run."""
-    monkeypatch.setattr(OperatorSubspace, "exact_reading", lambda self, tol_rank=None: None)
-
-
-def count_meet_bases(monkeypatch):
-    """The list that each later :func:`linalg.meet_bases` call of the
-    closure appends its arguments to."""
-    calls, meet = [], lattice_mod.meet_bases
-    monkeypatch.setattr(lattice_mod, "meet_bases",
-                        lambda *args: calls.append(args) or meet(*args))
-    return calls
 
 
 def inclusion_covers(supports):
@@ -595,19 +580,15 @@ class TestImageBasisClosure:
     the coatoms; these pin it to the counts of the principal-angle
     closure it replaced."""
 
-    def test_rotated_cube_closes_to_its_faces(self, monkeypatch):
+    def test_rotated_cube_closes_to_its_faces(self):
         # bits:N=3:k=1 is the cube: its 6 facets close to the 27 nonempty
-        # faces and the empty one, with the face covers; with no exact
-        # reading, the float closure meets image bases
+        # faces and the empty one, with the face covers
         exact = build_klocal(three_bit_system(), 1)
         reference = build_lattice(exact)
         v = haar_unitary(np.random.default_rng(4), 8)
         facets = [Projection.from_columns(8, v[:, sorted(reference.nodes[i].classical_support)])
                   for i in reference.coatoms]
-        drop_readings(monkeypatch)
-        calls = count_meet_bases(monkeypatch)
         lat = close_to_lattice(rotated_space(exact, v), facets, "complete")
-        assert calls
         nodes = [rotated_support(p, v) for p in lat.nodes]
         assert len(facets) == 6 and None not in nodes
         assert len(nodes) == reference.node_count == 28
@@ -643,11 +624,8 @@ class TestImageBasisClosure:
 
     @pytest.mark.parametrize("case", ["rotated-cube", "m3"])
     def test_batched_meets_match_one_svd_per_meet(self, case, monkeypatch):
-        # the reference meets a node with one coatom at a time, by its own
-        # SVD; with no exact reading, the rotated cube closes on image bases
+        # the reference meets a node with one coatom at a time, by its own SVD
         cfg = RunConfig(samples=50)
-        drop_readings(monkeypatch)
-        calls = count_meet_bases(monkeypatch)
         if case == "m3":
             u = m3_subspace()
             coatoms, flag = enumerate_coatoms(u, cfg)
@@ -658,7 +636,6 @@ class TestImageBasisClosure:
             coatoms = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
                        for q in enumerate_coatoms(exact)[0]]
         batched = close_to_lattice(u, coatoms, flag, cfg)
-        assert calls
         monkeypatch.setattr(lattice_mod, "meet_bases", lambda b, comps, tol: [
             b @ nullspace_cols(comp @ b, tol) for comp in comps])
         reference = close_to_lattice(u, coatoms, flag, cfg)
@@ -911,70 +888,6 @@ class TestExactReadingRoute:
             assert np.allclose([reading.lift(p.classical_support).matrix() for p in exact.nodes],
                                [p.matrix() for p in partial.nodes], atol=1e-12)
             assert (exact.hasse_edges, exact.coatoms) == (partial.hasse_edges, partial.coatoms)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_closure_on_the_reading_matches_the_float_closure(self, k, monkeypatch):
-        # the rotated cube's 6 facets (k = 1) and the 16 coatoms of rotated
-        # bits:N=3:k=2 close on their supports, with no meet_bases; the
-        # float closure of the same coatoms gives the same lattice
-        exact = build_klocal(three_bit_system(), k)
-        v = haar_unitary(np.random.default_rng(4), 8)
-        u = rotated_space(exact, v)
-        coatoms = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
-                   for q in enumerate_coatoms(exact)[0]]
-        calls = count_meet_bases(monkeypatch)
-        lat = close_to_lattice(u, coatoms, "complete")
-        assert not calls and all(not p.is_commutative for p in lat.nodes)
-        drop_readings(monkeypatch)
-        reference = close_to_lattice(u, coatoms, "complete")
-        assert calls
-        assert lat.node_count == reference.node_count == (28 if k == 1 else 226)
-        assert all(p.same_image(q) for p, q in zip(lat.nodes, reference.nodes))
-        assert (lat.hasse_edges, lat.coatoms) == (reference.hasse_edges, reference.coatoms)
-
-    def test_a_coatom_off_the_frame_keeps_the_float_closure(self, monkeypatch):
-        # five facets of the rotated cube and a random rank-4 projection,
-        # which is not diagonal in the frame: the closure meets image bases
-        exact = build_klocal(three_bit_system(), 1)
-        v = haar_unitary(np.random.default_rng(4), 8)
-        u = rotated_space(exact, v)
-        coatoms = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
-                   for q in enumerate_coatoms(exact)[0][:5]]
-        coatoms.append(Projection.from_columns(8, haar_unitary(np.random.default_rng(6), 8)[:, :4]))
-        calls = count_meet_bases(monkeypatch)
-        lat = close_to_lattice(u, coatoms, "sampled")
-        assert calls
-        drop_readings(monkeypatch)
-        reference = close_to_lattice(u, coatoms, "sampled")
-        assert all(np.array_equal(p.image_basis, q.image_basis)
-                   for p, q in zip(lat.nodes, reference.nodes))
-        assert (lat.hasse_edges, lat.coatoms) == (reference.hasse_edges, reference.coatoms)
-
-    def test_node_budget_keeps_the_lifted_partial_closure(self, monkeypatch):
-        # the closure of the 16 coatoms of rotated bits:N=3:k=2 over budget:
-        # its partial lattice on the reading is the float closure's
-        exact = three_bit_two_local()
-        v = haar_unitary(np.random.default_rng(3), 8)
-        u = rotated_space(exact, v)
-        coatoms = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
-                   for q in enumerate_coatoms(exact)[0]]
-        budgets, partials = (17, 20, 40, 100), []
-        calls = count_meet_bases(monkeypatch)
-        for budget in budgets:
-            with pytest.raises(NodeBudgetError) as err:
-                close_to_lattice(u, coatoms, "complete", RunConfig(max_nodes=budget))
-            partials.append(err.value.partial)
-        assert not calls
-        drop_readings(monkeypatch)
-        for budget, partial in zip(budgets, partials):
-            with pytest.raises(NodeBudgetError) as err:
-                close_to_lattice(u, coatoms, "complete", RunConfig(max_nodes=budget))
-            reference = err.value.partial
-            assert partial.completeness_flag == "complete" and partial.node_count == budget
-            assert all(not p.is_commutative for p in partial.nodes)
-            assert all(p.same_image(q) for p, q in zip(partial.nodes, reference.nodes))
-            assert (partial.hasse_edges, partial.coatoms) == \
-                (reference.hasse_edges, reference.coatoms)
 
     def test_decompositions_are_the_kernels_of_the_extreme_rays(self):
         # on every member of a rotated bits:N=3:k=2, the parts taken from

@@ -29,12 +29,15 @@ negative reduced costs) and continues the max-support loop on the same
 tableau for the points not yet hit.  dim K(p) is |S| - rank perp[:, S],
 from one elimination; the span of K(p) is the null space of ``perp`` on S
 (:func:`subspace.supported_on`, which also gives the exact section); and
-extreme rays come from incremental double description on integer vectors:
-start from the simplicial cone that this null-space basis spans, add the
-other points of S one at a time, and combine a positive and a negative ray
-only when the zero-set test finds them adjacent.  Only the witness and the
-unit-trace rays of :func:`extreme_rays` are Fractions; :func:`integer_rays`
-gives the same rays as primitive integer vectors.
+extreme rays come from incremental double description on integer vectors
+(:func:`rays_on`): start from the simplicial cone that this null-space
+basis spans, add the other points of S one at a time, and combine a
+positive and a negative ray only when the zero-set test finds them
+adjacent.  Only the witness and the unit-trace rays of :func:`extreme_rays`
+are Fractions; :func:`integer_rays` gives the same rays as primitive
+integer vectors.  :func:`member_rays`, which decompositions use, runs no
+LP: the sign cuts, then one double description on the complement of p,
+whose rays' supports cover it exactly when p is a member.
 
 Float engine: facial reduction.  L(p) is read off U or off U⊥, whichever
 costs less (:func:`subspace.linear_section`), and compressed to the range
@@ -56,14 +59,15 @@ for p diagonal in its frame, :func:`extreme_rays` runs the exact cone of
 p's support on the exact subspace, and, when that cone has the float
 dim K(p), returns its :func:`pivot_rays` as frame diag(g) frame*;
 :func:`lattice.coatom_decomposition` reads its parts off the zero sets of
-the same rays.  Decisions stay on the float cone.
+the pivot rays of :func:`member_rays` on the exact reading.  Decisions
+stay on the float cone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 
 import numpy as np
@@ -172,10 +176,8 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     """Maximal support S of K(p) = {y >= 0 on the complement C of p :
     perp[:, C] @ y = 0}, by facial reduction.
 
-    Sign cuts come first: a vector w of U⊥ (``u.perp_signs``) with one
-    sign on the points still live forces y = 0 wherever it is nonzero
-    there, as w . y = 0 and y >= 0.  They repeat until none cuts; with no
-    point left, K(p) = {0} and no tableau is built.  On the live points L, one tableau over
+    Sign cuts come first (:func:`_sign_cuts`); with no point left,
+    K(p) = {0} and no tableau is built.  On the live points L, one tableau over
     (z, t), with y = z + t 1 and z, t >= 0, holds the rows
     [perp[:, L] | row sums] = 0 and [1 ... 1 | |L|] = 1, and maximizes t,
     the least entry of y.  An optimum t > 0 certifies S = L, and its y is
@@ -190,19 +192,7 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
     point of R is zero on all of K(p).
     """
     n = u.ambient_n
-    live = (1 << n) - 1
-    for x in p.classical_support:
-        live ^= 1 << x
-    while live:
-        dead = 0
-        for pos, neg in u.perp_signs:
-            if not live & neg:
-                dead |= live & pos
-            elif not live & pos:
-                dead |= live & neg
-        if not dead:
-            break
-        live ^= dead
+    live = _sign_cuts(p, u)
     if not live:
         return _zero_cone(p, u)
 
@@ -235,6 +225,31 @@ def _analyze_exact(p: Projection, u: OperatorSubspace, cfg: RunConfig) -> ConeDe
                           source=(u, columns, optimizers))
 
 
+def _sign_cuts(p: Projection, u: OperatorSubspace) -> int:
+    """The bitmask of the points of the complement C of p that the sign
+    cuts keep.
+
+    A vector w of U⊥ (``u.perp_signs``) with one sign on the points still
+    live forces y = 0 wherever it is nonzero there, as w . y = 0 and
+    y >= 0 for every y in K(p).  The cuts repeat until none cuts; a point
+    they drop is zero on all of K(p).
+    """
+    live = (1 << u.ambient_n) - 1
+    for x in p.classical_support:
+        live ^= 1 << x
+    while live:
+        dead = 0
+        for pos, neg in u.perp_signs:
+            if not live & neg:
+                dead |= live & pos
+            elif not live & pos:
+                dead |= live & neg
+        if not dead:
+            break
+        live ^= dead
+    return live
+
+
 def _zero_cone(p: Projection, u: OperatorSubspace) -> ConeDescriptor:
     """The descriptor of an exact K(p) = {0}."""
     return ConeDescriptor(base_projection=p, q_max_rank=u.ambient_n, engine=u.engine,
@@ -242,30 +257,42 @@ def _zero_cone(p: Projection, u: OperatorSubspace) -> ConeDescriptor:
 
 
 def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
-    """Integer extreme rays of an exact K(p), by double description on its support S.
+    """Integer extreme rays of an exact K(p): :func:`rays_on` its maximal
+    support S (which no point of S is zero on), in the order
+    :func:`extreme_rays` gives their unit-trace multiples."""
+    return rays_on(desc.source[0], sorted(desc.witness_support)) if desc.source else []
 
-    The span basis as :func:`subspace.supported_on` gives it holds d
-    vectors that each are positive at one free point of S and zero at the
-    others: the rays of the simplicial cone {g >= 0 on the free points}.
-    Each other point x of S then cuts the cone by g(x) >= 0: the rays with
-    g(x) >= 0 stay, and every pair of a positive and a negative ray
-    combines into a ray with g(x) = 0 when the two are adjacent, that is,
-    when no third ray vanishes on every point where both vanish.  Rays are
-    kept as gcd-normalised integer vectors, with their zero sets over the
-    points added so far as bitmasks, and are returned in the order
-    :func:`extreme_rays` gives their unit-trace multiples.
+
+def rays_on(u: OperatorSubspace, points: list[int]) -> list[list[int]] | None:
+    """Integer extreme rays of the cone {g in U : g >= 0 on the sorted
+    ``points``, g = 0 off them} (exact engine), by incremental double
+    description; None when some point is zero on all of the cone, that is,
+    when the union of the rays' supports would not be all the points.
+
+    The basis of :func:`subspace.supported_on` holds d vectors that each
+    are positive at one free point and zero at the others: the rays of the
+    simplicial cone {g >= 0 on the free points}.  Each other point x then
+    cuts the cone by g(x) >= 0: the rays with g(x) >= 0 stay, and every
+    pair of a positive and a negative ray combines into a ray with
+    g(x) = 0 when the two are adjacent, that is, when no third ray
+    vanishes on every point where both vanish.  Rays are kept as
+    gcd-normalised integer vectors, with their zero sets over the points
+    added so far as bitmasks, and are returned sorted by their multiples
+    of one common trace.  Each cone on the way holds the cone on all the
+    points, so a point that is zero on all its rays is zero on that cone,
+    and the description stops there.
     """
-    rays = desc.span_basis
+    rays = supported_on(u, points)
     d = len(rays)
-    # the free points are the last basis among the points of S (the
-    # complement of the first basis of the columns of perp): the free point
-    # of a vector is the last point where it alone is nonzero, and positive
-    nonzero = [sum(1 for g in rays if g[x]) for x in range(desc.base_projection.n)]
+    # the free points are the last basis among the points (the complement
+    # of the first basis of the columns of perp): the free point of a
+    # vector is the last point where it alone is nonzero, and positive
+    nonzero = [sum(1 for g in rays if g[x]) for x in range(u.ambient_n)]
     free = [max(x for x, v in enumerate(g) if v > 0 and nonzero[x] == 1) for g in rays]
     # so the other points go in from the last down; bit i of a zero set
     # stands for the i-th point in, so zero sets stay short while few are in
     zero_sets = [(1 << d) - 1 - (1 << i) for i in range(d)]
-    for bit, x in enumerate(sorted(desc.witness_support - set(free), reverse=True), d):
+    for bit, x in enumerate(sorted(set(points) - set(free), reverse=True), d):
         kept, kept_zeros, positive, negative = [], [], [], []
         for ray, zs in zip(rays, zero_sets):
             if ray[x] < 0:
@@ -285,14 +312,33 @@ def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
                     kept.append(ela.primitive([a[x] * vb - b[x] * va for va, vb in zip(a, b)]))
                     kept_zeros.append(common | 1 << bit)
         rays, zero_sets = kept, kept_zeros
+        if reduce(int.__and__, zero_sets, (2 << bit) - 1):
+            return None     # a point in is zero on the cone so far, which holds the cone
     lam = math.lcm(*(sum(g) for g in rays))    # order as if scaled to trace lam
     return sorted(rays, key=lambda g: [v * (lam // sum(g)) for v in g])
 
 
-def pivot_rays(desc: ConeDescriptor) -> list[list[int]]:
-    """The first dim K(p) linearly independent rays of :func:`integer_rays`:
-    the pivot columns of one integer elimination."""
-    rays = integer_rays(desc)
+def member_rays(p: Projection, u: OperatorSubspace) -> list[list[int]] | None:
+    """The integer extreme rays of an exact K(p), in the order of
+    :func:`integer_rays`, when p is a member; None when it is not.  No LP.
+
+    p is a member exactly when the maximal support of K(p), the union of
+    the supports of its rays, is the complement C of p (p = q_max(p)).
+    The sign cuts of the exact analysis run once: a point of C they drop
+    is zero on all of K(p), so p is no member.  Otherwise one
+    :func:`rays_on` C gives the rays of K(p), or None when a point of C is
+    zero on all of them.
+    """
+    _check_projection(p, u)
+    live = _sign_cuts(p, u)
+    if live.bit_count() < p.n - p.rank:
+        return None
+    return rays_on(u, [x for x in range(p.n) if live >> x & 1]) if live else []
+
+
+def pivot_rays(rays: list[list[int]]) -> list[list[int]]:
+    """The first linearly independent ones among integer ``rays``: the
+    pivot columns of one integer elimination."""
     return [rays[j] for j in ela.integer_rref([list(col) for col in zip(*rays)])[1]]
 
 
@@ -472,13 +518,15 @@ def analyze_cone(p: Projection, u: OperatorSubspace,
     threshold.
     """
     cfg = cfg or RunConfig()
+    _check_projection(p, u)
+    return _analyze_exact(p, u, cfg) if u.is_exact else _analyze_float(p, u, cfg)
+
+
+def _check_projection(p: Projection, u: OperatorSubspace) -> None:
     if p.n != u.ambient_n:
         raise PreconditionError("projection dimension does not match subspace")
-    if u.is_exact:
-        if not p.is_commutative:
-            raise InputError("exact engine needs support-based projections")
-        return _analyze_exact(p, u, cfg)
-    return _analyze_float(p, u, cfg)
+    if u.is_exact and not p.is_commutative:
+        raise InputError("exact engine needs support-based projections")
 
 
 def relative_interior_point(desc: ConeDescriptor):
@@ -509,24 +557,30 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
         return [_unit_trace_exact(g) for g in integer_rays(desc)]
     found = _reading_rays(desc, cfg)
     if found is not None:
-        reading, _, rays = found
+        reading, rays = found
         return [reading.matrix(g) for g in rays]
     return _extreme_rays_float(desc, cfg)
 
 
-def _reading_rays(desc: ConeDescriptor, cfg: RunConfig) -> tuple | None:
-    """For a float K(p) with dim K(p) >= 1: the exact reading of U, p's
-    support in its frame and the :func:`pivot_rays` of the exact cone of
-    that support, when U has a reading, p is diagonal in its frame and that
-    cone has the float dim K(p); else None."""
+def _reading_rays(desc: ConeDescriptor, cfg: RunConfig,
+                  members_only: bool = False) -> tuple | None:
+    """For a float K(p) with dim K(p) >= 1: the exact reading of U and the
+    :func:`pivot_rays` of the exact cone of p's support S in its frame,
+    when U has a reading, p is diagonal in its frame and that cone has the
+    float dim K(p); else None.  The exact rays are the :func:`integer_rays`
+    of the exact analysis or, with ``members_only``, the
+    :func:`member_rays` of S, which run no LP and are none unless S is a
+    member of the reading."""
     reading = desc.source[0].exact_reading(cfg.tol_rank)
     support = None if reading is None else reading.support_of(desc.base_projection)
     if support is None:
         return None
+    q = Projection.from_support(desc.base_projection.n, support)
     # the private analysis: the traced analyze_cone counts float cones only
-    exact = _analyze_exact(Projection.from_support(desc.base_projection.n, support),
-                           reading.exact, cfg)
-    return (reading, support, pivot_rays(exact)) if exact.dim_K == desc.dim_K else None
+    rays = member_rays(q, reading.exact) if members_only \
+        else integer_rays(_analyze_exact(q, reading.exact, cfg))
+    rays = pivot_rays(rays or [])
+    return (reading, rays) if len(rays) == desc.dim_K else None
 
 
 def _unit_trace_float(v: np.ndarray) -> np.ndarray:

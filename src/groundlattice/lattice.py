@@ -17,7 +17,10 @@ its elements commute and are rational functions on the columns of a joint
 eigenbasis) gets the complete exact coatoms and closure of the reading,
 with each support mapped back to its frame columns, flagged "complete".
 Its decompositions of members diagonal in the frame are read off supports
-the same way; membership and dim K(p) stay on the float cone.
+the same way; membership and dim K(p) stay on the float cone.  An exact
+decomposition runs no cone LP: it reads membership off the sign cuts and
+the supports of the rays of one double description on the complement of p
+(:func:`cone.member_rays`).
 The lattice is built from the top down: every node is the intersection of the
 coatoms above it, keyed by their bitmask (its intent), and Lindig's
 neighbour test picks its lower covers among its meets with one more
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cache, partial, reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -42,11 +45,19 @@ from .cone import (
     descent_rays,
     extreme_rays,
     integer_rays,
+    member_rays,
     pivot_rays,
 )
 from .config import RunConfig
 from .errors import IncompleteRaysError, NodeBudgetError, PreconditionError
-from .linalg import CANON_TOL, Projection, image_intersection, kernel_projection, meet_bases
+from .linalg import (
+    CANON_TOL,
+    Projection,
+    image_intersection,
+    kernel_projection,
+    meet_bases,
+    sort_keys,
+)
 from .subspace import OperatorSubspace
 
 
@@ -116,38 +127,45 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     exact rays, or the d rays that float :func:`extreme_rays` returns.  Any d
     independent rays span the linear hull of K(p), so the range of their
     sum holds the range of every element of K(p), and their kernels meet
-    in the kernel of a witness, which is p.  Exact kernels are supports and
-    meet as sets.  So do those of a float U with an exact reading when p is
-    diagonal in its frame and the exact cone of p's support has the float
-    dim K(p): the zero sets of that cone's :func:`cone.pivot_rays`, mapped
-    to frame columns, must meet in p's support.  Other float kernels are
-    read off the descent rays and meet by :func:`linalg.image_intersection`.
-    Returns [] for p = id (the empty infimum).
+    in the kernel of a witness, which is p.  Exact kernels are supports:
+    the rays are the :func:`cone.member_rays` of p, with no cone LP; p is
+    a member exactly when the sign cuts keep its whole complement C and
+    the union of the rays' supports is C, and then the zero sets meet in
+    p's support.  So do those of a float U with an exact reading when p is
+    diagonal in its frame and its support S has member rays on the
+    reading with the float dim K(p): their zero sets are mapped to frame
+    columns.  Other float p take the rays of :func:`extreme_rays`, whose
+    kernels must meet in p by :func:`linalg.image_intersection`.
+    Float membership is decided on the float cone.  Returns [] for p = id
+    (the empty infimum).
     """
     cfg = cfg or RunConfig()
     _require_identity(u)
     if p.rank == 0:
         raise PreconditionError("the zero projection has no finite coatom decomposition")
-    desc = analyze_cone(p, u, cfg)
-    if not desc.member:
+    if u.is_exact:
+        rays = member_rays(p, u)
+        member = rays is not None
+    else:
+        desc = analyze_cone(p, u, cfg)
+        member = desc.member
+    if not member:
         raise PreconditionError("p is not a ground projection of U")
     if p.rank == p.n:
         return []  # p = id: the infimum of no coatoms
-    found = (None, p.classical_support, pivot_rays(desc)) if u.is_exact \
-        else _reading_rays(desc, cfg)
-    if found is None:
-        coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
-        ok = reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank), coatoms).same_image(p)
+    if u.is_exact:
+        lift, rays = (lambda s: Projection(n=p.n, classical_support=s)), pivot_rays(rays)
     else:
-        reading, support, rays = found
-        lift = partial(Projection.from_support, p.n) if reading is None else reading.lift
-        zeros = [frozenset(x for x, v in enumerate(g) if v == 0) for g in rays]
-        coatoms = [lift(s) for s in zeros]
-        ok = frozenset.intersection(*zeros) == support
-    if not ok:
-        raise IncompleteRaysError(
-            "extreme-ray kernels failed to intersect back to p", partial=coatoms)
-    return coatoms
+        found = _reading_rays(desc, cfg, members_only=True)
+        if found is None:
+            coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
+            if not reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank),
+                          coatoms).same_image(p):
+                raise IncompleteRaysError(
+                    "extreme-ray kernels failed to intersect back to p", partial=coatoms)
+            return coatoms
+        lift, rays = found[0].lift, found[1]
+    return [lift(frozenset(x for x, v in enumerate(g) if v == 0)) for g in rays]
 
 
 def enumerate_coatoms(u: OperatorSubspace,
@@ -163,7 +181,7 @@ def enumerate_coatoms(u: OperatorSubspace,
     witness of K(0) end on (see :func:`cone.descent_rays`), each a coatom.
     A descent that ends on a ray found before returns none, so the coatoms
     are distinct; the list may miss coatoms, hence the flag "sampled".
-    The lists are sorted by :meth:`Projection.sort_key`.
+    The lists are sorted by :func:`linalg.sort_keys`.
     Returns (coatoms, completeness flag).
     """
     cfg = cfg or RunConfig()
@@ -171,15 +189,19 @@ def enumerate_coatoms(u: OperatorSubspace,
     reading = u.exact_reading(cfg.tol_rank)
     if reading is not None:
         exact, _ = enumerate_coatoms(reading.exact, cfg)
-        lifted = [reading.lift(q.classical_support) for q in exact]
-        return sorted(lifted, key=lambda p: p.sort_key()), "complete"
+        return _sorted([reading.lift(q.classical_support) for q in exact]), "complete"
     top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
         rays, flag = integer_rays(top), "exact"
     else:
         rays, flag = descent_rays(top, cfg, cfg.samples, 3), "sampled"
-    found = [_kernel_of(g, u, cfg) for g in rays]
-    return sorted(found, key=lambda p: p.sort_key()), flag
+    return _sorted([_kernel_of(g, u, cfg) for g in rays]), flag
+
+
+def _sorted(projections: list[Projection]) -> list[Projection]:
+    """The projections in the order of their :func:`linalg.sort_keys`."""
+    keys = sort_keys(projections)
+    return [projections[i] for i in sorted(range(len(projections)), key=keys.__getitem__)]
 
 
 @dataclass
@@ -210,11 +232,12 @@ def lattice_from_nodes(nodes: dict[object, Projection], covers: list[tuple[objec
     """Sort the nodes, renumber the given covers, and mark the coatoms.
 
     ``nodes`` maps a key to each node and ``covers`` holds (child, parent)
-    key pairs.  Nodes are ordered by :meth:`Projection.sort_key`, covers by
+    key pairs.  Nodes are ordered by :func:`linalg.sort_keys`, covers by
     their new indices, and the coatoms are the children of the top (the
     node of largest rank, hence the last).
     """
-    order = sorted(nodes, key=lambda key: nodes[key].sort_key())
+    keys = dict(zip(nodes, sort_keys(list(nodes.values()))))
+    order = sorted(nodes, key=keys.__getitem__)
     index = {key: i for i, key in enumerate(order)}
     edges = sorted((index[a], index[b]) for a, b in covers)
     top = len(order) - 1

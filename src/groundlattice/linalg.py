@@ -296,16 +296,30 @@ class Projection:
         return float(np.linalg.norm(p - q, ord=2)) <= tol
 
     def sort_key(self):
-        if self.is_commutative:
-            return (self.rank, tuple(sorted(self.classical_support)))
-        m = self.matrix()
-        q = np.round(m.real, 6) + 1j * np.round(m.imag, 6)
-        return (self.rank, tuple(q.flatten().real) + tuple(q.flatten().imag))
+        return sort_keys([self])[0]
 
     def __repr__(self):
         if self.is_commutative:
             return f"Projection(support={sorted(self.classical_support)}, n={self.n})"
         return f"Projection(rank={self.rank}, n={self.n})"
+
+
+def sort_keys(projections: list[Projection]) -> list[tuple]:
+    """The sort key of each projection: (rank, sorted support) for a
+    support, (rank, real then imaginary entries of the matrix rounded to 6
+    decimals, row by row) for an image basis.  The float matrices of all
+    the projections, which share one n, come from one stacked product of
+    the bases padded to n columns, one rounding and one ``tolist``."""
+    floats = [p for p in projections if not p.is_commutative]
+    if floats:
+        n = floats[0].n
+        b = np.zeros((len(floats), n, n), dtype=np.complex128)
+        for bi, p in zip(b, floats):
+            bi[:, :p.rank] = p.image_basis
+        m = (b @ b.conj().transpose(0, 2, 1)).reshape(len(floats), -1)
+        entries = iter(np.round(np.concatenate([m.real, m.imag], axis=1), 6).tolist())
+    return [(p.rank, tuple(sorted(p.classical_support)) if p.is_commutative
+             else tuple(next(entries))) for p in projections]
 
 
 def loewner_leq(p: Projection, q: Projection, tol: float = DEFAULT_TOL) -> bool:

@@ -10,8 +10,14 @@ from bruteforce_oracle import brute_force_members
 from groundlattice import exactla as ela
 from groundlattice import lattice as lattice_mod
 from groundlattice.config import RunConfig
-from groundlattice.cone import _extreme_rays_float, analyze_cone, descent_rays, extreme_rays
-from groundlattice.errors import NodeBudgetError, PreconditionError
+from groundlattice.cone import (
+    _extreme_rays_float,
+    _sign_cuts,
+    analyze_cone,
+    descent_rays,
+    extreme_rays,
+)
+from groundlattice.errors import InputError, NodeBudgetError, PreconditionError
 from groundlattice.fixtures import (
     U_MINUS,
     U_PLUS,
@@ -33,6 +39,7 @@ from groundlattice.lattice import (
     enumerate_coatoms,
     is_coatom,
     is_ground_projection,
+    lattice_from_nodes,
     q_max,
     q_max_from_descriptor,
 )
@@ -45,6 +52,7 @@ from groundlattice.linalg import (
     kernel_projection,
     loewner_leq,
     nullspace_cols,
+    sort_keys,
 )
 from groundlattice.manybody import (
     SiteSystem,
@@ -280,6 +288,44 @@ class TestCoatomDecomposition:
         u = m3_subspace()
         with pytest.raises(PreconditionError):
             coatom_decomposition(Projection.zero(3), u)
+        with pytest.raises(PreconditionError, match="zero projection"):
+            coatom_decomposition(Projection.zero(8, commutative=True), three_bit_two_local())
+
+    def test_exact_preconditions(self):
+        u = three_bit_two_local()
+        with pytest.raises(PreconditionError, match="dimension"):
+            coatom_decomposition(Projection.from_support(4, [0, 1]), u)
+        with pytest.raises(PreconditionError, match="dimension"):
+            coatom_decomposition(Projection.identity(4, commutative=True), u)
+        with pytest.raises(InputError, match="support-based"):
+            coatom_decomposition(Projection.from_columns(8, np.eye(8)[:, :3]), u)
+
+    def test_raises_exactly_for_non_members(self):
+        # the exact decomposition reads membership off the sign cuts and the
+        # supports of its rays, with no cone LP: it must raise exactly where
+        # the LP decision says that p is no member
+        cases = [(three_bit_two_local(), range(1, 256))]
+        rng = np.random.default_rng(30)
+        cases.append((build_klocal(SiteSystem.bits(4), 2),
+                      [int(m) for m in rng.integers(1, 1 << 16, 400)]))
+        for _ in range(8):
+            v, members = brute_force_members(rng, int(rng.integers(4, 8)), int(rng.integers(1, 4)))
+            cases.append((v, range(1, 1 << v.ambient_n)))
+        counts = {"member": 0, "cut": 0, "uncut": 0}
+        for u, masks in cases:
+            n = u.ambient_n
+            for mask in masks:
+                p = Projection.from_support(n, (x for x in range(n) if mask >> x & 1))
+                if is_ground_projection(p, u):
+                    assert len(coatom_decomposition(p, u)) == analyze_cone(p, u).dim_K
+                    counts["member"] += 1
+                    continue
+                with pytest.raises(PreconditionError, match="not a ground projection"):
+                    coatom_decomposition(p, u)
+                whole = _sign_cuts(p, u).bit_count() == n - p.rank
+                counts["uncut" if whole else "cut"] += 1
+        # non-members that the sign cuts keep whole reach the union-of-supports test
+        assert min(counts.values()) > 0, counts
 
     def test_decomposition_parts_are_fixed_points(self):
         u = m3_subspace()
@@ -644,6 +690,30 @@ class TestImageBasisClosure:
                    for p, q in zip(batched.nodes, reference.nodes))
         assert batched.hasse_edges == reference.hasse_edges
         assert batched.coatoms == reference.coatoms
+
+    def test_stacked_sort_keys_keep_the_per_node_order(self):
+        # the reference builds and rounds one matrix per node
+        def per_node_key(p):
+            m = p.matrix()
+            q = np.round(m.real, 6) + 1j * np.round(m.imag, 6)
+            return (p.rank, tuple(q.flatten().real) + tuple(q.flatten().imag))
+
+        exact = build_klocal(three_bit_system(), 1)
+        v = haar_unitary(np.random.default_rng(4), 8)
+        facets = [Projection.from_columns(8, v[:, sorted(q.classical_support)])
+                  for q in enumerate_coatoms(exact)[0]]
+        lattices = [close_to_lattice(rotated_space(exact, v), facets, "complete"),
+                    build_lattice(m3_subspace(), RunConfig(samples=50, seed=0))]
+        assert [lat.node_count for lat in lattices] == [28, 37]
+        rng = np.random.default_rng(5)
+        for lat in lattices:
+            nodes = [lat.nodes[i] for i in rng.permutation(lat.node_count)]
+            assert sort_keys(nodes) == [per_node_key(p) for p in nodes]
+            position = {id(p): i for i, p in enumerate(nodes)}
+            resorted = lattice_from_nodes(dict(enumerate(nodes)), [], lat.completeness_flag)
+            assert [position[id(p)] for p in resorted.nodes] == \
+                [position[id(p)] for p in sorted(nodes, key=per_node_key)] == \
+                [position[id(p)] for p in lat.nodes]
 
     def test_zero_goes_below_a_nonzero_meet_of_all_coatoms(self):
         # two exact coatoms meet in a support of size 5, so the closure

@@ -260,17 +260,17 @@ def integer_rays(desc: ConeDescriptor) -> list[list[int]]:
     """Integer extreme rays of an exact K(p): :func:`rays_on` its maximal
     support S (which no point of S is zero on), in the order
     :func:`extreme_rays` gives their unit-trace multiples."""
-    return rays_on(desc.source[0], sorted(desc.witness_support)) if desc.source else []
+    return rays_on(desc.span_basis, sorted(desc.witness_support)) if desc.source else []
 
 
-def rays_on(u: OperatorSubspace, points: list[int]) -> list[list[int]] | None:
+def rays_on(basis: list[list[int]], points: list[int]) -> list[list[int]] | None:
     """Integer extreme rays of the cone {g in U : g >= 0 on the sorted
     ``points``, g = 0 off them} (exact engine), by incremental double
     description; None when some point is zero on all of the cone, that is,
     when the union of the rays' supports would not be all the points.
 
-    The basis of :func:`subspace.supported_on` holds d vectors that each
-    are positive at one free point and zero at the others: the rays of the
+    ``basis`` is :func:`subspace.supported_on` the points: d vectors that
+    each are positive at one free point and zero at the others: the rays of the
     simplicial cone {g >= 0 on the free points}.  Each other point x then
     cuts the cone by g(x) >= 0: the rays with g(x) >= 0 stay, and every
     pair of a positive and a negative ray combines into a ray with
@@ -282,12 +282,12 @@ def rays_on(u: OperatorSubspace, points: list[int]) -> list[list[int]] | None:
     points, so a point that is zero on all its rays is zero on that cone,
     and the description stops there.
     """
-    rays = supported_on(u, points)
+    rays = basis
     d = len(rays)
     # the free points are the last basis among the points (the complement
     # of the first basis of the columns of perp): the free point of a
     # vector is the last point where it alone is nonzero, and positive
-    nonzero = [sum(1 for g in rays if g[x]) for x in range(u.ambient_n)]
+    nonzero = [sum(map(bool, column)) for column in zip(*rays)]
     free = [max(x for x, v in enumerate(g) if v > 0 and nonzero[x] == 1) for g in rays]
     # so the other points go in from the last down; bit i of a zero set
     # stands for the i-th point in, so zero sets stay short while few are in
@@ -333,7 +333,10 @@ def member_rays(p: Projection, u: OperatorSubspace) -> list[list[int]] | None:
     live = _sign_cuts(p, u)
     if live.bit_count() < p.n - p.rank:
         return None
-    return rays_on(u, [x for x in range(p.n) if live >> x & 1]) if live else []
+    if not live:
+        return []
+    points = [x for x in range(p.n) if live >> x & 1]
+    return rays_on(supported_on(u, points), points)
 
 
 def pivot_rays(rays: list[list[int]]) -> list[list[int]]:
@@ -562,24 +565,18 @@ def extreme_rays(desc: ConeDescriptor, cfg: RunConfig | None = None) -> list:
     return _extreme_rays_float(desc, cfg)
 
 
-def _reading_rays(desc: ConeDescriptor, cfg: RunConfig,
-                  members_only: bool = False) -> tuple | None:
+def _reading_rays(desc: ConeDescriptor, cfg: RunConfig) -> tuple | None:
     """For a float K(p) with dim K(p) >= 1: the exact reading of U and the
     :func:`pivot_rays` of the exact cone of p's support S in its frame,
     when U has a reading, p is diagonal in its frame and that cone has the
-    float dim K(p); else None.  The exact rays are the :func:`integer_rays`
-    of the exact analysis or, with ``members_only``, the
-    :func:`member_rays` of S, which run no LP and are none unless S is a
-    member of the reading."""
+    float dim K(p); else None."""
     reading = desc.source[0].exact_reading(cfg.tol_rank)
     support = None if reading is None else reading.support_of(desc.base_projection)
     if support is None:
         return None
     q = Projection.from_support(desc.base_projection.n, support)
     # the private analysis: the traced analyze_cone counts float cones only
-    rays = member_rays(q, reading.exact) if members_only \
-        else integer_rays(_analyze_exact(q, reading.exact, cfg))
-    rays = pivot_rays(rays or [])
+    rays = pivot_rays(integer_rays(_analyze_exact(q, reading.exact, cfg)))
     return (reading, rays) if len(rays) == desc.dim_K else None
 
 

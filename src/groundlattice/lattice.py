@@ -40,7 +40,6 @@ import numpy as np
 
 from .cone import (
     ConeDescriptor,
-    _reading_rays,
     analyze_cone,
     descent_rays,
     extreme_rays,
@@ -156,15 +155,18 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     if u.is_exact:
         lift, rays = (lambda s: Projection(n=p.n, classical_support=s)), pivot_rays(rays)
     else:
-        found = _reading_rays(desc, cfg, members_only=True)
-        if found is None:
+        reading = u.exact_reading(cfg.tol_rank)
+        support = None if reading is None else reading.support_of(p)
+        rays = [] if support is None else \
+            pivot_rays(member_rays(Projection.from_support(p.n, support), reading.exact) or [])
+        if len(rays) != desc.dim_K:
             coatoms = [_kernel_of(v, u, cfg) for v in extreme_rays(desc, cfg)]
             if not reduce(lambda a, q: image_intersection(a, q, cfg.tol_rank),
                           coatoms).same_image(p):
                 raise IncompleteRaysError(
                     "extreme-ray kernels failed to intersect back to p", partial=coatoms)
             return coatoms
-        lift, rays = found[0].lift, found[1]
+        lift = reading.lift
     return [lift(frozenset(x for x, v in enumerate(g) if v == 0)) for g in rays]
 
 

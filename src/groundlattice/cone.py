@@ -8,7 +8,10 @@ all that membership needs; the descriptor computes dim K(p), a basis of
 the span of K(p) and a relative-interior witness of maximal rank on first
 read, from data the analysis already holds, so a decision builds neither
 span nor witness.  :func:`extreme_rays` computes extreme-ray generators on
-request.
+request.  On an exact U whose coatoms :func:`lattice.enumerate_coatoms`
+has listed, the decisions, q_max and decompositions of :mod:`lattice`
+read the K(0) rays it kept and run no analysis; the analysis decides
+every other call.
 
 Exact engine: the cone is polyhedral, cut out of U by nonnegativity off p;
 membership in U is ``perp @ g = 0`` for the primitive integer rows
@@ -35,9 +38,10 @@ basis spans, add the other points of S one at a time, and combine a
 positive and a negative ray only when the zero-set test finds them
 adjacent.  Only the witness and the unit-trace rays of :func:`extreme_rays`
 are Fractions; :func:`integer_rays` gives the same rays as primitive
-integer vectors.  :func:`member_rays`, which decompositions use, runs no
-LP: the sign cuts, then one double description on the complement of p,
-whose rays' supports cover it exactly when p is a member.
+integer vectors.  :func:`member_rays` runs no LP: the sign cuts, then one
+double description on the complement of p, whose rays' supports cover it
+exactly when p is a member.  The exact decompositions on a U with no kept
+K(0) rays use it, and so do the float decompositions on an exact reading.
 
 Float engine: facial reduction.  L(p) is read off U or off U⊥, whichever
 costs less (:func:`subspace.linear_section`), and compressed to the range

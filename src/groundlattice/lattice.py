@@ -4,23 +4,35 @@ Membership is decided by the greatest-projection characterization: the
 projections q with K(q) = K(p) have a greatest element q_max(p), the
 kernel of a relative-interior witness of K(p), and p belongs to the
 lattice exactly when p = q_max(p).  Since p <= q_max(p) always, that is
-the rank equality rank q_max(p) = rank p, read off the cone analysis
+the rank equality rank q_max(p) = rank p.  Coatoms are the members whose
+cone is a ray.  Coatoms are read off as the kernels of the extreme rays
+of K(0) = U ∩ PSD, all of them in the exact engine and those that face
+descents reach in the float engine.
+
+Decisions, q_max and decompositions take one of two routes.  An exact U
+whose coatoms :func:`enumerate_coatoms` has listed (so also after
+:func:`build_lattice`) keeps the integer rays of K(0) with their support
+bitmasks.  K(p) is the face of the polyhedral cone K(0) on which the
+points of p vanish, and a face is generated by the extreme rays it holds
+(Ziegler 1995): the rays of K(p) are the kept rays whose supports miss
+p's support, the rays of the coatoms above p.  Membership, q_max and the
+coatom test are then OR and AND of bitmasks, and a decomposition is the
+pivot rays of one integer elimination, with no LP and no null space.  A
+decision never starts an enumeration.  Without kept rays, and on the
+float engine, a decision reads the cone analysis
 (:attr:`ConeDescriptor.member`) with no eigendecomposition of the witness
-and no principal-angle test.  Coatoms are the members whose cone is a
-ray, so a decision reads only ``q_max_rank`` and ``dim_K``; the span and
-the witness, which the descriptor computes on first read, are built only
-for decompositions, q_max and coatom enumeration.  Coatoms are read off
-as the kernels of the extreme rays of K(0) = U ∩ PSD, all of them in the
-exact engine and those that face descents reach in the float engine.  A
-float U with an exact reading (:meth:`OperatorSubspace.exact_reading`:
+and no principal-angle test: it reads only ``q_max_rank`` and ``dim_K``,
+and the span and the witness, which the descriptor computes on first
+read, are built only for decompositions, q_max and coatom enumeration.
+An exact decomposition without kept rays runs no cone LP: it reads
+membership off the sign cuts and the supports of the rays of one double
+description on the complement of p (:func:`cone.member_rays`).
+A float U with an exact reading (:meth:`OperatorSubspace.exact_reading`:
 its elements commute and are rational functions on the columns of a joint
 eigenbasis) gets the complete exact coatoms and closure of the reading,
 with each support mapped back to its frame columns, flagged "complete".
 Its decompositions of members diagonal in the frame are read off supports
-the same way; membership and dim K(p) stay on the float cone.  An exact
-decomposition runs no cone LP: it reads membership off the sign cuts and
-the supports of the rays of one double description on the complement of p
-(:func:`cone.member_rays`).
+the same way; membership and dim K(p) stay on the float cone.
 The lattice is built from the top down: every node is the intersection of the
 coatoms above it, keyed by their bitmask (its intent), and Lindig's
 neighbour test picks its lower covers among its meets with one more
@@ -35,11 +47,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .cone import (
     ConeDescriptor,
+    _check_projection,
     analyze_cone,
     descent_rays,
     extreme_rays,
@@ -65,6 +79,36 @@ def _require_identity(u: OperatorSubspace):
         raise PreconditionError("the subspace must contain the identity matrix")
 
 
+class _Face(NamedTuple):
+    rays: list[list[int]]   # the integer extreme rays of K(p), in order
+    kernel: int             # the support bitmask of q_max(p)
+    member: bool            # p = q_max(p)
+
+
+def _kept_face(p: Projection, u: OperatorSubspace) -> _Face | None:
+    """K(p) read off the rays of K(0) that :func:`enumerate_coatoms` kept
+    on an exact U; None when none are kept (and on the float engine).
+
+    Runs the checks of the other route first, so that errors do not
+    depend on the route.  The rays of the face K(p) are the kept rays
+    whose supports miss p's support, in their order; the union S of
+    their supports is the maximal support, so q_max(p) is the complement
+    of S, and p is a member exactly when that has rank p.
+    """
+    _require_identity(u)
+    if u._coatom_rays is None:
+        return None
+    _check_projection(p, u)
+    mask = sum(1 << x for x in p.classical_support)
+    rays, live = [], 0
+    for g, m in u._coatom_rays:
+        if not m & mask:
+            rays.append(g)
+            live |= m
+    kernel = ((1 << p.n) - 1) & ~live
+    return _Face(rays, kernel, kernel.bit_count() == p.rank)
+
+
 def _kernel_of(witness, u: OperatorSubspace, cfg: RunConfig) -> Projection:
     if u.is_exact:
         support = frozenset(i for i, v in enumerate(witness) if v == 0)
@@ -86,33 +130,44 @@ def q_max(p: Projection, u: OperatorSubspace, cfg: RunConfig | None = None) -> P
 
     The kernel of a maximal-rank witness of K(p); the identity when the
     cone is trivial, and the zero projection when the witness is positive
-    definite.  Requires the identity inside U.
+    definite.  Requires the identity inside U.  On an exact U with kept
+    K(0) rays (see :func:`enumerate_coatoms`) it is the complement of the
+    union of the supports of the kept rays that vanish on p; otherwise it
+    is read off :func:`cone.analyze_cone`.
     """
     cfg = cfg or RunConfig()
-    _require_identity(u)
-    desc = analyze_cone(p, u, cfg)
-    return q_max_from_descriptor(desc, u, cfg)
+    face = _kept_face(p, u)
+    if face is not None:
+        return Projection.from_support(p.n, (x for x in range(p.n) if face.kernel >> x & 1))
+    return q_max_from_descriptor(analyze_cone(p, u, cfg), u, cfg)
 
 
 def is_ground_projection(p: Projection, u: OperatorSubspace,
                          cfg: RunConfig | None = None) -> bool:
     """Membership in the ground-projection lattice: p equals q_max(p).
 
-    As p <= q_max(p), this is rank q_max(p) = rank p, compared as integers
-    (:attr:`ConeDescriptor.member`); with K(p) = {0}, q_max(p) = id and p
-    is a member exactly when rank p = n.
+    As p <= q_max(p), this is rank q_max(p) = rank p, compared as
+    integers; with K(p) = {0}, q_max(p) = id and p is a member exactly
+    when rank p = n.  On an exact U with kept K(0) rays (see
+    :func:`enumerate_coatoms`) q_max(p) is read off their supports;
+    otherwise off :func:`cone.analyze_cone` (:attr:`ConeDescriptor.member`).
     """
     cfg = cfg or RunConfig()
-    _require_identity(u)
+    face = _kept_face(p, u)
+    if face is not None:
+        return face.member
     return analyze_cone(p, u, cfg).member
 
 
 def is_coatom(p: Projection, u: OperatorSubspace, cfg: RunConfig | None = None) -> bool:
     """Maximal proper lattice element test: a member (by the rank rule of
-    :func:`is_ground_projection`) whose cone is a ray; dim K(p) is read
-    only for members."""
+    :func:`is_ground_projection`) whose cone is a ray.  On an exact U with
+    kept K(0) rays that is one kept ray vanishing on p; otherwise dim K(p)
+    is read off :func:`cone.analyze_cone`, only for members."""
     cfg = cfg or RunConfig()
-    _require_identity(u)
+    face = _kept_face(p, u)
+    if face is not None:
+        return face.member and len(face.rays) == 1
     desc = analyze_cone(p, u, cfg)
     return desc.member and desc.dim_K == 1
 
@@ -126,12 +181,15 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     exact rays, or the d rays that float :func:`extreme_rays` returns.  Any d
     independent rays span the linear hull of K(p), so the range of their
     sum holds the range of every element of K(p), and their kernels meet
-    in the kernel of a witness, which is p.  Exact kernels are supports:
-    the rays are the :func:`cone.member_rays` of p, with no cone LP; p is
-    a member exactly when the sign cuts keep its whole complement C and
-    the union of the rays' supports is C, and then the zero sets meet in
-    p's support.  So do those of a float U with an exact reading when p is
-    diagonal in its frame and its support S has member rays on the
+    in the kernel of a witness, which is p.  Exact kernels are supports.
+    On an exact U with kept K(0) rays (see :func:`enumerate_coatoms`) the
+    rays of K(p) are the kept rays that vanish on p, and membership is
+    read off their supports as in :func:`is_ground_projection`.  Without
+    kept rays they are the :func:`cone.member_rays` of p, with no cone LP;
+    p is a member exactly when the sign cuts keep its whole complement C
+    and the union of the rays' supports is C, and then the zero sets meet
+    in p's support.  So do those of a float U with an exact reading when p
+    is diagonal in its frame and its support S has member rays on the
     reading with the float dim K(p): their zero sets are mapped to frame
     columns.  Other float p take the rays of :func:`extreme_rays`, whose
     kernels must meet in p by :func:`linalg.image_intersection`.
@@ -143,8 +201,12 @@ def coatom_decomposition(p: Projection, u: OperatorSubspace,
     if p.rank == 0:
         raise PreconditionError("the zero projection has no finite coatom decomposition")
     if u.is_exact:
-        rays = member_rays(p, u)
-        member = rays is not None
+        face = _kept_face(p, u)
+        if face is None:
+            rays = member_rays(p, u)
+            member = rays is not None
+        else:
+            rays, member = face.rays, face.member
     else:
         desc = analyze_cone(p, u, cfg)
         member = desc.member
@@ -177,12 +239,15 @@ def enumerate_coatoms(u: OperatorSubspace,
 
     Exact: the kernels of the extreme rays of K(0) = U ∩ PSD, whose rays
     are exactly the ray cones K(q) of the coatoms q; the list is complete,
-    flagged "exact".  A float U with an exact reading: the exact coatoms of
-    the reading on the columns of its frame, flagged "complete".  Other
-    float U: the kernels of the rays that cfg.samples face descents from the
-    witness of K(0) end on (see :func:`cone.descent_rays`), each a coatom.
-    A descent that ends on a ray found before returns none, so the coatoms
-    are distinct; the list may miss coatoms, hence the flag "sampled".
+    flagged "exact".  The first call keeps the integer rays on U with their
+    support bitmasks, and later calls reuse them, as do the decisions,
+    q_max and decompositions on U (see :func:`is_ground_projection`).  A
+    float U with an exact reading: the exact coatoms of the reading on
+    the columns of its frame, flagged "complete".  Other float U: the
+    kernels of the rays that cfg.samples face descents from the witness of
+    K(0) end on (see :func:`cone.descent_rays`), each a coatom.  A descent
+    that ends on a ray found before returns none, so the coatoms are
+    distinct; the list may miss coatoms, hence the flag "sampled".
     The lists are sorted by :func:`linalg.sort_keys`.
     Returns (coatoms, completeness flag).
     """
@@ -192,12 +257,15 @@ def enumerate_coatoms(u: OperatorSubspace,
     if reading is not None:
         exact, _ = enumerate_coatoms(reading.exact, cfg)
         return _sorted([reading.lift(q.classical_support) for q in exact]), "complete"
-    top = analyze_cone(u.zero_projection(), u, cfg)
     if u.is_exact:
-        rays, flag = integer_rays(top), "exact"
-    else:
-        rays, flag = descent_rays(top, cfg, cfg.samples, 3), "sampled"
-    return _sorted([_kernel_of(g, u, cfg) for g in rays]), flag
+        if u._coatom_rays is None:
+            top = analyze_cone(u.zero_projection(), u, cfg)
+            u._coatom_rays = [(g, sum(1 << x for x, v in enumerate(g) if v))
+                              for g in integer_rays(top)]
+        return _sorted([_kernel_of(g, u, cfg) for g, _ in u._coatom_rays]), "exact"
+    top = analyze_cone(u.zero_projection(), u, cfg)
+    rays = descent_rays(top, cfg, cfg.samples, 3)
+    return _sorted([_kernel_of(g, u, cfg) for g in rays]), "sampled"
 
 
 def _sorted(projections: list[Projection]) -> list[Projection]:

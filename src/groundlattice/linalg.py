@@ -295,9 +295,6 @@ class Projection:
         p, q = self.matrix(), other.matrix()
         return float(np.linalg.norm(p - q, ord=2)) <= tol
 
-    def sort_key(self):
-        return sort_keys([self])[0]
-
     def __repr__(self):
         if self.is_commutative:
             return f"Projection(support={sorted(self.classical_support)}, n={self.n})"

@@ -86,6 +86,9 @@ class OperatorSubspace:
     stacked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _perp: list | np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _readings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # exact engine: the integer extreme rays of K(0), each with the bitmask
+    # of its support, kept by the first lattice.enumerate_coatoms
+    _coatom_rays: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.is_exact:

@@ -1,10 +1,13 @@
 """Membership via the greatest-projection rule, coatoms, lattice building."""
 
+import ast
+import inspect
 import time
 
 import numpy as np
 import pytest
 
+import bruteforce_oracle
 from bruteforce_oracle import brute_force_members
 
 from groundlattice import exactla as ela
@@ -98,8 +101,8 @@ def descent_coatoms(u, cfg):
     :func:`enumerate_coatoms` finds them on a U with no exact reading: the
     kernels of :func:`descent_rays` on stream 3, sorted."""
     top = analyze_cone(u.zero_projection(), u, cfg)
-    return sorted((kernel_projection(g, cfg.tol_rank)
-                   for g in descent_rays(top, cfg, cfg.samples, 3)), key=lambda p: p.sort_key())
+    found = [kernel_projection(g, cfg.tol_rank) for g in descent_rays(top, cfg, cfg.samples, 3)]
+    return [p for _, p in sorted(zip(sort_keys(found), found), key=lambda kp: kp[0])]
 
 
 def inclusion_covers(supports):
@@ -122,7 +125,8 @@ def coatoms_by_support_scan(u):
         p = Projection.from_support(n, [i for i in range(n) if mask >> i & 1])
         if analyze_cone(p, u).dim_K == 1 and is_ground_projection(p, u):
             found.append(p)
-    return [sorted(p.classical_support) for p in sorted(found, key=lambda p: p.sort_key())]
+    return [sorted(p.classical_support) for _, p in sorted(zip(sort_keys(found), found),
+                                                           key=lambda kp: kp[0])]
 
 
 def random_projection(rng, n):
@@ -552,6 +556,104 @@ class TestEnumerateCoatoms:
         lat = close_to_lattice(u, coatoms, "sampled", cfg)
         assert lat.node_count == 2 + a + b + a * b
         assert len(lat.coatoms) == a + b
+
+
+def mask_projection(n, mask):
+    return Projection.from_support(n, (x for x in range(n) if mask >> x & 1))
+
+
+def route_outcomes(p, u):
+    """What the four public calls answer for p: membership, the coatom
+    test, q_max, and the decomposition's parts in order, or the type and
+    message of the error it raises."""
+    try:
+        parts = [q.classical_support for q in coatom_decomposition(p, u)]
+    except PreconditionError as err:
+        parts = (type(err), str(err))
+    return is_ground_projection(p, u), is_coatom(p, u), q_max(p, u), parts
+
+
+def four_bit_cases(u, rng):
+    """Seeded bits:N=4:k=2 supports: random masks, and meets of 1 to 4
+    random coatoms of u (so members of every dim K up to 4)."""
+    coatoms = [q.classical_support for q in enumerate_coatoms(u)[0]]
+    supports = [frozenset(x for x in range(16) if m >> x & 1)
+                for m in rng.integers(0, 1 << 16, 300)]
+    for _ in range(150):
+        picks = rng.choice(len(coatoms), size=int(rng.integers(1, 5)), replace=False)
+        supports.append(frozenset.intersection(*(coatoms[i] for i in picks)))
+    return [Projection.from_support(16, s) for s in supports]
+
+
+class TestKeptCoatomRays:
+    """Decisions, q_max and decompositions on an exact U whose K(0) rays
+    enumerate_coatoms has kept read them off the rays' supports; a fresh
+    U keeps the LP and member_rays route, and no call enumerates."""
+
+    @pytest.mark.parametrize("n_bits", [3, 4])
+    def test_kept_rays_agree_with_the_lp_route(self, n_bits):
+        system = SiteSystem.bits(n_bits)
+        kept, fresh = build_klocal(system, 2), build_klocal(system, 2)
+        enumerate_coatoms(kept)
+        assert kept._coatom_rays is not None
+        n = 2 ** n_bits
+        if n_bits == 3:
+            cases = [mask_projection(n, m) for m in range(1 << n)]
+        else:
+            cases = four_bit_cases(kept, np.random.default_rng(31))
+        members = 0
+        for p in cases:
+            outcome = route_outcomes(p, kept)
+            assert outcome == route_outcomes(p, fresh), sorted(p.classical_support)
+            members += outcome[0]
+        assert fresh._coatom_rays is None
+        # both sides of every decision are met
+        assert 0 < members < len(cases)
+        if n_bits == 3:
+            assert members == 226
+
+    def test_kept_rays_route_runs_no_lp_and_no_member_rays(self, monkeypatch):
+        u, fresh = three_bit_two_local(), three_bit_two_local()
+        coatoms = enumerate_coatoms(u)
+        expected = {m: route_outcomes(mask_projection(8, m), fresh) for m in range(256)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the kept-ray route called the LP route")
+
+        monkeypatch.setattr(lattice_mod, "analyze_cone", forbidden)
+        monkeypatch.setattr(lattice_mod, "member_rays", forbidden)
+        monkeypatch.setattr(lattice_mod, "integer_rays", forbidden)
+        assert enumerate_coatoms(u) == coatoms
+        for m, outcome in expected.items():
+            assert route_outcomes(mask_projection(8, m), u) == outcome
+
+    def test_decisions_never_enumerate(self, monkeypatch):
+        # bits:N=6:k=2 has 116,764 coatoms: a decision must not start
+        # their enumeration, so a fresh U keeps the LP route
+        cases = four_bit_cases(build_klocal(SiteSystem.bits(4), 2), np.random.default_rng(32))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decision enumerated the coatoms")
+
+        monkeypatch.setattr(lattice_mod, "integer_rays", forbidden)
+        u = build_klocal(SiteSystem.bits(4), 2)
+        for p in cases[::5]:
+            route_outcomes(p, u)
+        assert u._coatom_rays is None
+
+    def test_kept_rays_keep_the_errors(self):
+        u = three_bit_two_local()
+        enumerate_coatoms(u)
+        calls = (is_ground_projection, is_coatom, q_max, coatom_decomposition)
+        for call in calls:
+            with pytest.raises(PreconditionError, match="dimension"):
+                call(Projection.from_support(4, [0, 1]), u)
+            with pytest.raises(InputError, match="support-based"):
+                call(Projection.from_columns(8, np.eye(8)[:, :3]), u)
+        with pytest.raises(PreconditionError, match="zero projection"):
+            coatom_decomposition(Projection.zero(8, commutative=True), u)
+        with pytest.raises(PreconditionError, match="not a ground projection"):
+            coatom_decomposition(Projection.from_support(8, [0, 3, 5, 6]), u)
 
 
 class TestRankRule:
@@ -1119,13 +1221,28 @@ class TestBruteForceOracleSmoke:
     the acceptance suite)."""
 
     def test_oracle_agrees_on_one_instance(self):
+        # on the LP route, then on the kept rays of K(0)
         rng = np.random.default_rng(40)
         u, members = brute_force_members(rng, n_points=4, extra_dims=2)
         cfg = RunConfig()
-        for mask in range(2 ** 4):
-            support = frozenset(i for i in range(4) if mask >> i & 1)
-            p = Projection.from_support(4, support)
-            assert is_ground_projection(p, u, cfg) == (support in members)
+        for _ in range(2):
+            for mask in range(2 ** 4):
+                support = frozenset(i for i in range(4) if mask >> i & 1)
+                p = Projection.from_support(4, support)
+                assert is_ground_projection(p, u, cfg) == (support in members)
+            enumerate_coatoms(u, cfg)
+
+    def test_oracle_uses_neither_route(self):
+        # the oracle compares cones by its own ray enumeration: of the
+        # library it imports only the integer algebra and the subspace
+        # builder, no cone analysis, double description or lattice call
+        tree = ast.parse(inspect.getsource(bruteforce_oracle))
+        imported = {f"{node.module}.{a.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for a in node.names}
+        imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for a in node.names}
+        library = {name.split(".")[1] for name in imported if name.startswith("groundlattice.")}
+        assert library == {"exactla", "subspace"}
 
 
 class TestNodeBudget:
